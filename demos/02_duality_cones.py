@@ -14,7 +14,6 @@ from moebius_dual import (
     representing_measure,
     strong_condition_check,
     subset_lattice,
-    transpose_pair,
 )
 
 F = Fraction
@@ -36,8 +35,7 @@ def main():
     g = [F(2) ** bin(m).count("1") for m in lat.poset.elements]
     rep = cone_membership(g, lat.pair, transposed=True)
     print("g(J) = 2^|J| lies in the transposed cone:", rep.member)
-    _, mo_t = transpose_pair(lat.pair)
-    weights = mo_t.apply(g)  # nonnegative since g is in the transposed cone
+    weights = lat.pair.moebius_transpose.apply(g)  # nonnegative since g is in the transposed cone
     print("its nonnegative representing measure on subsets:",
           {lat.label(m): str(w) for m, w in zip(lat.poset.elements, weights)})
     signed = representing_measure(g, lat.pair)

@@ -1,19 +1,16 @@
 """Exchangeable offspring models: forward gene-spread and backward ancestry
 chains, their exact duality, hypergeometric coarse-graining, multi-allelic
-extension, and a Monte Carlo check of the coarse duality."""
+extension, and a Monte Carlo check of the coarse duality.  The haploid model
+is the multi-allelic model with T = 1 type."""
 
 from fractions import Fraction
 
 from moebius_dual import (
-    backward_kernel,
     coarsen_multiallelic,
-    coarsen_to_cannings,
     exact_coarse_duality_value,
-    forward_kernel,
     monte_carlo_duality,
     moran_law,
     multiallelic_kernels,
-    verify_transpose_zeta_duality,
     wright_fisher_law,
 )
 
@@ -23,30 +20,29 @@ F = Fraction
 def main():
     print("=== Wright-Fisher on N = 3 individuals ===")
     law = wright_fisher_law(3)
-    fk, bk = forward_kernel(law), backward_kernel(law)
-    print("forward kernel is stochastic:", fk.kernel.is_stochastic)
-    print("backward (ancestral) kernel is stochastic:", bk.kernel.is_stochastic)
-    print("transpose-zeta duality Z' Q' = P Z' holds (both matrix and",
-          "inclusion-exclusion routes):", verify_transpose_zeta_duality(fk, bk))
+    hap = multiallelic_kernels(law, 1)  # one type: states are carrier sets
+    print("forward kernel is stochastic:", hap.p_ext.is_stochastic)
+    print("backward (ancestral) kernel is stochastic:", hap.q.is_stochastic)
+    print("transpose-zeta duality Z' Q' = P Z' holds (checked by both matrix",
+          "and inclusion-exclusion routes while building the kernels)")
 
     print("\n=== Coarse-graining by cardinality ===")
-    cc = coarsen_to_cannings(fk, bk)
+    mc = coarsen_multiallelic(hap)
     print("coarse forward chain (allele-count frequencies):")
     for r in range(4):
-        print("  ", [str(x) for x in cc.p_coarse.matrix.row(r)])
+        print("  ", [str(x) for x in mc.p_coarse.matrix.row(r)])
     print("hypergeometric duality matrix H(i, j) = C(i,j)/C(N,j):")
     for r in range(4):
-        print("  ", [str(x) for x in cc.h_coarse_hat.row(r)])
+        print("  ", [str(x) for x in mc.h_coarse_hat.row(r)])
     print("coarse ancestral chain (block-counting, stochastic):")
     for r in range(4):
-        print("  ", [str(x) for x in cc.q_coarse_hh.matrix.row(r)])
+        print("  ", [str(x) for x in mc.q_coarse_hh.matrix.row(r)])
 
     print("\n=== Moran model gives the same structure ===")
-    mo = moran_law(3)
-    cc_mo = coarsen_to_cannings(forward_kernel(mo), backward_kernel(mo))
+    mc_mo = coarsen_multiallelic(multiallelic_kernels(moran_law(3), 1))
     print("Moran coarse ancestral chain:")
     for r in range(4):
-        print("  ", [str(x) for x in cc_mo.q_coarse_hh.matrix.row(r)])
+        print("  ", [str(x) for x in mc_mo.q_coarse_hh.matrix.row(r)])
 
     print("\n=== Multi-allelic extension (T = 3 types, WF N = 3) ===")
     ma = multiallelic_kernels(law, 3)

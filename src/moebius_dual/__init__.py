@@ -2,26 +2,19 @@
 set-valued exchangeable population models, all in rational arithmetic."""
 
 from .cannings import (
-    BackwardSetKernel,
-    CanningsCoarse,
-    ForwardSetKernel,
     MonteCarloResult,
     MultiAllelicCoarse,
     MultiAllelicKernels,
     OffspringLaw,
-    backward_kernel,
     coarse_backward_moment_formula,
     coarse_forward_direct,
     coarsen_multiallelic,
-    coarsen_to_cannings,
     exact_coarse_duality_value,
-    forward_kernel,
     hypergeometric_inverse,
     hypergeometric_matrix,
     monte_carlo_duality,
     moran_law,
     multiallelic_kernels,
-    verify_transpose_zeta_duality,
     wright_fisher_law,
 )
 from .coarse_graining import (
@@ -31,7 +24,6 @@ from .coarse_graining import (
     CoarseDualityResult,
     cardinality_relation,
     check_compatibility,
-    coarse_by_source_columns,
     coarse_partition_matrices,
     coarse_set_matrices,
     coarse_set_matrices_enumerated,
@@ -57,6 +49,8 @@ from .duality import (
 )
 from .errors import (
     IncompatibleMatrix,
+    InvalidOffspringLaw,
+    InvalidParameter,
     InvalidSkeleton,
     MoebiusDualError,
     NonRationalEntry,
@@ -92,9 +86,8 @@ from .poset import (
     build_poset,
     moebius_matrix,
     product_poset,
-    transpose_pair,
     zeta_matrix,
 )
 from .rational import RationalMatrix, format_fraction, parse_fraction
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

@@ -1,11 +1,13 @@
-"""Set-valued haploid and multi-allelic exchangeable population models.
+"""Set-valued exchangeable population models with T allele types.
 
 An offspring law assigns to each parent i the set nu_i of its children;
 the nu_i are disjoint and cover the population.  The forward chain tracks
-the carrier set of an allele, the backward chain tracks ancestors, and the
-two are dual through the transpose of the subset-lattice zeta matrix.
-Coarse-graining by cardinality recovers the classical frequency chain and
-its hypergeometric dual.
+the carrier sets of the T types, the backward chain tracks their ancestors,
+and the two are dual through the transpose of the zeta matrix of the
+componentwise subset order.  The haploid model is the case T = 1, where the
+states are the subsets of the population.  Coarse-graining by type counts
+recovers the classical frequency chain and, at T = 1, its hypergeometric
+dual.
 """
 
 from __future__ import annotations
@@ -20,29 +22,27 @@ from itertools import product
 from .coarse_graining import (
     EquivalenceRelation,
     CoarseDualityResult,
-    cardinality_relation,
     coarse_duality_pipeline,
 )
 from .duality import DualityVariant, Kernel
-from .errors import NotExchangeable, SizeOverflow
-from .lattices import SubsetLattice, subset_lattice
+from .errors import (
+    InvalidOffspringLaw,
+    InvalidParameter,
+    NotExchangeable,
+    SizeOverflow,
+    _check_range,
+)
+from .lattices import _popcount
 from .poset import ZetaPair, build_poset, moebius_matrix
 from .rational import RationalMatrix
 
 __all__ = [
     "OffspringLaw",
-    "ForwardSetKernel",
-    "BackwardSetKernel",
     "MultiAllelicKernels",
-    "CanningsCoarse",
     "MultiAllelicCoarse",
     "MonteCarloResult",
     "wright_fisher_law",
     "moran_law",
-    "forward_kernel",
-    "backward_kernel",
-    "verify_transpose_zeta_duality",
-    "coarsen_to_cannings",
     "hypergeometric_matrix",
     "hypergeometric_inverse",
     "coarse_forward_direct",
@@ -52,10 +52,6 @@ __all__ = [
     "monte_carlo_duality",
     "exact_coarse_duality_value",
 ]
-
-
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
 
 
 @dataclass(frozen=True)
@@ -75,19 +71,25 @@ class OffspringLaw:
         full = (1 << n) - 1
         support = []
         total = Fraction(0)
-        for nu, p in atoms:
+        for k, (nu, p) in enumerate(atoms):
             nu = tuple(nu)
             p = Fraction(p)
-            assert len(nu) == n
+            if len(nu) != n:
+                raise InvalidOffspringLaw(f"atom {k}: {len(nu)} children sets for N = {n}")
             union, overlap = 0, 0
             for m in nu:
                 overlap |= union & m
                 union |= m
-            assert overlap == 0 and union == full, "nu must partition the population"
-            assert p > 0
+            if overlap:
+                raise InvalidOffspringLaw(f"atom {k}: children sets overlap in {overlap:b}")
+            if union != full:
+                raise InvalidOffspringLaw(f"atom {k}: children {union:b} are not the population")
+            if p <= 0:
+                raise InvalidOffspringLaw(f"atom {k}: probability {p} is not positive")
             support.append((nu, p))
             total += p
-        assert total == 1
+        if total != 1:
+            raise InvalidOffspringLaw(f"total probability is {total}, not 1")
         law = cls(ground_size=n, support=tuple(support), exchangeable=False)
         object.__setattr__(law, "exchangeable", law._check_exchangeable())
         return law
@@ -129,8 +131,7 @@ class OffspringLaw:
 
 def wright_fisher_law(n: int) -> OffspringLaw:
     """Each child picks a uniform parent independently; N^N atoms."""
-    if not 1 <= n <= 6:
-        raise SizeOverflow(f"wright-fisher law needs 1 <= N <= 6, got {n}")
+    _check_range("wright-fisher law", "N", n, 1, 6)
     p = Fraction(1, n ** n)
     atoms = []
     for choice in product(range(n), repeat=n):
@@ -145,8 +146,7 @@ def wright_fisher_law(n: int) -> OffspringLaw:
 
 def moran_law(n: int) -> OffspringLaw:
     """A uniform pair (b, d), b != d: d dies, b keeps its slot and takes d's."""
-    if not 2 <= n <= 8:
-        raise SizeOverflow(f"moran law needs 2 <= N <= 8, got {n}")
+    _check_range("moran law", "N", n, 2, 8)
     p = Fraction(1, n * (n - 1))
     atoms = []
     for b in range(n):
@@ -163,135 +163,7 @@ def moran_law(n: int) -> OffspringLaw:
 
 
 # ---------------------------------------------------------------------------
-# Haploid forward and backward kernels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ForwardSetKernel:
-    law: OffspringLaw
-    lattice: SubsetLattice
-    kernel: Kernel  # rows/cols in the lattice index order
-
-
-@dataclass(frozen=True)
-class BackwardSetKernel:
-    law: OffspringLaw
-    lattice: SubsetLattice
-    kernel: Kernel
-
-
-def _forward_unions(nu, n):
-    """union over i in J of nu_i, for every J, by peeling the lowest bit."""
-    out = [0] * (1 << n)
-    for j in range(1, 1 << n):
-        low = j & -j
-        out[j] = out[j ^ low] | nu[low.bit_length() - 1]
-    return out
-
-
-def forward_kernel(law: OffspringLaw, lattice: SubsetLattice | None = None) -> ForwardSetKernel:
-    """P(J, K) = probability that the children of J are exactly K."""
-    n = law.ground_size
-    lat = lattice if lattice is not None else subset_lattice(n)
-    idx = lat.poset.index
-    size = len(lat.poset)
-    rows = [dict() for _ in range(size)]
-    for nu, p in law.support:
-        unions = _forward_unions(nu, n)
-        for j_mask in range(1 << n):
-            r = rows[idx[j_mask]]
-            k = idx[unions[j_mask]]
-            r[k] = r.get(k, Fraction(0)) + p
-    mat = RationalMatrix.from_function(
-        size, size, lambda i, j: rows[i].get(j, Fraction(0))
-    )
-    kernel = Kernel.of(mat)
-    assert kernel.is_stochastic
-    return ForwardSetKernel(law=law, lattice=lat, kernel=kernel)
-
-
-def _ancestors(nu, j_mask):
-    """The unique minimal set of parents whose children cover j_mask.
-
-    Because the nu_i are disjoint, each child has exactly one parent, so
-    any covering set contains this one; minimality is therefore uniqueness.
-    """
-    k = 0
-    cover = 0
-    for i, m in enumerate(nu):
-        if m & j_mask:
-            k |= 1 << i
-            cover |= m
-    assert cover & j_mask == j_mask
-    return k
-
-
-def backward_kernel(law: OffspringLaw, lattice: SubsetLattice | None = None) -> BackwardSetKernel:
-    """Q(J, K) = probability that K is the ancestor set of J one step back."""
-    n = law.ground_size
-    lat = lattice if lattice is not None else subset_lattice(n)
-    idx = lat.poset.index
-    size = len(lat.poset)
-    rows = [dict() for _ in range(size)]
-    for nu, p in law.support:
-        for j_mask in range(1 << n):
-            r = rows[idx[j_mask]]
-            k = idx[_ancestors(nu, j_mask)]
-            r[k] = r.get(k, Fraction(0)) + p
-    mat = RationalMatrix.from_function(
-        size, size, lambda i, j: rows[i].get(j, Fraction(0))
-    )
-    kernel = Kernel.of(mat)
-    assert kernel.is_stochastic
-    return BackwardSetKernel(law=law, lattice=lat, kernel=kernel)
-
-
-def verify_transpose_zeta_duality(fk: ForwardSetKernel, bk: BackwardSetKernel) -> bool:
-    """Two independent routes to Q from P.
-
-    Route 1 is the matrix identity Z' Q' = P Z'.  Route 2 recomputes every
-    entry by inclusion-exclusion over subsets of the target and supersets
-    of the source, with no matrix algebra shared with route 1.
-    """
-    assert fk.law is bk.law
-    lat = fk.lattice
-    zp = lat.pair
-    p, q = fk.kernel.matrix, bk.kernel.matrix
-    if zp.zeta.T @ q.T != p @ zp.zeta.T:
-        return False
-    # route 2: Q(J,K) = sum over L subset of K of (-1)^{|K|-|L|}
-    #                     sum over M superset of J of P(L, M)
-    n = lat.ground_size
-    idx = lat.poset.index
-    pa = p.array()
-    super_sums = {}
-    for l_mask in range(1 << n):
-        row = pa[idx[l_mask]]
-        for j_mask in range(1 << n):
-            s = Fraction(0)
-            for m_mask in range(1 << n):
-                if j_mask & ~m_mask == 0:
-                    s += row[idx[m_mask]]
-            super_sums[(l_mask, j_mask)] = s
-    qa = q.array()
-    for j_mask in range(1 << n):
-        for k_mask in range(1 << n):
-            total = Fraction(0)
-            l_mask = k_mask
-            while True:
-                sign = (-1) ** (_popcount(k_mask) - _popcount(l_mask))
-                total += sign * super_sums[(l_mask, j_mask)]
-                if l_mask == 0:
-                    break
-                l_mask = (l_mask - 1) & k_mask
-            if total != qa[idx[j_mask], idx[k_mask]]:
-                return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# Coarse-graining to the classical frequency chain
+# Closed forms of the haploid coarse chains
 # ---------------------------------------------------------------------------
 
 
@@ -367,44 +239,34 @@ def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
     return RationalMatrix.from_function(n + 1, n + 1, entry)
 
 
-@dataclass(frozen=True)
-class CanningsCoarse:
-    ground_size: int
-    pipeline: CoarseDualityResult
-    p_coarse: Kernel  # classical frequency chain on {0..N}
-    h_coarse_hat: RationalMatrix  # the hypergeometric matrix
-    q_coarse_hh: Kernel  # coarse ancestral chain, stochastic
-
-
-def coarsen_to_cannings(fk: ForwardSetKernel, bk: BackwardSetKernel) -> CanningsCoarse:
-    """Cardinality coarse-graining of the dual pair, with every closed form
-    (direct forward formula, hypergeometric matrix and inverse, backward
-    moment formula) verified against the pipeline output."""
-    law = fk.law
-    law.require_exchangeable()
-    n = law.ground_size
-    lat = fk.lattice
-    rel = cardinality_relation(lat)
-    res = coarse_duality_pipeline(fk.kernel, lat.pair, DualityVariant.ZETA_TRANSPOSE, rel)
-    assert res.q == bk.kernel.matrix, "pipeline dual differs from the ancestral kernel"
-    assert res.h_hat == tuple(Fraction(math.comb(n, j)) for j in range(n + 1))
-    assert res.p_coarse.matrix == coarse_forward_direct(law)
-    assert res.h_coarse_hat == hypergeometric_matrix(n)
-    assert res.h_coarse_hat.inverse() == hypergeometric_inverse(n)
-    assert res.q_coarse_hh.matrix == coarse_backward_moment_formula(law)
-    assert res.p_coarse.is_stochastic and res.q_coarse_hh.is_stochastic
-    return CanningsCoarse(
-        ground_size=n,
-        pipeline=res,
-        p_coarse=res.p_coarse,
-        h_coarse_hat=res.h_coarse_hat,
-        q_coarse_hh=res.q_coarse_hh,
-    )
-
-
 # ---------------------------------------------------------------------------
-# Multi-allelic kernels
+# Forward and backward kernels on type assignments
 # ---------------------------------------------------------------------------
+
+
+def _forward_unions(nu, n):
+    """union over i in J of nu_i, for every J, by peeling the lowest bit."""
+    out = [0] * (1 << n)
+    for j in range(1, 1 << n):
+        low = j & -j
+        out[j] = out[j ^ low] | nu[low.bit_length() - 1]
+    return out
+
+
+def _ancestors(nu, j_mask):
+    """The unique minimal set of parents whose children cover j_mask.
+
+    Because the nu_i are disjoint, each child has exactly one parent, so
+    any covering set contains this one; minimality is therefore uniqueness.
+    """
+    k = 0
+    cover = 0
+    for i, m in enumerate(nu):
+        if m & j_mask:
+            k |= 1 << i
+            cover |= m
+    assert cover & j_mask == j_mask
+    return k
 
 
 @dataclass(frozen=True)
@@ -414,7 +276,9 @@ class MultiAllelicKernels:
     States are T-tuples of disjoint bitmasks.  The forward state space
     requires the masks to cover the population; the backward (ancestral)
     space does not, and the backward kernel may lose mass when one parent's
-    children straddle two type classes.
+    children straddle two type classes.  At T = 1 the states are the
+    subsets of the population, the only covering state is the full set and
+    the backward kernel loses no mass.
     """
 
     law: OffspringLaw
@@ -442,24 +306,19 @@ def _partial_states(n: int, t: int):
 
 
 def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> MultiAllelicKernels:
-    """Exact forward and backward kernels for T allele types, with the
+    """Exact forward and backward kernels for T >= 1 allele types, with the
     transpose-zeta duality verified by matrix identity and, independently,
-    by componentwise inclusion-exclusion."""
-    if t < 2:
-        raise ValueError("multi-allelic model needs T >= 2")
+    by componentwise inclusion-exclusion.  T = 1 is the haploid model."""
+    if t < 1:
+        raise InvalidParameter(f"population model: T must be >= 1, got {t}")
     n = law.ground_size
     if (t + 1) ** n > cap:
         raise SizeOverflow(f"(T+1)^N = {(t + 1) ** n} partial states, cap {cap}")
     states = _partial_states(n, t)
-    poset = build_poset(
-        states,
-        lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)),
-        validate=False,
-    )
+    poset = build_poset(states, lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)))
     pair = moebius_matrix(poset, verify=len(states) <= 256)
     idx = poset.index
     size = len(states)
-    full = (1 << n) - 1
     covering = tuple(
         i for i, s in enumerate(poset.elements)
         if sum(_popcount(m) for m in s) == n
@@ -477,18 +336,13 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
             # ancestors per type; mass is lost when they are not disjoint
             avec = []
             seen = 0
-            ok = True
             for m in jvec:
-                a = 0
-                for i in range(n):
-                    if nu[i] & m:
-                        a |= 1 << i
+                a = _ancestors(nu, m)
                 if a & seen:
-                    ok = False
                     break
                 seen |= a
                 avec.append(a)
-            if ok:
+            else:
                 qi = idx[tuple(avec)]
                 qr = q_rows[si]
                 qr[qi] = qr.get(qi, Fraction(0)) + prob
@@ -514,7 +368,9 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     p_k = Kernel.of(p_cov)
     assert p_k.is_stochastic
 
-    assert _verify_multiallelic_duality(pair, p_ext, q, n, t)
+    # an explicit raise, so the report of a run under -O stays checked
+    if not _verify_multiallelic_duality(pair, p_ext, q):
+        raise AssertionError("transpose-zeta duality Z' Q' = P Z' fails")
 
     return MultiAllelicKernels(
         law=law,
@@ -528,7 +384,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     )
 
 
-def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q, n, t) -> bool:
+def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> bool:
     """Matrix route Z' Q' = P Z' plus the componentwise inclusion-exclusion
     route, sharing no linear algebra."""
     if pair.zeta.T @ q.T != p_ext @ pair.zeta.T:
@@ -536,18 +392,19 @@ def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q, n, t) -> bool:
     poset = pair.poset
     size = len(poset)
     pa, qa = p_ext.array(), q.array()
+    ups = [poset.up_idx(j) for j in range(size)]
+    downs = [poset.down_idx(k) for k in range(size)]
+    counts = [sum(_popcount(m) for m in s) for s in poset.elements]
     # super_sums[l][j] = sum of P(L, M) over states M componentwise above J
     super_sums = [
-        [sum((pa[l, m] for m in poset.up_idx(j)), Fraction(0)) for j in range(size)]
+        [sum((pa[l, m] for m in ups[j]), Fraction(0)) for j in range(size)]
         for l in range(size)
     ]
     for j in range(size):
         for k in range(size):
-            kcount = sum(_popcount(m) for m in poset.elements[k])
             total = Fraction(0)
-            for l in poset.down_idx(k):
-                lcount = sum(_popcount(m) for m in poset.elements[l])
-                total += (-1) ** (kcount - lcount) * super_sums[l][j]
+            for l in downs[k]:
+                total += (-1) ** (counts[k] - counts[l]) * super_sums[l][j]
             if total != qa[j, k]:
                 return False
     return True
@@ -560,7 +417,7 @@ class MultiAllelicCoarse:
     pipeline: CoarseDualityResult
     p_coarse: Kernel
     h_coarse_hat: RationalMatrix
-    q_coarse_hh: Kernel  # substochastic
+    q_coarse_hh: Kernel  # substochastic; stochastic at T = 1
 
 
 def _multinomial_class_size(n: int, evec) -> int:
@@ -577,6 +434,10 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
     Verifies the multinomial class sizes, the product-binomial closed form
     of the transformed coarse H, and the direct forward formula
     P(dvec, evec) = prob(type-t parents have e_t children for every t).
+    At T = 1 these are the binomial class sizes, the hypergeometric matrix
+    and the classical frequency chain; the haploid model further checks the
+    closed-form hypergeometric inverse, the backward moment formula and the
+    stochasticity of the coarse ancestral chain.
     """
     law = ma.law
     law.require_exchangeable()
@@ -602,14 +463,8 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
             expected = Fraction(prod, _multinomial_class_size(n, evec))
             assert res.h_coarse_hat[a, b] == expected
 
-    # direct forward formula from a block representative of each class
-    reps = {}
-    for dvec in classes:
-        masks, start = [], 0
-        for d in dvec:
-            masks.append(((1 << d) - 1) << start)
-            start += d
-        reps[dvec] = tuple(masks)
+    # direct forward formula from a block representative of each class:
+    # the first d_1 parents carry type 1, the next d_2 type 2, and so on
     direct = [[Fraction(0)] * m for _ in range(m)]
     pos = {c: i for i, c in enumerate(classes)}
     for nu, prob in law.support:
@@ -627,6 +482,10 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
 
     assert res.p_coarse.is_stochastic
     assert res.q_coarse_hh.is_substochastic
+    if ma.types == 1:
+        assert ma.q.is_stochastic and res.q_coarse_hh.is_stochastic
+        assert res.h_coarse_hat.inverse() == hypergeometric_inverse(n)
+        assert res.q_coarse_hh.matrix == coarse_backward_moment_formula(law)
 
     return MultiAllelicCoarse(
         types=ma.types,
@@ -707,6 +566,10 @@ def monte_carlo_duality(
     """
     law.require_exchangeable()
     n = law.ground_size
+    if reps < 1 or steps < 0:
+        raise InvalidParameter(f"monte carlo: reps must be >= 1 and steps >= 0, got {reps} and {steps}")
+    if (a | b) >> n:
+        raise InvalidParameter(f"monte carlo: start sets {a:b}, {b:b} must lie in a population of {n}")
     h = hypergeometric_matrix(n)
     sampler = _AtomSampler(law)
     j_b = _popcount(b)

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .duality import DualityVariant, Kernel, h_dual, h_transform
-from .errors import IncompatibleMatrix, SizeOverflow
+from .errors import IncompatibleMatrix, _check_range
 from .lattices import (
     Partition,
     Skeleton,
     SubsetLattice,
+    _popcount,
     enumerate_partitions,
     partition_moebius_closed_form,
     skeleton,
@@ -33,7 +34,6 @@ __all__ = [
     "CoarseDualityResult",
     "CoarseSetMatrices",
     "check_compatibility",
-    "coarse_by_source_columns",
     "cardinality_relation",
     "skeleton_relation",
     "product_relation",
@@ -100,16 +100,11 @@ class EquivalenceRelation:
 
     @property
     def class_sizes(self) -> dict:
+        """Class label -> number of members, in coarse index order."""
         sizes = [0] * self.num_classes
         for c in self.class_of:
             sizes[c] += 1
         return dict(zip(self.class_labels, sizes))
-
-    def sizes_vector(self):
-        sizes = [0] * self.num_classes
-        for c in self.class_of:
-            sizes[c] += 1
-        return [Fraction(s) for s in sizes]
 
 
 @dataclass(frozen=True)
@@ -148,38 +143,8 @@ def check_compatibility(h: RationalMatrix, rel: EquivalenceRelation) -> CoarseRe
     return CoarseResult(compatible=True, coarse=coarse, witness=None)
 
 
-def coarse_by_source_columns(q: RationalMatrix, rel: EquivalenceRelation) -> CoarseResult:
-    """Dual-side coarsening: Q-tilde(a~, b~) = sum of Q(c, b) over c in a~.
-
-    Well defined iff the sum does not depend on the representative b of b~;
-    verified over all representatives.
-    """
-    n = len(rel.elements)
-    if q.shape != (n, n):
-        raise ValueError("matrix shape does not match the relation")
-    m = rel.num_classes
-    a = q.array()
-    members = [rel.members_idx(k) for k in range(m)]
-    sums = [[sum((a[c, j] for c in members[k]), Fraction(0)) for k in range(m)]
-            for j in range(n)]  # sums[j][k] = column-j sum over source class k
-    coarse_cols = [None] * m
-    for j in range(n):
-        t = rel.class_of[j]
-        if coarse_cols[t] is None:
-            coarse_cols[t] = (j, sums[j])
-        elif sums[j] != coarse_cols[t][1]:
-            ref_j = coarse_cols[t][0]
-            bad = next(k for k in range(m) if sums[j][k] != sums[ref_j][k])
-            witness = (rel.elements[ref_j], rel.elements[j], rel.class_labels[bad])
-            return CoarseResult(compatible=False, coarse=None, witness=witness)
-    coarse = RationalMatrix.from_function(m, m, lambda k, t: coarse_cols[t][1][k])
-    return CoarseResult(compatible=True, coarse=coarse, witness=None)
-
-
 def cardinality_relation(lat: SubsetLattice) -> EquivalenceRelation:
-    return EquivalenceRelation.from_function(
-        lat.poset.elements, lambda mask: bin(mask).count("1")
-    )
+    return EquivalenceRelation.from_function(lat.poset.elements, _popcount)
 
 
 def skeleton_relation(elements) -> EquivalenceRelation:
@@ -218,8 +183,7 @@ def coarse_set_matrices(n: int) -> CoarseSetMatrices:
     the transposed pair is C(j,k) with sign (-1)^{j-k}.  Note the coarse
     transpose is not the transpose of the coarse matrix.
     """
-    if not 0 <= n <= 20:
-        raise SizeOverflow(f"coarse set matrices need 0 <= N <= 20, got {n}")
+    _check_range("coarse set matrices", "N", n, 0, 20)
     size = n + 1
 
     def mk(fn):
@@ -246,8 +210,7 @@ def coarse_set_matrices_enumerated(n: int, *, all_representatives: bool | None =
     every subset.  Representative independence is verified over all
     representatives up to N=8 and over two extreme representatives beyond.
     """
-    if not 0 <= n <= 12:
-        raise SizeOverflow(f"enumeration route supports N <= 12, got {n}")
+    _check_range("enumeration route", "N", n, 0, 12)
     if all_representatives is None:
         all_representatives = n <= 8
     size = n + 1
@@ -255,7 +218,7 @@ def coarse_set_matrices_enumerated(n: int, *, all_representatives: bool | None =
 
     def reps(j):
         if all_representatives:
-            return [m for m in range(1 << n) if bin(m).count("1") == j]
+            return [m for m in range(1 << n) if _popcount(m) == j]
         lo = (1 << j) - 1  # first j ground elements
         hi = lo << (n - j)  # last j ground elements
         return [lo] if lo == hi else [lo, hi]
@@ -265,9 +228,9 @@ def coarse_set_matrices_enumerated(n: int, *, all_representatives: bool | None =
         mo = [0] * size
         zt = [0] * size
         mot = [0] * size
-        j = bin(rep).count("1")
+        j = _popcount(rep)
         for mask in range(1 << n):
-            k = bin(mask).count("1")
+            k = _popcount(mask)
             if rep & ~mask == 0:  # rep subset of mask
                 z[k] += 1
                 mo[k] += (-1) ** (k - j)
@@ -320,8 +283,7 @@ def coarse_partition_matrices(n: int):
     Each row is recomputed from a second, relabelled representative to
     confirm it does not depend on the choice.
     """
-    if not 1 <= n <= 8:
-        raise SizeOverflow(f"coarse partition matrices need 1 <= n <= 8, got {n}")
+    _check_range("coarse partition matrices", "n", n, 1, 8)
     parts = enumerate_partitions(n)
     # index skeletons by first occurrence in the canonical partition order,
     # so the rows line up with skeleton_relation on the full lattice
@@ -405,11 +367,12 @@ def coarse_duality_pipeline(
     assert coarse["H"] @ coarse["H_inverse"] == RationalMatrix.identity(m)
 
     q = h_dual(p, h)
-    q_res = coarse_by_source_columns(q, rel)
+    # source-column sums: the row-sum coarsening of the transpose
+    q_res = check_compatibility(q.T, rel)
     assert q_res.compatible, "dual kernel unexpectedly representative-dependent"
-    q_coarse = q_res.coarse
+    q_coarse = q_res.coarse.T
 
-    h_hat = rel.sizes_vector()
+    h_hat = [Fraction(s) for s in rel.class_sizes.values()]
     d_inv = RationalMatrix.diagonal([1 / v for v in h_hat])
     h_coarse_hat = coarse["H"] @ d_inv
     q_coarse_hh = h_transform(Kernel.of(q_coarse), h_hat)

@@ -21,6 +21,17 @@ class SizeOverflow(MoebiusDualError):
     """A requested construction exceeds the configured state cap."""
 
 
+class InvalidParameter(MoebiusDualError, ValueError):
+    """A size or count lies below its lower bound or outside its domain."""
+
+
+def _check_range(what: str, name: str, value: int, low: int, high: int) -> None:
+    """Raise InvalidParameter below ``low`` and SizeOverflow above ``high``."""
+    if not low <= value <= high:
+        error = InvalidParameter if value < low else SizeOverflow
+        raise error(f"{what}: {name} must be in {low}..{high}, got {value}")
+
+
 class NotComparable(MoebiusDualError):
     """A pair of elements is not comparable in the relevant order."""
 
@@ -60,6 +71,11 @@ class IncompatibleMatrix(MoebiusDualError):
 
 class NotExchangeable(MoebiusDualError):
     """Offspring law fails permutation invariance."""
+
+
+class InvalidOffspringLaw(MoebiusDualError):
+    """An offspring law atom is not an indexed partition of the population,
+    or the atom masses do not form a probability distribution."""
 
 
 class NonRationalEntry(MoebiusDualError):

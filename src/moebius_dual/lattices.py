@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import InvalidSkeleton, NotComparable, SizeOverflow
+from .errors import InvalidSkeleton, NotComparable, SizeOverflow, _check_range
 from .poset import FinitePoset, ZetaPair, build_poset, moebius_matrix
 
 __all__ = [
@@ -40,7 +40,7 @@ MAX_PARTITION_GROUND = 8
 
 
 def _popcount(x: int) -> int:
-    return bin(x).count("1")
+    return x.bit_count()
 
 
 # ---------------------------------------------------------------------------
@@ -79,8 +79,7 @@ class SubsetLattice:
 
 def subset_lattice(n: int, *, cap: int = MAX_SUBSET_GROUND) -> SubsetLattice:
     """Subset lattice of {1..n}, with the closed-form mu verified by type."""
-    if not 0 <= n <= cap:
-        raise SizeOverflow(f"subset lattice needs 0 <= N <= {cap}, got {n}")
+    _check_range("subset lattice", "N", n, 0, cap)
     masks = sorted(range(1 << n), key=lambda m: (_popcount(m), m))
     poset = build_poset(masks, lambda a, b: a & ~b == 0, validate=n <= 8)
     return SubsetLattice(ground_size=n, pair=moebius_matrix(poset, verify=n <= 8))
@@ -274,8 +273,7 @@ def bell_number(n: int) -> int:
 
 
 def partition_lattice(n: int, *, cap: int = MAX_PARTITION_GROUND) -> PartitionLattice:
-    if not 1 <= n <= cap:
-        raise SizeOverflow(f"partition lattice needs 1 <= n <= {cap}, got {n}")
+    _check_range("partition lattice", "n", n, 1, cap)
     parts = enumerate_partitions(n)
     poset = build_poset(parts, lambda a, b: a.refines(b), validate=n <= 5)
     return PartitionLattice(ground_size=n, pair=moebius_matrix(poset, verify=n <= 6))

@@ -29,7 +29,6 @@ __all__ = [
     "zeta_matrix",
     "moebius_matrix",
     "product_poset",
-    "transpose_pair",
     "DEFAULT_VALIDATION_BOUND",
     "DEFAULT_PRODUCT_CAP",
 ]
@@ -224,7 +223,3 @@ def product_poset(
 
     return build_poset(labels, leq, validate=False)
 
-
-def transpose_pair(zp: ZetaPair):
-    """(Z', (Z')^{-1}); the inverse of the transpose is the transpose of the inverse."""
-    return zp.zeta.T, zp.moebius.T

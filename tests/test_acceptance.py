@@ -13,15 +13,12 @@ from moebius_dual import (
     DualityVariant,
     Kernel,
     RationalMatrix,
-    backward_kernel,
     build_poset,
     coarse_backward_moment_formula,
     coarse_set_matrices,
     coarse_set_matrices_enumerated,
     coarsen_multiallelic,
-    coarsen_to_cannings,
     exact_coarse_duality_value,
-    forward_kernel,
     hypergeometric_inverse,
     hypergeometric_matrix,
     moebius_matrix,
@@ -149,10 +146,10 @@ def test_criterion_06_coarse_set_matrices():
 def test_criterion_07_coarse_duality_pipeline():
     for n in range(2, 5):
         for law in (wright_fisher_law(n), moran_law(n)):
-            cc = coarsen_to_cannings(forward_kernel(law), backward_kernel(law))
-            assert cc.p_coarse.is_stochastic
-            assert cc.q_coarse_hh.is_stochastic
-            res = cc.pipeline
+            mc = coarsen_multiallelic(multiallelic_kernels(law, 1))
+            assert mc.p_coarse.is_stochastic
+            assert mc.q_coarse_hh.is_stochastic
+            res = mc.pipeline
             assert (
                 res.h_coarse_hat @ res.q_coarse_hh.matrix.T
                 == res.p_coarse.matrix @ res.h_coarse_hat
@@ -173,27 +170,27 @@ def test_criterion_07_coarse_duality_pipeline():
 def test_criterion_08_hypergeometric_and_moment_formula():
     for n in range(2, 7):
         law = moran_law(n) if n > 4 else wright_fisher_law(n)
-        cc = coarsen_to_cannings(forward_kernel(law), backward_kernel(law))
-        assert cc.h_coarse_hat == hypergeometric_matrix(n)
-        assert cc.h_coarse_hat.inverse() == hypergeometric_inverse(n)
+        mc = coarsen_multiallelic(multiallelic_kernels(law, 1))
+        assert mc.h_coarse_hat == hypergeometric_matrix(n)
+        assert mc.h_coarse_hat.inverse() == hypergeometric_inverse(n)
     for n in range(2, 5):
         for law in (wright_fisher_law(n), moran_law(n)):
-            cc = coarsen_to_cannings(forward_kernel(law), backward_kernel(law))
-            assert cc.q_coarse_hh.matrix == coarse_backward_moment_formula(law)
+            mc = coarsen_multiallelic(multiallelic_kernels(law, 1))
+            assert mc.q_coarse_hh.matrix == coarse_backward_moment_formula(law)
     _report(8, "hypergeometric closed forms N<=6 and moment formula N<=4, exact")
 
 
 def test_criterion_09_wright_fisher_hand_values():
     law = wright_fisher_law(2)
-    fk, bk = forward_kernel(law), backward_kernel(law)
-    idx = fk.lattice.poset.index
-    order = [idx[0], idx[0b01], idx[0b10], idx[0b11]]
-    p_row = [fk.kernel.matrix[idx[0b01], j] for j in order]
+    hap = multiallelic_kernels(law, 1)  # haploid states are 1-tuples (mask,)
+    idx = hap.pair.poset.index
+    order = [idx[(0,)], idx[(0b01,)], idx[(0b10,)], idx[(0b11,)]]
+    p_row = [hap.p_ext.matrix[idx[(0b01,)], j] for j in order]
     assert p_row == [F(1, 4), F(1, 4), F(1, 4), F(1, 4)]
-    q_row = [bk.kernel.matrix[idx[0b11], j] for j in order]
+    q_row = [hap.q.matrix[idx[(0b11,)], j] for j in order]
     assert q_row == [F(0), F(1, 4), F(1, 4), F(1, 2)]
-    cc = coarsen_to_cannings(fk, bk)
-    assert cc.q_coarse_hh.matrix.row(2) == [F(0), F(1, 2), F(1, 2)]
+    mc = coarsen_multiallelic(hap)
+    assert mc.q_coarse_hh.matrix.row(2) == [F(0), F(1, 2), F(1, 2)]
     _report(9, "WF N=2 forward, backward and coarse ancestral rows match hand values")
 
 

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,23 +10,25 @@ from moebius_dual import (
     Kernel,
     OffspringLaw,
     RationalMatrix,
-    backward_kernel,
     coarse_backward_moment_formula,
     coarse_forward_direct,
     coarsen_multiallelic,
-    coarsen_to_cannings,
     exact_coarse_duality_value,
-    forward_kernel,
     hypergeometric_inverse,
     hypergeometric_matrix,
     monte_carlo_duality,
     moran_law,
     multiallelic_kernels,
     subset_lattice,
-    verify_transpose_zeta_duality,
     wright_fisher_law,
 )
-from moebius_dual.errors import NotExchangeable, SizeOverflow
+from moebius_dual.cannings import _verify_multiallelic_duality
+from moebius_dual.errors import (
+    InvalidOffspringLaw,
+    InvalidParameter,
+    NotExchangeable,
+    SizeOverflow,
+)
 
 F = Fraction
 
@@ -55,11 +60,52 @@ def test_law_construction_and_exchangeability():
         lopsided_law().require_exchangeable()
 
 
+def haploid(law):
+    """The T = 1 kernels: states are 1-tuples (mask,) of carrier sets."""
+    return multiallelic_kernels(law, 1)
+
+
 def test_law_size_caps():
     with pytest.raises(SizeOverflow):
         wright_fisher_law(7)
     with pytest.raises(SizeOverflow):
         moran_law(9)
+    # a lower bound is a bad parameter, not a size cap
+    with pytest.raises(InvalidParameter):
+        wright_fisher_law(0)
+    with pytest.raises(InvalidParameter):
+        moran_law(1)
+
+
+@pytest.mark.parametrize(
+    "atoms, defect",
+    [
+        ([((0b11, 0b01), F(1, 2))], "overlap"),
+        ([((0b01, 0), F(1))], "not the population"),
+        ([((0b01,), F(1))], "children sets for N = 2"),
+        ([((0b11, 0), F(0)), ((0, 0b11), F(1))], "not positive"),
+        ([((0b11, 0), F(1, 2))], "total probability is 1/2"),
+    ],
+)
+def test_law_build_rejects_bad_atoms(atoms, defect):
+    with pytest.raises(InvalidOffspringLaw, match=defect):
+        OffspringLaw.build(2, atoms)
+
+
+def test_law_build_checks_survive_optimized_mode():
+    code = (
+        "from moebius_dual import OffspringLaw\n"
+        "from moebius_dual.errors import InvalidOffspringLaw\n"
+        "try:\n"
+        "    OffspringLaw.build(2, [((0b11, 0b01), 1/2)])\n"
+        "except InvalidOffspringLaw as exc:\n"
+        "    print('rejected:', exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.startswith("rejected: atom 0: children sets overlap")
 
 
 def test_moran_atom_shape():
@@ -71,42 +117,56 @@ def test_moran_atom_shape():
         assert p == F(1, 6)
 
 
+def test_haploid_states_are_the_subset_lattice():
+    for n in (1, 2, 4):
+        hap = haploid(wright_fisher_law(n))
+        lat = subset_lattice(n)
+        assert [s for (s,) in hap.pair.poset.elements] == list(lat.poset.elements)
+        assert hap.pair.zeta == lat.pair.zeta
+        assert hap.covering == (len(lat.poset) - 1,)
+        assert all(d == 0 for d in hap.defect)
+    with pytest.raises(InvalidParameter):
+        multiallelic_kernels(wright_fisher_law(2), 0)
+
+
 def test_forward_kernel_hand_values():
-    fk = forward_kernel(wright_fisher_law(2))
-    idx = fk.lattice.poset.index
-    row = fk.kernel.matrix.row(idx[0b01])
+    hap = haploid(wright_fisher_law(2))
+    idx = hap.pair.poset.index
+    row = hap.p_ext.matrix.row(idx[(0b01,)])
     assert row == [F(1, 4)] * 4
     # empty set and full population are absorbing
-    assert fk.kernel.matrix[idx[0], idx[0]] == 1
-    assert fk.kernel.matrix[idx[0b11], idx[0b11]] == 1
+    assert hap.p_ext.matrix[idx[(0,)], idx[(0,)]] == 1
+    assert hap.p_ext.matrix[idx[(0b11,)], idx[(0b11,)]] == 1
 
 
 def test_backward_kernel_hand_values():
-    bk = backward_kernel(wright_fisher_law(2))
-    idx = bk.lattice.poset.index
-    assert bk.kernel.matrix.row(idx[0b01]) == [F(0), F(1, 2), F(1, 2), F(0)]
-    assert bk.kernel.matrix.row(idx[0b11]) == [F(0), F(1, 4), F(1, 4), F(1, 2)]
-    assert bk.kernel.matrix[idx[0], idx[0]] == 1
+    hap = haploid(wright_fisher_law(2))
+    idx = hap.pair.poset.index
+    assert hap.q.matrix.row(idx[(0b01,)]) == [F(0), F(1, 2), F(1, 2), F(0)]
+    assert hap.q.matrix.row(idx[(0b11,)]) == [F(0), F(1, 4), F(1, 4), F(1, 2)]
+    assert hap.q.matrix[idx[(0,)], idx[(0,)]] == 1
 
 
 def test_duality_both_routes():
     for law in (wright_fisher_law(2), wright_fisher_law(3), moran_law(3), identity_law(3)):
-        fk, bk = forward_kernel(law), backward_kernel(law)
-        assert verify_transpose_zeta_duality(fk, bk)
-    ident = identity_law(2)
-    fk = forward_kernel(ident)
-    assert fk.kernel.matrix == RationalMatrix.identity(4)
-    assert backward_kernel(ident).kernel.matrix == RationalMatrix.identity(4)
+        hap = haploid(law)
+        assert _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, hap.q.matrix)
+    # a wrong dual fails the check
+    hap = haploid(wright_fisher_law(3))
+    assert not _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix.identity(8))
+    ident = haploid(identity_law(2))
+    assert ident.p_ext.matrix == RationalMatrix.identity(4)
+    assert ident.q.matrix == RationalMatrix.identity(4)
 
 
-def test_coarsen_to_cannings_wf2():
-    law = wright_fisher_law(2)
-    cc = coarsen_to_cannings(forward_kernel(law), backward_kernel(law))
-    assert cc.p_coarse.matrix.row(1) == [F(1, 4), F(1, 2), F(1, 4)]
-    assert cc.q_coarse_hh.matrix == RationalMatrix(
+def test_coarsen_haploid_wf2():
+    mc = coarsen_multiallelic(haploid(wright_fisher_law(2)))
+    assert mc.p_coarse.matrix.row(1) == [F(1, 4), F(1, 2), F(1, 4)]
+    assert mc.q_coarse_hh.matrix == RationalMatrix(
         [[1, 0, 0], [0, 1, 0], [0, "1/2", "1/2"]]
     )
-    assert cc.pipeline.h_hat == (F(1), F(2), F(1))
+    assert mc.pipeline.h_hat == (F(1), F(2), F(1))
+    assert mc.classes == ((0,), (1,), (2,))
 
 
 def test_hypergeometric_closed_forms():
@@ -121,13 +181,13 @@ def test_hypergeometric_closed_forms():
 def test_coarsen_rejects_nonexchangeable():
     law = lopsided_law()
     with pytest.raises(NotExchangeable):
-        coarsen_to_cannings(forward_kernel(law), backward_kernel(law))
+        coarsen_multiallelic(haploid(law))
 
 
 def test_moment_formula_matches_pipeline():
     for law in (wright_fisher_law(3), moran_law(4)):
-        cc = coarsen_to_cannings(forward_kernel(law), backward_kernel(law))
-        assert cc.q_coarse_hh.matrix == coarse_backward_moment_formula(law)
+        mc = coarsen_multiallelic(haploid(law))
+        assert mc.q_coarse_hh.matrix == coarse_backward_moment_formula(law)
 
 
 def test_multiallelic_wf2_t2():
@@ -136,16 +196,17 @@ def test_multiallelic_wf2_t2():
     assert len(ma.pair.poset) == 9
     assert ma.p_ext.is_stochastic and ma.p.is_stochastic
     assert ma.q.is_substochastic and not ma.q.is_stochastic
-    # covering states of T=2 are in bijection with subsets (second block is
-    # the complement), and the restricted forward kernel matches the haploid one
-    fk = forward_kernel(law)
+    # covering states of T=2 are in bijection with the T=1 states (second
+    # block is the complement), and the restricted forward kernel matches
+    # the haploid one
+    hap = haploid(law)
     full = 0b11
     cov_states = [ma.pair.poset.elements[i] for i in ma.covering]
     for a, ja in enumerate(cov_states):
         for b, jb in enumerate(cov_states):
-            i = fk.lattice.poset.index[ja[0]]
-            j = fk.lattice.poset.index[jb[0]]
-            assert ma.p.matrix[a, b] == fk.kernel.matrix[i, j]
+            i = hap.pair.poset.index[(ja[0],)]
+            j = hap.pair.poset.index[(jb[0],)]
+            assert ma.p.matrix[a, b] == hap.p_ext.matrix[i, j]
             assert ja[1] == full & ~ja[0]
 
 
@@ -200,6 +261,13 @@ def test_monte_carlo_zero_steps_is_exact():
     assert res.forward_stderr == 0.0 and res.backward_stderr == 0.0
 
 
+def test_monte_carlo_rejects_bad_arguments():
+    law = wright_fisher_law(3)
+    for a, b, steps, reps in ((0b1, 0b1, 1, 0), (0b1, 0b1, -1, 5), (0b1111, 0b1, 1, 5)):
+        with pytest.raises(InvalidParameter):
+            monte_carlo_duality(law, a, b, steps=steps, reps=reps, seed=0)
+
+
 def test_monte_carlo_deterministic_and_consistent():
     law = wright_fisher_law(3)
     r1 = monte_carlo_duality(law, 0b011, 0b001, steps=2, reps=3000, seed=17)
@@ -213,10 +281,10 @@ def test_monte_carlo_deterministic_and_consistent():
 def test_exact_duality_value_consistency():
     # matrix-power identity: P~^n H = H (Q~'_hh)^n, checked through the pipeline
     law = moran_law(3)
-    cc = coarsen_to_cannings(forward_kernel(law), backward_kernel(law))
-    h = cc.h_coarse_hat
-    p = cc.p_coarse.matrix
-    qt = cc.q_coarse_hh.matrix.T
+    mc = coarsen_multiallelic(haploid(law))
+    h = mc.h_coarse_hat
+    p = mc.p_coarse.matrix
+    qt = mc.q_coarse_hh.matrix.T
     for n in range(0, 6):
         assert p.power(n) @ h == h @ qt.power(n)
     assert exact_coarse_duality_value(law, 2, 1, 3) == (p.power(3) @ h)[2, 1]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -120,6 +121,47 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "not-a-number")
     code, _, _ = run(["lattice", "subsets", "--n", "2"], capsys)
     assert code == 2
+    monkeypatch.delenv("MOEBIUS_DUAL_MAX_STATES")
+    # bad values exit 2, with no traceback, naming the argument
+    simulate = ["simulate", "--N", "3", "--steps", "1", "--seed", "0", "--dual-start", "1"]
+    bad = [
+        (simulate + ["--start", "5", "--reps", "10"], "--start"),
+        (simulate + ["--start", "1", "--reps", "0"], "--reps"),
+        (["lattice", "subsets", "--n", "-1"], "--n"),
+        (["cannings", "--model", "moran", "--N", "1"], "N must be"),
+        (["cannings", "--model", "wf", "--N", "2", "--T", "0"], "T must be"),
+        (["coarsen", "partitions", "--n", "0"], "n must be"),
+        (["lattice", "partitions", "--n", "0"], "n must be"),
+        (["cannings", "--model", "wf", "--N", "2", "--verify", "all"], "--verify"),
+    ]
+    for argv, name in bad:
+        code, out, err = run(argv, capsys)
+        assert code == 2, argv
+        assert out == "" and "Traceback" not in err and "size-cap" not in err
+        assert name in err, argv
+
+
+# sha256 of stdout at the commit before the haploid and multi-allelic
+# Cannings paths were merged; any change in these reports fails here
+GOLDEN = {
+    "cannings --model wf --N 3":
+        "962bd64e0dde84a4ac63151a3b9e7d18141483eae44c1bf2211532950af46ead",
+    "cannings --model moran --N 3":
+        "468b515aed1c2604e417f0c06197b9416fa85a836c20cc4893d65884124b168e",
+    "cannings --model moran --N 3 --T 2":
+        "2586c97914ac469a16fafe90d11bad9ff73845ba3b07aa83a85ead28840aa1ad",
+    "cannings --model wf --N 2":
+        "c29636da40fec9805b459c903f0de9edb2edb2269be8062f85d2ab9aeba76085",
+    "verify-all --max-n 4":
+        "da8b0aa4c34e4df9c852383a37a83ce6a590bdb77d19fe49c9b775f3ff6ebc4e",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(command, capsys):
+    code, out, _ = run(command.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
 
 def test_output_file(tmp_path, capsys):

@@ -11,7 +11,6 @@ from moebius_dual import (
     build_poset,
     cardinality_relation,
     check_compatibility,
-    coarse_by_source_columns,
     coarse_partition_matrices,
     coarse_set_matrices,
     coarse_set_matrices_enumerated,
@@ -34,7 +33,8 @@ def test_relation_accessors():
     assert rel.classes == {0: 0, 1: 1, 2: 0, 3: 1}
     assert rel.class_members == {0: (0, 2), 1: (1, 3)}
     assert rel.class_sizes == {0: 2, 1: 2}
-    assert rel.sizes_vector() == [F(2), F(2)]
+    skewed = EquivalenceRelation.from_function(range(5), lambda x: "b" if x == 0 else "a")
+    assert tuple(skewed.class_sizes.values()) == (1, 4)  # in class index order
     assert EquivalenceRelation.trivial("ab").num_classes == 2
     assert EquivalenceRelation.single_class("ab").num_classes == 1
 
@@ -182,13 +182,14 @@ def test_coarse_partition_matches_full_lattice_coarsening():
 def test_source_column_coarsening_detects_dependence():
     rel = EquivalenceRelation.from_function(range(3), lambda x: min(x, 1))
     # columns 1 and 2 (same target class) have different class-0 sums
+    # source-column coarsening is the row-sum coarsening of the transpose
     q = RationalMatrix([[1, 0, 0], [1, 0, 0], [0, 0, 1]])
-    res = coarse_by_source_columns(q, rel)
+    res = check_compatibility(q.T, rel)
     assert not res.compatible
     assert res.witness == (1, 2, 1)
     # whereas the identity is representative-independent here
-    ok = coarse_by_source_columns(RationalMatrix.identity(3), rel)
-    assert ok.compatible and ok.coarse == RationalMatrix.identity(2)
+    ok = check_compatibility(RationalMatrix.identity(3).T, rel)
+    assert ok.compatible and ok.coarse.T == RationalMatrix.identity(2)
 
 
 def test_coarse_pipeline_trivial_and_one_class_relations():

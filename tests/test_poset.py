@@ -9,7 +9,6 @@ from moebius_dual import (
     build_poset,
     moebius_matrix,
     product_poset,
-    transpose_pair,
     zeta_matrix,
 )
 from moebius_dual.errors import PartialOrderViolation, SizeOverflow
@@ -74,9 +73,9 @@ def test_moebius_against_gauss_jordan_oracle():
         assert zp.moebius == zeta_matrix(poset).inverse()
 
 
-def test_transpose_pair():
+def test_zeta_pair_transposes():
     zp = moebius_matrix(divisibility(8))
-    zt, mt = transpose_pair(zp)
+    zt, mt = zp.zeta_transpose, zp.moebius_transpose
     assert zt @ mt == RationalMatrix.identity(8)
     assert zt == zp.zeta.T and mt == zp.moebius.T
 
