@@ -62,6 +62,7 @@ from .errors import (
     SingularH,
     SingularMatrix,
     SizeOverflow,
+    VerificationFailure,
 )
 from .lattices import (
     Partition,

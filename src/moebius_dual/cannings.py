@@ -17,7 +17,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 from .coarse_graining import (
     EquivalenceRelation,
@@ -30,7 +30,9 @@ from .errors import (
     InvalidParameter,
     NotExchangeable,
     SizeOverflow,
+    VerificationFailure,
     _check_range,
+    _require,
 )
 from .lattices import _popcount
 from .poset import ZetaPair, build_poset, moebius_matrix
@@ -140,7 +142,7 @@ def wright_fisher_law(n: int) -> OffspringLaw:
             nu[parent] |= 1 << child
         atoms.append((tuple(nu), p))
     law = OffspringLaw.build(n, atoms)
-    assert law.exchangeable
+    _require(law.exchangeable, "Wright-Fisher law is exchangeable", n)
     return law
 
 
@@ -158,22 +160,51 @@ def moran_law(n: int) -> OffspringLaw:
             nu[d] = 0
             atoms.append((tuple(nu), p))
     law = OffspringLaw.build(n, atoms)
-    assert law.exchangeable
+    _require(law.exchangeable, "Moran law is exchangeable", n)
     return law
 
 
 # ---------------------------------------------------------------------------
-# Closed forms of the haploid coarse chains
+# Closed forms of the coarse chains; the haploid ones are their T = 1 case
 # ---------------------------------------------------------------------------
+
+
+def _multinomial_class_size(n: int, evec) -> int:
+    rest = n - sum(evec)
+    count = math.factorial(n) // math.factorial(rest)
+    for e in evec:
+        count //= math.factorial(e)
+    return count
+
+
+def _product_binomial(n: int, classes) -> RationalMatrix:
+    """H(dvec, evec) = prod_t C(d_t, e_t) / (number of states with counts evec)."""
+    sizes = [_multinomial_class_size(n, evec) for evec in classes]
+    return RationalMatrix.from_function(
+        len(classes),
+        len(classes),
+        lambda a, b: Fraction(
+            math.prod(math.comb(d, e) for d, e in zip(classes[a], classes[b])), sizes[b]
+        ),
+    )
+
+
+def _block_forward(law: OffspringLaw, classes) -> RationalMatrix:
+    """P(dvec, evec) = probability that the first d_1 parents have e_1
+    children, the next d_2 parents e_2 children, and so on."""
+    pos = {c: i for i, c in enumerate(classes)}
+    ends = [tuple(accumulate(dvec)) for dvec in classes]  # last parent of each type
+    rows = [[Fraction(0)] * len(classes) for _ in classes]
+    for nu, prob in law.support:
+        cum = list(accumulate(map(_popcount, nu), initial=0))  # children of the first i parents
+        for row, e in zip(rows, ends):
+            row[pos[tuple(cum[hi] - cum[lo] for lo, hi in zip((0,) + e, e))]] += prob
+    return RationalMatrix(rows)
 
 
 def hypergeometric_matrix(n: int) -> RationalMatrix:
     """H(i, j) = C(i,j)/C(N,j) for j <= i, on {0..N}."""
-    return RationalMatrix.from_function(
-        n + 1,
-        n + 1,
-        lambda i, j: Fraction(math.comb(i, j), math.comb(n, j)) if j <= i else Fraction(0),
-    )
+    return _product_binomial(n, [(i,) for i in range(n + 1)])
 
 
 def hypergeometric_inverse(n: int) -> RationalMatrix:
@@ -190,16 +221,7 @@ def hypergeometric_inverse(n: int) -> RationalMatrix:
 def coarse_forward_direct(law: OffspringLaw) -> RationalMatrix:
     """P(i, j) = probability that the first i parents have j children in all."""
     law.require_exchangeable()
-    n = law.ground_size
-    rows = [[Fraction(0)] * (n + 1) for _ in range(n + 1)]
-    for nu, p in law.support:
-        sizes = [_popcount(m) for m in nu]
-        tot = 0
-        rows[0][0] += p
-        for i in range(1, n + 1):
-            tot += sizes[i - 1]
-            rows[i][tot] += p
-    return RationalMatrix(rows)
+    return _block_forward(law, [(i,) for i in range(law.ground_size + 1)])
 
 
 def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
@@ -265,7 +287,8 @@ def _ancestors(nu, j_mask):
         if m & j_mask:
             k |= 1 << i
             cover |= m
-    assert cover & j_mask == j_mask
+    if cover & j_mask != j_mask:
+        raise VerificationFailure("the children of the ancestors of J cover J", (nu, j_mask))
     return k
 
 
@@ -355,8 +378,8 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     )
     p_ext_k = Kernel.of(p_ext)
     q_k = Kernel.of(q)
-    assert p_ext_k.is_stochastic
-    assert q_k.is_substochastic
+    _require(p_ext_k.is_stochastic, "P stochastic")
+    _require(q_k.is_substochastic, "Q substochastic")
     defect = tuple(Fraction(1) - s for s in q.row_sums())
 
     # forward kernel restricted to covering states is stochastic on them
@@ -366,11 +389,8 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
         lambda a, b: p_ext[covering[a], covering[b]],
     )
     p_k = Kernel.of(p_cov)
-    assert p_k.is_stochastic
-
-    # an explicit raise, so the report of a run under -O stays checked
-    if not _verify_multiallelic_duality(pair, p_ext, q):
-        raise AssertionError("transpose-zeta duality Z' Q' = P Z' fails")
+    _require(p_k.is_stochastic, "P on covering states stochastic")
+    _verify_multiallelic_duality(pair, p_ext, q)
 
     return MultiAllelicKernels(
         law=law,
@@ -384,11 +404,10 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     )
 
 
-def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> bool:
+def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> None:
     """Matrix route Z' Q' = P Z' plus the componentwise inclusion-exclusion
     route, sharing no linear algebra."""
-    if pair.zeta.T @ q.T != p_ext @ pair.zeta.T:
-        return False
+    _require(pair.zeta.T @ q.T == p_ext @ pair.zeta.T, "Z' Q' = P Z'")
     poset = pair.poset
     size = len(poset)
     pa, qa = p_ext.array(), q.array()
@@ -406,8 +425,8 @@ def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> bool:
             for l in downs[k]:
                 total += (-1) ** (counts[k] - counts[l]) * super_sums[l][j]
             if total != qa[j, k]:
-                return False
-    return True
+                jk = (poset.elements[j], poset.elements[k])
+                raise VerificationFailure("Q(J, K) = inclusion-exclusion of P", jk)
 
 
 @dataclass(frozen=True)
@@ -418,14 +437,6 @@ class MultiAllelicCoarse:
     p_coarse: Kernel
     h_coarse_hat: RationalMatrix
     q_coarse_hh: Kernel  # substochastic; stochastic at T = 1
-
-
-def _multinomial_class_size(n: int, evec) -> int:
-    rest = n - sum(evec)
-    count = math.factorial(n) // math.factorial(rest)
-    for e in evec:
-        count //= math.factorial(e)
-    return count
 
 
 def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
@@ -447,45 +458,22 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
         poset.elements, lambda s: tuple(_popcount(m) for m in s)
     )
     res = coarse_duality_pipeline(ma.p_ext, ma.pair, DualityVariant.ZETA_TRANSPOSE, rel)
-    assert res.q == ma.q.matrix
+    _require(res.q == ma.q.matrix, "pipeline Q = builder Q")
 
     classes = rel.class_labels
-    m = len(classes)
-    for k, evec in enumerate(classes):
-        assert res.h_hat[k] == _multinomial_class_size(n, evec)
-
-    # product-binomial closed form of the transformed coarse H
-    for a, dvec in enumerate(classes):
-        for b, evec in enumerate(classes):
-            prod = 1
-            for d, e in zip(dvec, evec):
-                prod *= math.comb(d, e)
-            expected = Fraction(prod, _multinomial_class_size(n, evec))
-            assert res.h_coarse_hat[a, b] == expected
-
-    # direct forward formula from a block representative of each class:
-    # the first d_1 parents carry type 1, the next d_2 type 2, and so on
-    direct = [[Fraction(0)] * m for _ in range(m)]
-    pos = {c: i for i, c in enumerate(classes)}
-    for nu, prob in law.support:
-        sizes = [_popcount(x) for x in nu]
-        for a, dvec in enumerate(classes):
-            evec = []
-            start = 0
-            for d in dvec:
-                evec.append(sum(sizes[start:start + d]))
-                start += d
-            key = tuple(evec)
-            if key in pos:
-                direct[a][pos[key]] += prob
-    assert RationalMatrix(direct) == res.p_coarse.matrix
-
-    assert res.p_coarse.is_stochastic
-    assert res.q_coarse_hh.is_substochastic
+    sizes = tuple(_multinomial_class_size(n, evec) for evec in classes)
+    _require(res.h_hat == sizes, "class sizes are multinomial",
+             lambda: next(c for c, h, s in zip(classes, res.h_hat, sizes) if h != s))
+    _require(res.h_coarse_hat == _product_binomial(n, classes), "coarse H = product-binomial form")
+    _require(res.p_coarse.matrix == _block_forward(law, classes), "coarse P = block forward form")
+    _require(res.p_coarse.is_stochastic, "coarse P stochastic")
+    _require(res.q_coarse_hh.is_substochastic, "coarse Q substochastic")
     if ma.types == 1:
-        assert ma.q.is_stochastic and res.q_coarse_hh.is_stochastic
-        assert res.h_coarse_hat.inverse() == hypergeometric_inverse(n)
-        assert res.q_coarse_hh.matrix == coarse_backward_moment_formula(law)
+        _require(ma.q.is_stochastic and res.q_coarse_hh.is_stochastic, "haploid Q and coarse Q stochastic")
+        _require(res.h_coarse_hat.inverse() == hypergeometric_inverse(n),
+                 "coarse H^-1 = hypergeometric inverse")
+        _require(res.q_coarse_hh.matrix == coarse_backward_moment_formula(law),
+                 "coarse Q = backward moment formula")
 
     return MultiAllelicCoarse(
         types=ma.types,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .duality import DualityVariant, Kernel, h_dual, h_transform
-from .errors import IncompatibleMatrix, _check_range
+from .errors import IncompatibleMatrix, _check_range, _require
 from .lattices import (
     Partition,
     Skeleton,
@@ -202,7 +202,7 @@ def coarse_set_matrices(n: int) -> CoarseSetMatrices:
     )
 
 
-def coarse_set_matrices_enumerated(n: int, *, all_representatives: bool | None = None) -> CoarseSetMatrices:
+def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
     """The same four matrices by direct counting over all 2^N subsets.
 
     For each cardinality class a representative J is fixed and the class
@@ -211,13 +211,11 @@ def coarse_set_matrices_enumerated(n: int, *, all_representatives: bool | None =
     representatives up to N=8 and over two extreme representatives beyond.
     """
     _check_range("enumeration route", "N", n, 0, 12)
-    if all_representatives is None:
-        all_representatives = n <= 8
     size = n + 1
     full = (1 << n) - 1
 
     def reps(j):
-        if all_representatives:
+        if n <= 8:
             return [m for m in range(1 << n) if _popcount(m) == j]
         lo = (1 << j) - 1  # first j ground elements
         hi = lo << (n - j)  # last j ground elements
@@ -242,7 +240,7 @@ def coarse_set_matrices_enumerated(n: int, *, all_representatives: bool | None =
     rows = []
     for j in range(size):
         cand = [rows_for(r) for r in reps(j)]
-        assert all(c == cand[0] for c in cand[1:]), "representative dependence"
+        _require(all(c == cand[0] for c in cand[1:]), "coarse set rows are representative-free", j)
         rows.append(cand[0])
 
     def mk(idx):
@@ -255,8 +253,9 @@ def coarse_set_matrices_enumerated(n: int, *, all_representatives: bool | None =
         zeta_transpose=mk(2),
         moebius_transpose=mk(3),
     )
-    assert out.zeta @ out.moebius == RationalMatrix.identity(size)
-    assert out.zeta_transpose @ out.moebius_transpose == RationalMatrix.identity(size)
+    eye = RationalMatrix.identity(size)
+    _require(out.zeta @ out.moebius == eye, "coarse Z M = I")
+    _require(out.zeta_transpose @ out.moebius_transpose == eye, "coarse Z' M' = I")
     return out
 
 
@@ -294,7 +293,7 @@ def coarse_partition_matrices(n: int):
         if s not in pos:
             pos[s] = len(skels)
             skels.append(s)
-    assert set(skels) == set(skeletons_of(n))
+    _require(set(skels) == set(skeletons_of(n)), "skeletons of the partitions = skeletons of n", n)
     m = len(skels)
     by_skel = [[] for _ in range(m)]
     for g in parts:
@@ -315,12 +314,13 @@ def coarse_partition_matrices(n: int):
     for eta in skels:
         rep = _skeleton_representative(eta)
         rows = rows_for(rep)
-        assert rows == rows_for(_permuted(rep, reversal)), "representative dependence"
+        _require(rows == rows_for(_permuted(rep, reversal)),
+                 "coarse partition rows are representative-free", eta)
         z_rows.append([Fraction(v) for v in rows[0]])
         mo_rows.append([Fraction(v) for v in rows[1]])
     z = RationalMatrix(z_rows)
     mo = RationalMatrix(mo_rows)
-    assert z @ mo == RationalMatrix.identity(m)
+    _require(z @ mo == RationalMatrix.identity(m), "coarse Z M = I")
     return skels, z, mo
 
 
@@ -364,12 +364,13 @@ def coarse_duality_pipeline(
         coarse[name] = res.coarse
     m = rel.num_classes
     # coarse H inverts to the coarse of the inverse
-    assert coarse["H"] @ coarse["H_inverse"] == RationalMatrix.identity(m)
+    _require(coarse["H"] @ coarse["H_inverse"] == RationalMatrix.identity(m),
+             "coarse H coarse H^-1 = I")
 
     q = h_dual(p, h)
     # source-column sums: the row-sum coarsening of the transpose
     q_res = check_compatibility(q.T, rel)
-    assert q_res.compatible, "dual kernel unexpectedly representative-dependent"
+    _require(q_res.compatible, "Q' compatible with the relation", q_res.witness)
     q_coarse = q_res.coarse.T
 
     h_hat = [Fraction(s) for s in rel.class_sizes.values()]
@@ -379,13 +380,14 @@ def coarse_duality_pipeline(
 
     p_coarse = Kernel.of(coarse["P"])
     # coarse duality for the transformed pair
-    assert h_coarse_hat @ q_coarse_hh.matrix.T == p_coarse.matrix @ h_coarse_hat
+    _require(h_coarse_hat @ q_coarse_hh.matrix.T == p_coarse.matrix @ h_coarse_hat,
+             "coarse H Q' = P H")
     if p.is_stochastic:
-        assert p_coarse.is_stochastic
+        _require(p_coarse.is_stochastic, "P stochastic => coarse P stochastic")
     if Kernel.of(q).is_stochastic:
-        assert q_coarse_hh.is_stochastic
+        _require(q_coarse_hh.is_stochastic, "Q stochastic => coarse Q stochastic")
     elif Kernel.of(q).is_substochastic:
-        assert q_coarse_hh.is_substochastic
+        _require(q_coarse_hh.is_substochastic, "Q substochastic => coarse Q substochastic")
 
     return CoarseDualityResult(
         rel=rel,

@@ -14,9 +14,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import NonpositiveH, NotIrreducible, SingularH, SingularMatrix
+from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, SingularMatrix,
+                     VerificationFailure, _require)
 from .poset import FinitePoset, ZetaPair
-from .rational import RationalMatrix
+from .rational import RationalMatrix, format_fraction
 
 __all__ = [
     "Kernel",
@@ -143,7 +144,7 @@ def h_dual(p: Kernel, h: RationalMatrix) -> RationalMatrix:
     except SingularMatrix as exc:
         raise SingularH(str(exc)) from exc
     q_t = h_inv @ p.matrix @ h
-    assert h @ q_t == p.matrix @ h
+    _require(h @ q_t == p.matrix @ h, "H Q' = P H")
     return q_t.T
 
 
@@ -159,7 +160,8 @@ def cone_membership(g, zp: ZetaPair, transposed: bool = False) -> ConeReport:
     member = first_negative is None
     if member:
         # a nonnegative Moebius image forces g >= 0 itself
-        assert all(Fraction(x) >= 0 for x in g)
+        _require(all(Fraction(x) >= 0 for x in g), "cone member g >= 0",
+                 lambda: next(lab for lab, x in zip(zp.poset.elements, g) if Fraction(x) < 0))
     return ConeReport(member=member, image=tuple(image), first_negative=first_negative)
 
 
@@ -185,6 +187,13 @@ def _cumulative_vectors(p: RationalMatrix, poset: FinitePoset, variant: DualityV
     return out
 
 
+def _require_nonnegative(p: Kernel) -> None:
+    """A kernel is caller input: a negative entry is a bad parameter."""
+    if not p.matrix.is_nonnegative():
+        (i, j), v = next((ij, v) for ij, v in np.ndenumerate(p.matrix.array()) if v < 0)
+        raise InvalidParameter(f"kernel entry ({i}, {j}) is negative: {format_fraction(v)}")
+
+
 def positivity_certificate(
     p: Kernel, zp: ZetaPair, variant: DualityVariant
 ) -> CertificateReport:
@@ -192,7 +201,7 @@ def positivity_certificate(
 
     The verdict is cross-checked against the directly computed dual.
     """
-    assert p.matrix.is_nonnegative()
+    _require_nonnegative(p)
     reports = tuple(
         cone_membership(vec, zp, transposed=variant.transposed_cone)
         for vec in _cumulative_vectors(p.matrix, zp.poset, variant)
@@ -200,7 +209,7 @@ def positivity_certificate(
     holds = all(r.member for r in reports)
     q = h_dual(p, variant.h_matrix(zp))
     q_nonneg = q.is_nonnegative()
-    assert holds == q_nonneg, "Proposition (i) equivalence violated"
+    _require(holds == q_nonneg, "condition (i) <=> Q >= 0", (holds, q_nonneg))
     return CertificateReport(
         variant=variant,
         condition_holds=holds,
@@ -232,7 +241,7 @@ def strong_condition_check(
 ) -> StrongConditionReport:
     """Part (ii): every single column (or row) of P in the cone forces the
     stated monotonicity of Q over all comparable pairs."""
-    assert p.matrix.is_nonnegative()
+    _require_nonnegative(p)
     n = len(zp.poset)
     a = p.matrix.array()
     vecs = [list(a[:, d]) for d in range(n)] if variant.uses_columns else [
@@ -243,9 +252,8 @@ def strong_condition_check(
     )
     holds = all(r.member for r in reports)
     q = h_dual(p, variant.h_matrix(zp))
-    monotone = True
     if holds:
-        assert q.is_nonnegative()
+        _require(q.is_nonnegative(), "condition (ii) => Q >= 0")
         qa = q.array()
         for i, j in zp.poset.comparable_pairs():
             if i == j:
@@ -259,11 +267,10 @@ def strong_condition_check(
             else:  # increasing-in-b
                 ok = all(qa[x, i] <= qa[x, j] for x in range(n))
             if not ok:
-                monotone = False
-                break
-        assert monotone, "part (ii) monotonicity violated"
+                pair = (zp.poset.elements[i], zp.poset.elements[j])
+                raise VerificationFailure("condition (ii) => Q monotone", pair)
     return StrongConditionReport(
-        variant=variant, condition_holds=holds, per_index=reports, q=q, monotone=monotone
+        variant=variant, condition_holds=holds, per_index=reports, q=q, monotone=True
     )
 
 
@@ -293,7 +300,7 @@ def support_implication_check(
     hyp_upper = direction == "forward"
     if not supported_within(pa, upper=hyp_upper):
         return True
-    assert supported_within(qa, upper=not hyp_upper), "support implication violated"
+    _require(supported_within(qa, upper=not hyp_upper), "support of P => support of Q")
     return True
 
 
@@ -311,16 +318,16 @@ def h_transform(q: Kernel, h) -> Kernel:
     out = d_inv @ q.matrix @ d
     kernel = Kernel.of(out)
     qh = q.matrix.apply(hv)
-    assert kernel.matrix.is_stochastic() == (qh == hv)
-    assert kernel.matrix.is_substochastic() == all(a <= b for a, b in zip(qh, hv))
+    _require(kernel.matrix.is_stochastic() == (qh == hv), "Q_h stochastic <=> Q h = h")
+    _require(kernel.matrix.is_substochastic() == all(a <= b for a, b in zip(qh, hv)),
+             "Q_h substochastic <=> Q h <= h")
     return kernel
 
 
 def representing_measure(g, zp: ZetaPair) -> RepresentingMeasure:
     """Atomic weights nu* = Z^{-1} g; the reconstruction g = Z nu* is re-verified."""
     weights = zp.moebius.apply(g)
-    recon = zp.zeta.apply(weights)
-    assert recon == [Fraction(x) for x in g]
+    _require(zp.zeta.apply(weights) == [Fraction(x) for x in g], "Z nu* = g")
     return RepresentingMeasure(
         weights=dict(zip(zp.poset.elements, weights))
     )
@@ -336,12 +343,12 @@ def invariant_distribution(p: Kernel):
     # left eigenvector: (P' - I) rho = 0
     system = p.matrix.T - RationalMatrix.identity(n)
     rho = system.nullspace_vector()
-    assert rho is not None
+    _require(rho is not None, "(P' - I) rho = 0 has a solution")
     total = sum(rho, Fraction(0))
-    assert total != 0
+    _require(total != 0, "sum of rho != 0")
     rho = [x / total for x in rho]
-    assert all(x > 0 for x in rho)
-    assert RationalMatrix([rho]) @ p.matrix == RationalMatrix([rho])
+    _require(all(x > 0 for x in rho), "rho > 0")
+    _require(RationalMatrix([rho]) @ p.matrix == RationalMatrix([rho]), "rho P = rho")
     return rho
 
 

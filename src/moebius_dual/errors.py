@@ -32,6 +32,23 @@ def _check_range(what: str, name: str, value: int, low: int, high: int) -> None:
         raise error(f"{what}: {name} must be in {low}..{high}, got {value}")
 
 
+class VerificationFailure(MoebiusDualError):
+    """An exact identity the package checks does not hold: ``identity`` is its
+    short stable name, such as ``"Z M = I"``, ``witness`` a counterexample or None."""
+
+    def __init__(self, identity, witness=None):
+        self.identity = identity
+        self.witness = witness
+        super().__init__(f"{identity} fails" + ("" if witness is None else f" at {witness!r}"))
+
+
+def _require(cond, identity: str, witness=None) -> None:
+    """Raise VerificationFailure unless ``cond``; unlike ``assert`` this also
+    runs under ``python -O``.  A callable witness is called only on failure."""
+    if not cond:
+        raise VerificationFailure(identity, witness() if callable(witness) else witness)
+
+
 class NotComparable(MoebiusDualError):
     """A pair of elements is not comparable in the relevant order."""
 

@@ -119,6 +119,8 @@ class ProductSetLattice:
 
 
 def product_set_lattice(n: int, t: int, *, cap: int = 4096) -> ProductSetLattice:
+    for name, value in (("N", n), ("T", t)):
+        _check_range("product-of-sets lattice", name, value, 0, cap.bit_length() - 1)
     if (1 << (n * t)) > cap:
         raise SizeOverflow(f"product-of-sets lattice has 2^{n * t} elements, cap {cap}")
     labels = [()]

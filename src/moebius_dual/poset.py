@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PartialOrderViolation, SizeOverflow
+from .errors import PartialOrderViolation, SizeOverflow, _require
 from .rational import RationalMatrix
 
 __all__ = [
@@ -140,19 +140,13 @@ def _stable_toposort(m: np.ndarray):
     return order
 
 
-def build_poset(
-    labels: Sequence,
-    leq: Callable,
-    *,
-    validate: bool | None = None,
-    validation_bound: int = DEFAULT_VALIDATION_BOUND,
-) -> FinitePoset:
+def build_poset(labels: Sequence, leq: Callable, *, validate: bool | None = None) -> FinitePoset:
     """Build a poset with a canonical linear extension as index order.
 
     The index order sorts by (number of predecessors, input position); the
     predecessor count increases strictly along the order, so this is a
     stable topological sort.  Validation of the partial-order axioms is on
-    by default for up to ``validation_bound`` elements.
+    by default for up to ``DEFAULT_VALIDATION_BOUND`` elements.
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
@@ -163,7 +157,7 @@ def build_poset(
         for j, b in enumerate(labels):
             m[i, j] = bool(leq(a, b))
     if validate is None:
-        validate = n <= validation_bound
+        validate = n <= DEFAULT_VALIDATION_BOUND
     if validate:
         _validate_order(labels, m)
     order = _stable_toposort(m)
@@ -205,8 +199,8 @@ def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
             mu_arr[i, b] = Fraction(-s)
             mu[(p.elements[i], p.elements[b])] = -s
     moeb = RationalMatrix(mu_arr)
-    if verify and (z @ moeb) != RationalMatrix.identity(n):
-        raise AssertionError("zeta * moebius != identity; poset construction is broken")
+    if verify:
+        _require(z @ moeb == RationalMatrix.identity(n), "Z M = I")
     return ZetaPair(poset=p, zeta=z, moebius=moeb, mu=mu)
 
 

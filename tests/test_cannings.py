@@ -28,6 +28,7 @@ from moebius_dual.errors import (
     InvalidParameter,
     NotExchangeable,
     SizeOverflow,
+    VerificationFailure,
 )
 
 F = Fraction
@@ -150,10 +151,12 @@ def test_backward_kernel_hand_values():
 def test_duality_both_routes():
     for law in (wright_fisher_law(2), wright_fisher_law(3), moran_law(3), identity_law(3)):
         hap = haploid(law)
-        assert _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, hap.q.matrix)
+        _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, hap.q.matrix)
     # a wrong dual fails the check
     hap = haploid(wright_fisher_law(3))
-    assert not _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix.identity(8))
+    with pytest.raises(VerificationFailure) as exc:
+        _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix.identity(8))
+    assert exc.value.identity == "Z' Q' = P Z'"
     ident = haploid(identity_law(2))
     assert ident.p_ext.matrix == RationalMatrix.identity(4)
     assert ident.q.matrix == RationalMatrix.identity(4)

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -133,12 +136,52 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         (["coarsen", "partitions", "--n", "0"], "n must be"),
         (["lattice", "partitions", "--n", "0"], "n must be"),
         (["cannings", "--model", "wf", "--N", "2", "--verify", "all"], "--verify"),
+        (["duality", "--n", "1", "--kernel", negative_kernel(tmp_path)], "entry (0, 1)"),
     ]
     for argv, name in bad:
         code, out, err = run(argv, capsys)
         assert code == 2, argv
         assert out == "" and "Traceback" not in err and "size-cap" not in err
         assert name in err, argv
+
+
+def negative_kernel(tmp_path):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [["2", "-1"], ["0", "1"]]}))
+    return str(path)
+
+
+def run_optimized(code, tmp_path):
+    """Run ``code`` in a fresh ``python -O``, which strips every assert statement."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path)
+
+
+def test_checks_survive_optimized_mode(tmp_path):
+    # a broken identity matrix must fail every verify-all check, not only
+    # those that happen to raise an exception of their own
+    broken = run_optimized(
+        "import sys\n"
+        "from moebius_dual import RationalMatrix, cli\n"
+        "eye = RationalMatrix.identity.__func__\n"
+        "RationalMatrix.identity = classmethod(lambda cls, n: eye(cls, n).scale(2))\n"
+        "sys.exit(cli.main(['verify-all', '--max-n', '2']))\n",
+        tmp_path,
+    )
+    assert broken.returncode == 1, broken.stderr
+    checks = json.loads(broken.stdout)["checks"]
+    assert len(checks) == 8 and not any(c["ok"] for c in checks)
+    # a negative kernel is bad input, with or without -O
+    negative = run_optimized(
+        "import sys\n"
+        "from moebius_dual import cli\n"
+        f"sys.exit(cli.main(['duality', '--n', '1', '--kernel', {negative_kernel(tmp_path)!r}]))\n",
+        tmp_path,
+    )
+    assert negative.returncode == 2 and "invalid-config" in negative.stderr
+    assert negative.stdout == ""
 
 
 # sha256 of stdout at the commit before the haploid and multi-allelic

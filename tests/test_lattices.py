@@ -20,7 +20,7 @@ from moebius_dual import (
     skeletons_of,
     subset_lattice,
 )
-from moebius_dual.errors import InvalidSkeleton, NotComparable, SizeOverflow
+from moebius_dual.errors import InvalidParameter, InvalidSkeleton, NotComparable, SizeOverflow
 
 
 def test_subset_lattice_canonical_order():
@@ -67,6 +67,11 @@ def test_product_set_lattice_is_isomorphic_to_flat_subsets():
                 assert prod.mu_closed_form(a, b) == prod.pair.mu_value(a, b)
     with pytest.raises(SizeOverflow):
         product_set_lattice(4, 4)
+    # a negative size is a bad parameter, checked before any shift
+    for n, t in ((-1, 2), (2, -1)):
+        with pytest.raises(InvalidParameter, match="must be in 0.."):
+            product_set_lattice(n, t)
+    assert len(product_set_lattice(0, 0).poset) == 1
 
 
 def test_partition_encoding():

@@ -1,14 +1,33 @@
+import ast
 import os
 
 import pytest
 
 import moebius_dual
 
-tomllib = pytest.importorskip("tomllib")
+SOURCE_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "src", "moebius_dual")
 
 
 def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")
     path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
     with open(path, "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert moebius_dual.__version__ == project["version"]
+
+
+def test_checks_use_one_mechanism():
+    # python -O strips assert statements, so every self-check goes through
+    # errors._require / VerificationFailure instead
+    found = []
+    for name in sorted(os.listdir(SOURCE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(SOURCE_DIR, name)) as fh:
+                tree = ast.parse(fh.read(), name)
+            found += [
+                f"{name}:{node.lineno}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Assert)
+                or (isinstance(node, ast.Name) and node.id == "AssertionError")
+            ]
+    assert found == []
