@@ -36,7 +36,7 @@ from .errors import (
 )
 from .lattices import _popcount
 from .poset import ZetaPair, build_poset, moebius_matrix
-from .rational import RationalMatrix
+from .rational import RationalMatrix, _require_equal
 
 __all__ = [
     "OffspringLaw",
@@ -209,13 +209,8 @@ def hypergeometric_matrix(n: int) -> RationalMatrix:
 
 def hypergeometric_inverse(n: int) -> RationalMatrix:
     """Closed-form inverse: (-1)^{i-j} C(i,j) C(N,i) for j <= i."""
-    return RationalMatrix.from_function(
-        n + 1,
-        n + 1,
-        lambda i, j: Fraction((-1) ** (i - j) * math.comb(i, j) * math.comb(n, i))
-        if j <= i
-        else Fraction(0),
-    )
+    return RationalMatrix.from_function(n + 1, n + 1, lambda i, j: (-1) ** (i - j) * math.comb(i, j)
+                                        * math.comb(n, i) if j <= i else 0)
 
 
 def coarse_forward_direct(law: OffspringLaw) -> RationalMatrix:
@@ -370,12 +365,8 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
                 qr = q_rows[si]
                 qr[qi] = qr.get(qi, Fraction(0)) + prob
 
-    p_ext = RationalMatrix.from_function(
-        size, size, lambda i, j: p_rows[i].get(j, Fraction(0))
-    )
-    q = RationalMatrix.from_function(
-        size, size, lambda i, j: q_rows[i].get(j, Fraction(0))
-    )
+    p_ext = RationalMatrix([[r.get(j, 0) for j in range(size)] for r in p_rows])
+    q = RationalMatrix([[r.get(j, 0) for j in range(size)] for r in q_rows])
     p_ext_k = Kernel.of(p_ext)
     q_k = Kernel.of(q)
     _require(p_ext_k.is_stochastic, "P stochastic")
@@ -383,12 +374,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     defect = tuple(Fraction(1) - s for s in q.row_sums())
 
     # forward kernel restricted to covering states is stochastic on them
-    p_cov = RationalMatrix.from_function(
-        len(covering),
-        len(covering),
-        lambda a, b: p_ext[covering[a], covering[b]],
-    )
-    p_k = Kernel.of(p_cov)
+    p_k = Kernel.of(p_ext[covering, :][:, covering])
     _require(p_k.is_stochastic, "P on covering states stochastic")
     _verify_multiallelic_duality(pair, p_ext, q)
 
@@ -407,7 +393,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
 def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> None:
     """Matrix route Z' Q' = P Z' plus the componentwise inclusion-exclusion
     route, sharing no linear algebra."""
-    _require(pair.zeta.T @ q.T == p_ext @ pair.zeta.T, "Z' Q' = P Z'")
+    _require_equal(pair.zeta.T @ q.T, p_ext @ pair.zeta.T, "Z' Q' = P Z'")
     poset = pair.poset
     size = len(poset)
     pa, qa = p_ext.array(), q.array()
@@ -458,22 +444,22 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
         poset.elements, lambda s: tuple(_popcount(m) for m in s)
     )
     res = coarse_duality_pipeline(ma.p_ext, ma.pair, DualityVariant.ZETA_TRANSPOSE, rel)
-    _require(res.q == ma.q.matrix, "pipeline Q = builder Q")
+    _require_equal(res.q, ma.q.matrix, "pipeline Q = builder Q")
 
     classes = rel.class_labels
     sizes = tuple(_multinomial_class_size(n, evec) for evec in classes)
     _require(res.h_hat == sizes, "class sizes are multinomial",
              lambda: next(c for c, h, s in zip(classes, res.h_hat, sizes) if h != s))
-    _require(res.h_coarse_hat == _product_binomial(n, classes), "coarse H = product-binomial form")
-    _require(res.p_coarse.matrix == _block_forward(law, classes), "coarse P = block forward form")
+    _require_equal(res.h_coarse_hat, _product_binomial(n, classes), "coarse H = product-binomial form")
+    _require_equal(res.p_coarse.matrix, _block_forward(law, classes), "coarse P = block forward form")
     _require(res.p_coarse.is_stochastic, "coarse P stochastic")
     _require(res.q_coarse_hh.is_substochastic, "coarse Q substochastic")
     if ma.types == 1:
         _require(ma.q.is_stochastic and res.q_coarse_hh.is_stochastic, "haploid Q and coarse Q stochastic")
-        _require(res.h_coarse_hat.inverse() == hypergeometric_inverse(n),
-                 "coarse H^-1 = hypergeometric inverse")
-        _require(res.q_coarse_hh.matrix == coarse_backward_moment_formula(law),
-                 "coarse Q = backward moment formula")
+        _require_equal(res.h_coarse_hat.inverse(), hypergeometric_inverse(n),
+                       "coarse H^-1 = hypergeometric inverse")
+        _require_equal(res.q_coarse_hh.matrix, coarse_backward_moment_formula(law),
+                       "coarse Q = backward moment formula")
 
     return MultiAllelicCoarse(
         types=ma.types,

@@ -26,7 +26,7 @@ from .lattices import (
     skeletons_of,
 )
 from .poset import ZetaPair
-from .rational import RationalMatrix
+from .rational import RationalMatrix, _require_equal
 
 __all__ = [
     "EquivalenceRelation",
@@ -187,18 +187,14 @@ def coarse_set_matrices(n: int) -> CoarseSetMatrices:
     size = n + 1
 
     def mk(fn):
-        return RationalMatrix.from_function(size, size, lambda j, k: Fraction(fn(j, k)))
+        return RationalMatrix.from_function(size, size, fn)
 
     return CoarseSetMatrices(
         ground_size=n,
         zeta=mk(lambda j, k: math.comb(n - j, k - j) if j <= k else 0),
-        moebius=mk(
-            lambda j, k: (-1) ** (k - j) * math.comb(n - j, k - j) if j <= k else 0
-        ),
+        moebius=mk(lambda j, k: (-1) ** (k - j) * math.comb(n - j, k - j) if j <= k else 0),
         zeta_transpose=mk(lambda j, k: math.comb(j, k) if k <= j else 0),
-        moebius_transpose=mk(
-            lambda j, k: (-1) ** (j - k) * math.comb(j, k) if k <= j else 0
-        ),
+        moebius_transpose=mk(lambda j, k: (-1) ** (j - k) * math.comb(j, k) if k <= j else 0),
     )
 
 
@@ -244,7 +240,7 @@ def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
         rows.append(cand[0])
 
     def mk(idx):
-        return RationalMatrix([[Fraction(v) for v in rows[j][idx]] for j in range(size)])
+        return RationalMatrix([r[idx] for r in rows])
 
     out = CoarseSetMatrices(
         ground_size=n,
@@ -254,8 +250,8 @@ def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
         moebius_transpose=mk(3),
     )
     eye = RationalMatrix.identity(size)
-    _require(out.zeta @ out.moebius == eye, "coarse Z M = I")
-    _require(out.zeta_transpose @ out.moebius_transpose == eye, "coarse Z' M' = I")
+    _require_equal(out.zeta @ out.moebius, eye, "coarse Z M = I")
+    _require_equal(out.zeta_transpose @ out.moebius_transpose, eye, "coarse Z' M' = I")
     return out
 
 
@@ -310,17 +306,14 @@ def coarse_partition_matrices(n: int):
                     mo[k] += partition_moebius_closed_form(alpha, gamma)
         return z, mo
 
-    z_rows, mo_rows = [], []
+    rows = []
     for eta in skels:
         rep = _skeleton_representative(eta)
-        rows = rows_for(rep)
-        _require(rows == rows_for(_permuted(rep, reversal)),
+        rows.append(rows_for(rep))
+        _require(rows[-1] == rows_for(_permuted(rep, reversal)),
                  "coarse partition rows are representative-free", eta)
-        z_rows.append([Fraction(v) for v in rows[0]])
-        mo_rows.append([Fraction(v) for v in rows[1]])
-    z = RationalMatrix(z_rows)
-    mo = RationalMatrix(mo_rows)
-    _require(z @ mo == RationalMatrix.identity(m), "coarse Z M = I")
+    z, mo = (RationalMatrix([r[t] for r in rows]) for t in (0, 1))
+    _require_equal(z @ mo, RationalMatrix.identity(m), "coarse Z M = I")
     return skels, z, mo
 
 
@@ -364,8 +357,8 @@ def coarse_duality_pipeline(
         coarse[name] = res.coarse
     m = rel.num_classes
     # coarse H inverts to the coarse of the inverse
-    _require(coarse["H"] @ coarse["H_inverse"] == RationalMatrix.identity(m),
-             "coarse H coarse H^-1 = I")
+    _require_equal(coarse["H"] @ coarse["H_inverse"], RationalMatrix.identity(m),
+                   "coarse H coarse H^-1 = I")
 
     q = h_dual(p, h)
     # source-column sums: the row-sum coarsening of the transpose
@@ -380,8 +373,8 @@ def coarse_duality_pipeline(
 
     p_coarse = Kernel.of(coarse["P"])
     # coarse duality for the transformed pair
-    _require(h_coarse_hat @ q_coarse_hh.matrix.T == p_coarse.matrix @ h_coarse_hat,
-             "coarse H Q' = P H")
+    _require_equal(h_coarse_hat @ q_coarse_hh.matrix.T, p_coarse.matrix @ h_coarse_hat,
+                   "coarse H Q' = P H")
     if p.is_stochastic:
         _require(p_coarse.is_stochastic, "P stochastic => coarse P stochastic")
     if Kernel.of(q).is_stochastic:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, SingularMatrix,
                      VerificationFailure, _require)
 from .poset import FinitePoset, ZetaPair
-from .rational import RationalMatrix, format_fraction
+from .rational import RationalMatrix, _require_equal, format_fraction
 
 __all__ = [
     "Kernel",
@@ -144,7 +144,7 @@ def h_dual(p: Kernel, h: RationalMatrix) -> RationalMatrix:
     except SingularMatrix as exc:
         raise SingularH(str(exc)) from exc
     q_t = h_inv @ p.matrix @ h
-    _require(h @ q_t == p.matrix @ h, "H Q' = P H")
+    _require_equal(h @ q_t, p.matrix @ h, "H Q' = P H")
     return q_t.T
 
 
@@ -171,20 +171,10 @@ def _cumulative_vectors(p: RationalMatrix, poset: FinitePoset, variant: DualityV
     Columns accumulated over {d <= a} / {a <= d}, or rows over {b <= c} / {c <= b},
     per the variant's descriptor.
     """
-    n = len(poset)
-    a = p.array()
-    out = []
-    for i in range(n):
-        if variant.cumulative_downward:
-            members = poset.down_idx(i)
-        else:
-            members = poset.up_idx(i)
-        if variant.uses_columns:
-            vec = a[:, members].sum(axis=1)
-        else:
-            vec = a[members, :].sum(axis=0)
-        out.append(list(vec))
-    return out
+    a = p.array() if variant.uses_columns else p.array().T
+    # column i of the order holds the down-set of i, row i its up-set
+    members = poset.matrix if variant.cumulative_downward else poset.matrix.T
+    return [list(a[:, members[:, i]].sum(axis=1)) for i in range(len(poset))]
 
 
 def _require_nonnegative(p: Kernel) -> None:
@@ -242,11 +232,8 @@ def strong_condition_check(
     """Part (ii): every single column (or row) of P in the cone forces the
     stated monotonicity of Q over all comparable pairs."""
     _require_nonnegative(p)
-    n = len(zp.poset)
     a = p.matrix.array()
-    vecs = [list(a[:, d]) for d in range(n)] if variant.uses_columns else [
-        list(a[c, :]) for c in range(n)
-    ]
+    vecs = [list(v) for v in (a.T if variant.uses_columns else a)]
     reports = tuple(
         cone_membership(v, zp, transposed=variant.transposed_cone) for v in vecs
     )
@@ -254,19 +241,11 @@ def strong_condition_check(
     q = h_dual(p, variant.h_matrix(zp))
     if holds:
         _require(q.is_nonnegative(), "condition (ii) => Q >= 0")
-        qa = q.array()
+        # for i <= j, row j of Q ("in-a") or of Q' ("in-b") minus row i has the stated sign
+        qa = q.array() if variant.monotonicity.endswith("-a") else q.array().T
+        sign = 1 if variant.monotonicity.startswith("increasing") else -1
         for i, j in zp.poset.comparable_pairs():
-            if i == j:
-                continue
-            if variant.monotonicity == "increasing-in-a":
-                ok = all(qa[i, b] <= qa[j, b] for b in range(n))
-            elif variant.monotonicity == "decreasing-in-a":
-                ok = all(qa[i, b] >= qa[j, b] for b in range(n))
-            elif variant.monotonicity == "decreasing-in-b":
-                ok = all(qa[x, i] >= qa[x, j] for x in range(n))
-            else:  # increasing-in-b
-                ok = all(qa[x, i] <= qa[x, j] for x in range(n))
-            if not ok:
+            if i != j and not all(sign * (qa[j] - qa[i]) >= 0):
                 pair = (zp.poset.elements[i], zp.poset.elements[j])
                 raise VerificationFailure("condition (ii) => Q monotone", pair)
     return StrongConditionReport(
@@ -285,22 +264,15 @@ def support_implication_check(
     """
     if direction not in ("forward", "reverse"):
         raise ValueError(direction)
-    n = len(poset)
-    pa, qa = p.matrix.array(), q.array()
 
     def supported_within(m, upper):
-        for c in range(n):
-            for d in range(n):
-                if m[c, d] != 0:
-                    ok = poset.leq_idx(c, d) if upper else poset.leq_idx(d, c)
-                    if not ok:
-                        return False
-        return True
+        # every nonzero entry (c, d) has c <= d (upper) or d <= c
+        return not ((m.array() != 0) & ~(poset.matrix if upper else poset.matrix.T)).any()
 
     hyp_upper = direction == "forward"
-    if not supported_within(pa, upper=hyp_upper):
+    if not supported_within(p.matrix, upper=hyp_upper):
         return True
-    _require(supported_within(qa, upper=not hyp_upper), "support of P => support of Q")
+    _require(supported_within(q, upper=not hyp_upper), "support of P => support of Q")
     return True
 
 
@@ -348,7 +320,7 @@ def invariant_distribution(p: Kernel):
     _require(total != 0, "sum of rho != 0")
     rho = [x / total for x in rho]
     _require(all(x > 0 for x in rho), "rho > 0")
-    _require(RationalMatrix([rho]) @ p.matrix == RationalMatrix([rho]), "rho P = rho")
+    _require_equal(RationalMatrix([rho]) @ p.matrix, RationalMatrix([rho]), "rho P = rho")
     return rho
 
 

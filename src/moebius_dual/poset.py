@@ -14,13 +14,12 @@ and cross-checked against exact Gaussian elimination in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PartialOrderViolation, SizeOverflow, _require
-from .rational import RationalMatrix
+from .errors import PartialOrderViolation, SizeOverflow
+from .rational import RationalMatrix, _require_equal
 
 __all__ = [
     "FinitePoset",
@@ -173,34 +172,28 @@ def build_poset(labels: Sequence, leq: Callable, *, validate: bool | None = None
 
 def zeta_matrix(p: FinitePoset) -> RationalMatrix:
     """0/1 incidence matrix of the order, upper-triangular with unit diagonal."""
-    return RationalMatrix.from_function(
-        len(p), len(p), lambda i, j: Fraction(1 if p.matrix[i, j] else 0)
-    )
+    return RationalMatrix(p.matrix)
 
 
 def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
     """Zeta matrix, its exact inverse and the integer mu, via the recursion."""
     n = len(p)
     z = zeta_matrix(p)
-    mu_arr = np.full((n, n), Fraction(0), dtype=object)
+    below = [np.flatnonzero(p.matrix[:, b]).tolist() for b in range(n)]
+    mu_rows = []
     mu: dict = {}
     for i in range(n):
-        ups = p.up_idx(i)
-        mu_arr[i, i] = Fraction(1)
-        mu[(p.elements[i], p.elements[i])] = 1
-        for b in ups:
-            if b == i:
-                continue
-            # sum over i <= c < b
-            s = sum(
-                (int(mu_arr[i, c]) for c in ups if c < b and p.matrix[c, b]),
-                0,
-            )
-            mu_arr[i, b] = Fraction(-s)
-            mu[(p.elements[i], p.elements[b])] = -s
-    moeb = RationalMatrix(mu_arr)
+        row = [0] * n
+        row[i] = 1
+        for b in np.flatnonzero(p.matrix[i]).tolist():
+            if b != i:
+                # over c <= b, row[c] is mu(i, c) when i <= c < b and 0 otherwise
+                row[b] = -sum(map(row.__getitem__, below[b]))
+            mu[(p.elements[i], p.elements[b])] = row[b]
+        mu_rows.append(row)
+    moeb = RationalMatrix(mu_rows)
     if verify:
-        _require(z @ moeb == RationalMatrix.identity(n), "Z M = I")
+        _require_equal(z @ moeb, RationalMatrix.identity(n), "Z M = I")
     return ZetaPair(poset=p, zeta=z, moebius=moeb, mu=mu)
 
 

@@ -137,12 +137,25 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         (["lattice", "partitions", "--n", "0"], "n must be"),
         (["cannings", "--model", "wf", "--N", "2", "--verify", "all"], "--verify"),
         (["duality", "--n", "1", "--kernel", negative_kernel(tmp_path)], "entry (0, 1)"),
+        # malformed kernel documents name what is wrong with them
+        (["duality", "--n", "1", "--kernel", kernel_file(tmp_path, "list", [1, 2])],
+         "must be an object, got list"),
+        (["duality", "--n", "1", "--kernel", kernel_file(tmp_path, "no-entries", {"rows": 2})],
+         "entries must be a list of rows, got None"),
+        (["duality", "--n", "1", "--kernel", kernel_file(tmp_path, "int-entries", {"entries": 5})],
+         "entries must be a list of rows, got 5"),
     ]
     for argv, name in bad:
         code, out, err = run(argv, capsys)
         assert code == 2, argv
         assert out == "" and "Traceback" not in err and "size-cap" not in err
         assert name in err, argv
+
+
+def kernel_file(tmp_path, name, doc):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 def negative_kernel(tmp_path):
@@ -173,6 +186,8 @@ def test_checks_survive_optimized_mode(tmp_path):
     assert broken.returncode == 1, broken.stderr
     checks = json.loads(broken.stdout)["checks"]
     assert len(checks) == 8 and not any(c["ok"] for c in checks)
+    # a whole-matrix identity names the first entry where its two sides differ
+    assert checks[0]["witness"] == "Z M = I fails at (0, 0)"
     # a negative kernel is bad input, with or without -O
     negative = run_optimized(
         "import sys\n"
@@ -197,12 +212,32 @@ GOLDEN = {
         "c29636da40fec9805b459c903f0de9edb2edb2269be8062f85d2ab9aeba76085",
     "verify-all --max-n 4":
         "da8b0aa4c34e4df9c852383a37a83ce6a590bdb77d19fe49c9b775f3ff6ebc4e",
+    # recorded before the matrix core moved from Fraction entries to integer
+    # numerators over one common denominator
+    "lattice subsets --n 3 --emit moebius":
+        "553e6cb97568debb1eddf0f0e923331f5f7b63fcf83d73eca4d84861208358f9",
+    "lattice partitions --n 4 --emit moebius":
+        "c9aeaf4f52017c4ff1132f8e8c5c333b0f288a8667f5d3fd36587f17d3e41188",
+    "coarsen sets --n 5":
+        "31b29c0eea38101d47a8f0cac14b23e2f3102b96afcbecbace120989d49fdeea",
+    "coarsen partitions --n 4":
+        "2356d303c76b010cab81d66e5ee32732d374c074fdff9ff47d7ea4ffff7d670a",
+    "duality --n 2 --variant zeta --kernel {kernel}":
+        "9cf7021ed2480cd48b9a5be609b436682b6ffc42bdd9c33859e0fc0fbac0471f",
+    "duality --n 2 --variant moebius-transpose --kernel {kernel}":
+        "6fc5afdce19f3ece4e3c3647b9a6669794f5522bcffc85524018c8ba3705ca1f",
 }
+
+# a stochastic kernel on the subsets of {1, 2} with four different denominators
+MIXED_KERNEL = [["1/2", "1/3", "1/6", "0"], ["1/5", "2/5", "0", "2/5"],
+                ["1/7", "0", "3/7", "3/7"], ["1/4", "1/4", "1/4", "1/4"]]
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_output(command, capsys):
-    code, out, _ = run(command.split(), capsys)
+def test_golden_output(command, tmp_path, capsys):
+    kernel = tmp_path / "mixed.json"
+    kernel.write_text(json.dumps({"rows": 4, "cols": 4, "entries": MIXED_KERNEL}))
+    code, out, _ = run(command.format(kernel=kernel).split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
 
