@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
@@ -189,17 +190,33 @@ def _product_binomial(n: int, classes) -> RationalMatrix:
     )
 
 
+def _atom_weights(law: OffspringLaw):
+    """The law's common denominator D and the integer weight D*p of each atom."""
+    den = math.lcm(*(p.denominator for _, p in law.support))
+    return den, [p.numerator * (den // p.denominator) for _, p in law.support]
+
+
+def _size_weights(law: OffspringLaw):
+    """D and the summed integer weight of each offspring-size vector (|nu_1|..|nu_N|)."""
+    den, weights = _atom_weights(law)
+    sizes = Counter()
+    for (nu, _), w in zip(law.support, weights):
+        sizes[tuple(map(_popcount, nu))] += w
+    return den, sizes
+
+
 def _block_forward(law: OffspringLaw, classes) -> RationalMatrix:
     """P(dvec, evec) = probability that the first d_1 parents have e_1
     children, the next d_2 parents e_2 children, and so on."""
     pos = {c: i for i, c in enumerate(classes)}
     ends = [tuple(accumulate(dvec)) for dvec in classes]  # last parent of each type
-    rows = [[Fraction(0)] * len(classes) for _ in classes]
-    for nu, prob in law.support:
-        cum = list(accumulate(map(_popcount, nu), initial=0))  # children of the first i parents
+    rows = [[0] * len(classes) for _ in classes]
+    den, sizes = _size_weights(law)
+    for svec, w in sizes.items():
+        cum = list(accumulate(svec, initial=0))  # children of the first i parents
         for row, e in zip(rows, ends):
-            row[pos[tuple(cum[hi] - cum[lo] for lo, hi in zip((0,) + e, e))]] += prob
-    return RationalMatrix(rows)
+            row[pos[tuple(cum[hi] - cum[lo] for lo, hi in zip((0,) + e, e))]] += w
+    return RationalMatrix(rows).scale(Fraction(1, den))
 
 
 def hypergeometric_matrix(n: int) -> RationalMatrix:
@@ -234,24 +251,22 @@ def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
-    size_moments = {}  # (l_1..l_j) -> E[prod C(|nu_r|, l_r)]
+    den, sizes = _size_weights(law)
 
     def moment(ls):
-        if ls not in size_moments:
-            s = Fraction(0)
-            for nu, p in law.support:
-                prod = 1
-                for r, l in enumerate(ls):
-                    prod *= math.comb(_popcount(nu[r]), l)
-                    if prod == 0:
-                        break
-                s += p * prod
-            size_moments[ls] = s
-        return size_moments[ls]
+        """D * E[prod_r C(|nu_r|, l_r)]"""
+        total = 0
+        for svec, w in sizes.items():
+            prod = w
+            for s, l in zip(svec, ls):
+                prod *= math.comb(s, l)
+                if prod == 0:
+                    break
+            total += prod
+        return total
 
     def entry(i, j):
-        total = sum((moment(ls) for ls in compositions(i, j)), Fraction(0))
-        return Fraction(math.comb(n, j), math.comb(n, i)) * total
+        return Fraction(math.comb(n, j) * sum(map(moment, compositions(i, j))), math.comb(n, i) * den)
 
     return RationalMatrix.from_function(n + 1, n + 1, entry)
 
@@ -342,15 +357,14 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
         if sum(_popcount(m) for m in s) == n
     )
 
-    p_rows = [dict() for _ in range(size)]
-    q_rows = [dict() for _ in range(size)]
-    for nu, prob in law.support:
+    # integer counts D * P(J, K) and D * Q(J, K), for D the law's common denominator
+    p_rows = [[0] * size for _ in range(size)]
+    q_rows = [[0] * size for _ in range(size)]
+    den, weights = _atom_weights(law)
+    for (nu, _), w in zip(law.support, weights):
         unions = _forward_unions(nu, n)
         for si, jvec in enumerate(poset.elements):
-            kvec = tuple(unions[m] for m in jvec)
-            r = p_rows[si]
-            ki = idx[kvec]
-            r[ki] = r.get(ki, Fraction(0)) + prob
+            p_rows[si][idx[tuple(unions[m] for m in jvec)]] += w
             # ancestors per type; mass is lost when they are not disjoint
             avec = []
             seen = 0
@@ -361,12 +375,10 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
                 seen |= a
                 avec.append(a)
             else:
-                qi = idx[tuple(avec)]
-                qr = q_rows[si]
-                qr[qi] = qr.get(qi, Fraction(0)) + prob
+                q_rows[si][idx[tuple(avec)]] += w
 
-    p_ext = RationalMatrix([[r.get(j, 0) for j in range(size)] for r in p_rows])
-    q = RationalMatrix([[r.get(j, 0) for j in range(size)] for r in q_rows])
+    p_ext = RationalMatrix(p_rows).scale(Fraction(1, den))
+    q = RationalMatrix(q_rows).scale(Fraction(1, den))
     p_ext_k = Kernel.of(p_ext)
     q_k = Kernel.of(q)
     _require(p_ext_k.is_stochastic, "P stochastic")
@@ -396,21 +408,19 @@ def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> None:
     _require_equal(pair.zeta.T @ q.T, p_ext @ pair.zeta.T, "Z' Q' = P Z'")
     poset = pair.poset
     size = len(poset)
-    pa, qa = p_ext.array(), q.array()
+    # both sides as integer numerators over the one denominator lcm(den P, den Q)
+    den = math.lcm(p_ext._den, q._den)
+    pa = (p_ext._num.astype(object) * (den // p_ext._den)).tolist()
+    qa = (q._num.astype(object) * (den // q._den)).tolist()
     ups = [poset.up_idx(j) for j in range(size)]
     downs = [poset.down_idx(k) for k in range(size)]
-    counts = [sum(_popcount(m) for m in s) for s in poset.elements]
-    # super_sums[l][j] = sum of P(L, M) over states M componentwise above J
-    super_sums = [
-        [sum((pa[l, m] for m in ups[j]), Fraction(0)) for j in range(size)]
-        for l in range(size)
-    ]
+    signs = [(-1) ** sum(_popcount(m) for m in s) for s in poset.elements]
+    # super_sums[l][j] = (-1)^|L| times the sum of P(L, M) over states M componentwise above J
+    super_sums = [[signs[l] * sum(pa[l][m] for m in ups[j]) for j in range(size)]
+                  for l in range(size)]
     for j in range(size):
         for k in range(size):
-            total = Fraction(0)
-            for l in downs[k]:
-                total += (-1) ** (counts[k] - counts[l]) * super_sums[l][j]
-            if total != qa[j, k]:
+            if signs[k] * sum(super_sums[l][j] for l in downs[k]) != qa[j][k]:
                 jk = (poset.elements[j], poset.elements[k])
                 raise VerificationFailure("Q(J, K) = inclusion-exclusion of P", jk)
 
@@ -495,15 +505,9 @@ class _AtomSampler:
     """
 
     def __init__(self, law: OffspringLaw):
-        denom = math.lcm(*(p.denominator for _, p in law.support))
         self.atoms = [nu for nu, _ in law.support]
-        cum = []
-        acc = 0
-        for _, p in law.support:
-            acc += p.numerator * (denom // p.denominator)
-            cum.append(acc)
-        self.cum = cum
-        self.total = acc
+        self.cum = list(accumulate(_atom_weights(law)[1]))
+        self.total = self.cum[-1]
 
     def draw(self, rng: random.Random):
         return self.atoms[bisect_right(self.cum, rng.randrange(self.total))]
@@ -592,6 +596,12 @@ def monte_carlo_duality(
 def exact_coarse_duality_value(law: OffspringLaw, i: int, j: int, steps: int) -> Fraction:
     """The exact common value E[H(X_n, j)] = E[H(i, Y_n)] by matrix powers
     of the direct coarse forward chain."""
+    n = law.ground_size
+    for name, value in (("i", i), ("j", j)):
+        if not 0 <= value <= n:
+            raise InvalidParameter(f"exact duality value: {name} must be in 0..{n}, got {value}")
+    if steps < 0:
+        raise InvalidParameter(f"exact duality value: steps must be >= 0, got {steps}")
     p_coarse = coarse_forward_direct(law)
-    h = hypergeometric_matrix(law.ground_size)
+    h = hypergeometric_matrix(n)
     return (p_coarse.power(steps) @ h)[i, j]

@@ -102,7 +102,7 @@ def _matrix_doc(m: RationalMatrix, labels=None) -> dict:
     doc = {
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[format_fraction(v) for v in row] for row in m],
+        "entries": m._strings(),
     }
     if labels is not None:
         doc["labels"] = [str(l) for l in labels]

@@ -2,7 +2,9 @@ import math
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -22,7 +24,13 @@ from moebius_dual import (
     subset_lattice,
     wright_fisher_law,
 )
-from moebius_dual.cannings import _verify_multiallelic_duality
+from moebius_dual import cannings
+from moebius_dual.cannings import (
+    _ancestors,
+    _block_forward,
+    _forward_unions,
+    _verify_multiallelic_duality,
+)
 from moebius_dual.errors import (
     InvalidOffspringLaw,
     InvalidParameter,
@@ -281,6 +289,16 @@ def test_monte_carlo_deterministic_and_consistent():
     assert abs(r1.backward_mean - exact) <= 4 * max(r1.backward_stderr, 1e-12)
 
 
+@pytest.mark.parametrize("i, j, steps, name", [
+    (-1, 1, 2, "i"), (4, 1, 2, "i"), (1, -1, 2, "j"), (1, 4, 2, "j"), (1, 1, -1, "steps"),
+])
+def test_exact_duality_value_rejects_bad_arguments(i, j, steps, name):
+    # i = -1 once wrapped round to i = N, i > N was a bare IndexError and
+    # steps < 0 a bare ValueError from power
+    with pytest.raises(InvalidParameter, match=rf"\b{name} must be"):
+        exact_coarse_duality_value(wright_fisher_law(3), i, j, steps)
+
+
 def test_exact_duality_value_consistency():
     # matrix-power identity: P~^n H = H (Q~'_hh)^n, checked through the pipeline
     law = moran_law(3)
@@ -305,3 +323,138 @@ def test_coarse_forward_direct_matches_binomial_for_wf():
                     * (1 - F(i, n)) ** (n - j)
                 )
                 assert pc[i, j] == expected
+
+
+# ---------------------------------------------------------------------------
+# Reference builders: one Fraction added per atom, as the kernel builders
+# summed before they moved to integer weights over the law's denominator
+# ---------------------------------------------------------------------------
+
+
+def reference_p_q(law, poset):
+    """P and Q on the states of ``poset`` by one Fraction per atom and state."""
+    n, idx, size = law.ground_size, poset.index, len(poset)
+    p_rows = [[F(0)] * size for _ in range(size)]
+    q_rows = [[F(0)] * size for _ in range(size)]
+    for nu, prob in law.support:
+        unions = _forward_unions(nu, n)
+        for si, jvec in enumerate(poset.elements):
+            p_rows[si][idx[tuple(unions[m] for m in jvec)]] += prob
+            avec, seen = [], 0
+            for m in jvec:
+                a = _ancestors(nu, m)
+                if a & seen:
+                    break
+                seen |= a
+                avec.append(a)
+            else:
+                q_rows[si][idx[tuple(avec)]] += prob
+    return RationalMatrix(p_rows), RationalMatrix(q_rows)
+
+
+def reference_block_forward(law, classes):
+    pos = {c: i for i, c in enumerate(classes)}
+    ends = [tuple(accumulate(dvec)) for dvec in classes]
+    rows = [[F(0)] * len(classes) for _ in classes]
+    for nu, prob in law.support:
+        cum = list(accumulate((bin(m).count("1") for m in nu), initial=0))
+        for row, e in zip(rows, ends):
+            row[pos[tuple(cum[hi] - cum[lo] for lo, hi in zip((0,) + e, e))]] += prob
+    return RationalMatrix(rows)
+
+
+def reference_moment_formula(law):
+    n = law.ground_size
+
+    def compositions(total, parts):
+        if parts == 0:
+            if total == 0:
+                yield ()
+            return
+        for first in range(1, total - parts + 2):
+            for rest in compositions(total - first, parts - 1):
+                yield (first,) + rest
+
+    def moment(ls):
+        s = F(0)
+        for nu, p in law.support:
+            prod = 1
+            for r, l in enumerate(ls):
+                prod *= math.comb(bin(nu[r]).count("1"), l)
+            s += p * prod
+        return s
+
+    return RationalMatrix.from_function(n + 1, n + 1, lambda i, j: F(
+        math.comb(n, j), math.comb(n, i)) * sum((moment(ls) for ls in compositions(i, j)), F(0)))
+
+
+def mixture(n, parts):
+    """The law sum_k w_k * law_k on {1..n}, merging atoms shared by the parts."""
+    atoms = defaultdict(F)
+    for w, law in parts:
+        for nu, p in law.support:
+            atoms[nu] += w * p
+    return OffspringLaw.build(n, atoms.items())
+
+
+def common_denominator(law):
+    return math.lcm(*(p.denominator for _, p in law.support))
+
+
+# atoms over 81, 162 and 324, and a law whose common denominator, 27 (2**61 - 1),
+# is past 2**63, so every kernel leaves int64
+MIXED_LAW = mixture(3, [(F(1, 3), wright_fisher_law(3)), (F(1, 2), moran_law(3)),
+                        (F(1, 6), identity_law(3))])
+HUGE_LAW = mixture(3, [(F(1, 2**61 - 1), wright_fisher_law(3)),
+                       (1 - F(1, 2**61 - 1), moran_law(3))])
+REFERENCE_LAWS = {
+    **{f"wf{n}": wright_fisher_law(n) for n in range(1, 5)},
+    **{f"moran{n}": moran_law(n) for n in range(2, 5)},
+    "mixed3": MIXED_LAW,
+    "huge3": HUGE_LAW,
+}
+
+
+def test_reference_laws_have_the_intended_denominators():
+    assert {p.denominator for _, p in MIXED_LAW.support} == {81, 162, 324}
+    assert MIXED_LAW.exchangeable and HUGE_LAW.exchangeable
+    assert common_denominator(HUGE_LAW) > 2**63
+
+
+@pytest.mark.parametrize("t", [1, 2])
+@pytest.mark.parametrize("name", sorted(REFERENCE_LAWS))
+def test_kernel_builders_match_fraction_reference(name, t):
+    law = REFERENCE_LAWS[name]
+    ma = multiallelic_kernels(law, t)
+    p, q = reference_p_q(law, ma.pair.poset)
+    assert ma.p_ext.matrix == p
+    assert ma.q.matrix == q
+    assert ma.defect == tuple(1 - s for s in q.row_sums())
+    classes = sorted({tuple(bin(m).count("1") for m in s) for s in ma.pair.poset.elements})
+    assert _block_forward(law, classes) == reference_block_forward(law, classes)
+    if t == 1:
+        assert coarse_forward_direct(law) == reference_block_forward(law, classes)
+        assert coarse_backward_moment_formula(law) == reference_moment_formula(law)
+    if name == "huge3":
+        assert ma.p_ext.matrix._num.dtype == object and ma.q.matrix._num.dtype == object
+
+
+def test_kernel_builders_match_reference_on_a_nonexchangeable_law():
+    law = lopsided_law()
+    for t in (1, 2):
+        ma = multiallelic_kernels(law, t)
+        assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
+def test_inclusion_exclusion_route_fires_on_its_own(monkeypatch):
+    # with the matrix route switched off, the integer inclusion-exclusion
+    # route alone rejects a Q that differs from the true one in one entry
+    hap = haploid(MIXED_LAW)
+    _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, hap.q.matrix)
+    monkeypatch.setattr(cannings, "_require_equal", lambda a, b, identity: None)
+    rows = [list(r) for r in hap.q.matrix]
+    rows[3][5] += F(1, 7)
+    with pytest.raises(VerificationFailure) as exc:
+        _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix(rows))
+    assert exc.value.identity == "Q(J, K) = inclusion-exclusion of P"
+    assert exc.value.witness == (hap.pair.poset.elements[3], hap.pair.poset.elements[5])

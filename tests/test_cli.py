@@ -226,6 +226,14 @@ GOLDEN = {
         "9cf7021ed2480cd48b9a5be609b436682b6ffc42bdd9c33859e0fc0fbac0471f",
     "duality --n 2 --variant moebius-transpose --kernel {kernel}":
         "6fc5afdce19f3ece4e3c3647b9a6669794f5522bcffc85524018c8ba3705ca1f",
+    # recorded before the Cannings kernel builders moved from one Fraction
+    # per atom to integer atom weights over the law's common denominator
+    "cannings --model wf --N 5":
+        "f675bebe33c3682a02a552971b4c20d7a4c5fc94936fff30d1672ae04992331d",
+    "cannings --model wf --N 4 --T 2":
+        "5891bb5c3485a4f12aed14794a6d6ce08f34d34c50d2c5388986257d74e4bafc",
+    "cannings --model moran --N 4 --T 2":
+        "57ddcfa9ada3c0f33f0730bab2760f58d8d26bcd589b22365e351aa330a065fb",
 }
 
 # a stochastic kernel on the subsets of {1, 2} with four different denominators
