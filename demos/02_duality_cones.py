@@ -25,8 +25,8 @@ def main():
 
     print("=== The dual of the uniform kernel under Z' ===")
     p = Kernel.of(RationalMatrix.from_function(n, n, lambda i, j: F(1, n)))
-    h = DualityVariant.ZETA_TRANSPOSE.h_matrix(lat.pair)
-    q = h_dual(p, h)  # solves H Q' = P H exactly
+    h, h_inv = DualityVariant.ZETA_TRANSPOSE.h_pair(lat.pair)  # Z' and M', no elimination
+    q = h_dual(p, h, h_inv)  # solves H Q' = P H exactly
     print("Q =")
     for r in range(n):
         print("  ", [str(x) for x in q.row(r)])

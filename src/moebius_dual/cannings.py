@@ -466,8 +466,8 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
     _require(res.q_coarse_hh.is_substochastic, "coarse Q substochastic")
     if ma.types == 1:
         _require(ma.q.is_stochastic and res.q_coarse_hh.is_stochastic, "haploid Q and coarse Q stochastic")
-        _require_equal(res.h_coarse_hat.inverse(), hypergeometric_inverse(n),
-                       "coarse H^-1 = hypergeometric inverse")
+        _require_equal(res.h_coarse_hat @ hypergeometric_inverse(n), RationalMatrix.identity(n + 1),
+                       "coarse H hypergeometric inverse = I")
         _require_equal(res.q_coarse_hh.matrix, coarse_backward_moment_formula(law),
                        "coarse Q = backward moment formula")
 

@@ -51,9 +51,12 @@ def _max_states() -> int:
     if raw is None:
         return DEFAULT_MAX_STATES
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError as exc:
         raise MoebiusDualError(f"MOEBIUS_DUAL_MAX_STATES={raw!r} is not an integer") from exc
+    if cap < 1:
+        raise InvalidParameter(f"MOEBIUS_DUAL_MAX_STATES must be >= 1, got {cap}")
+    return cap
 
 
 def _check_cap(states: int):

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .duality import DualityVariant, Kernel, h_dual, h_transform
 from .errors import IncompatibleMatrix, _check_range, _require
 from .lattices import (
@@ -84,9 +86,6 @@ class EquivalenceRelation:
     def num_classes(self) -> int:
         return len(self.class_labels)
 
-    def members_idx(self, k: int):
-        return [i for i, c in enumerate(self.class_of) if c == k]
-
     @property
     def classes(self) -> dict:
         return {e: self.class_labels[c] for e, c in zip(self.elements, self.class_of)}
@@ -117,30 +116,26 @@ class CoarseResult:
 def check_compatibility(h: RationalMatrix, rel: EquivalenceRelation) -> CoarseResult:
     """Row-sum coarsening: H-tilde(a~, b~) = sum of H(a, c) over c in b~.
 
-    Compatible iff that sum is the same for every representative a of a~;
-    the check runs over all representatives, not just a sampled pair.
+    Compatible iff that sum is the same for every representative a of a~,
+    that is iff H V = V H-tilde for the 0/1 fine-to-class indicator V, with
+    H-tilde the rows of H V at each class's first member.  Every
+    representative is checked, not just a sampled pair.
     """
     n = len(rel.elements)
     if h.shape != (n, n):
         raise ValueError("matrix shape does not match the relation")
-    m = rel.num_classes
-    a = h.array()
-    members = [rel.members_idx(k) for k in range(m)]
-    # class-target row sums for every fine row
-    sums = [[sum((a[i, c] for c in members[k]), Fraction(0)) for k in range(m)]
-            for i in range(n)]
-    coarse_rows = [None] * m
-    for i in range(n):
-        k = rel.class_of[i]
-        if coarse_rows[k] is None:
-            coarse_rows[k] = (i, sums[i])
-        elif sums[i] != coarse_rows[k][1]:
-            ref_i = coarse_rows[k][0]
-            bad = next(t for t in range(m) if sums[i][t] != sums[ref_i][t])
-            witness = (rel.elements[ref_i], rel.elements[i], rel.class_labels[bad])
-            return CoarseResult(compatible=False, coarse=None, witness=witness)
-    coarse = RationalMatrix([row for _, row in coarse_rows])
-    return CoarseResult(compatible=True, coarse=coarse, witness=None)
+    v = RationalMatrix(np.eye(rel.num_classes, dtype=np.int64)[list(rel.class_of)])
+    firsts = [rel.class_of.index(k) for k in range(rel.num_classes)]
+    hv = h @ v
+    coarse = hv[firsts, :]
+    lumped = v @ coarse
+    if hv == lumped:
+        return CoarseResult(compatible=True, coarse=coarse, witness=None)
+    # the first differing (row, class) in row-major order: that row against
+    # its class's first member, at the first target class where they differ
+    i, k = hv._first_difference(lumped)
+    witness = (rel.elements[firsts[rel.class_of[i]]], rel.elements[i], rel.class_labels[k])
+    return CoarseResult(compatible=False, coarse=None, witness=witness)
 
 
 def cardinality_relation(lat: SubsetLattice) -> EquivalenceRelation:
@@ -346,8 +341,9 @@ def coarse_duality_pipeline(
     """
     if tuple(rel.elements) != tuple(zp.poset.elements):
         raise ValueError("relation elements must match the poset index order")
-    h = variant.h_matrix(zp)
-    h_inv = h.inverse()
+    h, h_inv = variant.h_pair(zp)
+    # h_dual checks H H^-1 = I first, so a wrong H^-1 fails as that identity
+    q = h_dual(p, h, h_inv)
     named = [("H", h), ("H_inverse", h_inv), ("P", p.matrix)]
     coarse = {}
     for name, mat in named:
@@ -360,7 +356,6 @@ def coarse_duality_pipeline(
     _require_equal(coarse["H"] @ coarse["H_inverse"], RationalMatrix.identity(m),
                    "coarse H coarse H^-1 = I")
 
-    q = h_dual(p, h)
     # source-column sums: the row-sum coarsening of the transpose
     q_res = check_compatibility(q.T, rel)
     _require(q_res.compatible, "Q' compatible with the relation", q_res.witness)

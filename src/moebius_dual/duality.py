@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, SingularMatrix,
-                     VerificationFailure, _require)
+from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
+                     _require)
 from .poset import FinitePoset, ZetaPair
 from .rational import RationalMatrix, _require_equal, format_fraction
 
@@ -68,12 +68,14 @@ class DualityVariant(Enum):
     MOEBIUS = "moebius"
     MOEBIUS_TRANSPOSE = "moebius-transpose"
 
-    def h_matrix(self, zp: ZetaPair) -> RationalMatrix:
+    def h_pair(self, zp: ZetaPair):
+        """(H, H^{-1}), both read off the zeta pair, whose Z and M invert each other."""
+        z, m = zp.zeta, zp.moebius
         return {
-            DualityVariant.ZETA: zp.zeta,
-            DualityVariant.ZETA_TRANSPOSE: zp.zeta.T,
-            DualityVariant.MOEBIUS: zp.moebius,
-            DualityVariant.MOEBIUS_TRANSPOSE: zp.moebius.T,
+            DualityVariant.ZETA: (z, m),
+            DualityVariant.ZETA_TRANSPOSE: (z.T, m.T),
+            DualityVariant.MOEBIUS: (m, z),
+            DualityVariant.MOEBIUS_TRANSPOSE: (m.T, z.T),
         }[self]
 
     # Which margin of P is accumulated (column vectors P(.,d) vs rows P(c,.)),
@@ -135,14 +137,12 @@ class CertificateReport:
         }
 
 
-def h_dual(p: Kernel, h: RationalMatrix) -> RationalMatrix:
-    """Q with Q' = H^{-1} P H; the defining identity H Q' = P H is re-verified."""
-    if h.rows != h.cols or h.rows != p.matrix.rows:
-        raise SingularH("H must be square and match P")
-    try:
-        h_inv = h.inverse()
-    except SingularMatrix as exc:
-        raise SingularH(str(exc)) from exc
+def h_dual(p: Kernel, h: RationalMatrix, h_inv: RationalMatrix) -> RationalMatrix:
+    """Q with Q' = H^{-1} P H for the given H and its inverse; both H H^{-1} = I
+    and the defining identity H Q' = P H are verified."""
+    if h.rows != h.cols or h.rows != p.matrix.rows or h_inv.shape != h.shape:
+        raise SingularH("H and H^-1 must be square and match P")
+    _require_equal(h @ h_inv, RationalMatrix.identity(h.rows), "H H^-1 = I")
     q_t = h_inv @ p.matrix @ h
     _require_equal(h @ q_t, p.matrix @ h, "H Q' = P H")
     return q_t.T
@@ -197,7 +197,7 @@ def positivity_certificate(
         for vec in _cumulative_vectors(p.matrix, zp.poset, variant)
     )
     holds = all(r.member for r in reports)
-    q = h_dual(p, variant.h_matrix(zp))
+    q = h_dual(p, *variant.h_pair(zp))
     q_nonneg = q.is_nonnegative()
     _require(holds == q_nonneg, "condition (i) <=> Q >= 0", (holds, q_nonneg))
     return CertificateReport(
@@ -238,7 +238,7 @@ def strong_condition_check(
         cone_membership(v, zp, transposed=variant.transposed_cone) for v in vecs
     )
     holds = all(r.member for r in reports)
-    q = h_dual(p, variant.h_matrix(zp))
+    q = h_dual(p, *variant.h_pair(zp))
     if holds:
         _require(q.is_nonnegative(), "condition (ii) => Q >= 0")
         # for i <= j, row j of Q ("in-a") or of Q' ("in-b") minus row i has the stated sign

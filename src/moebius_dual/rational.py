@@ -3,9 +3,9 @@ numerators over one positive common denominator, with gcd 1 (so the zero
 matrix has denominator 1).  Numerators are int64 when every entry fits, else
 Python ints.  A bound checked before each product, sum or elimination picks
 int64 only when it cannot overflow.  Inverse and nullspace use Bareiss's
-fraction-free elimination (Math. Comp. 22, 1968).  Floats are rejected on
-input, since every identity here is checked with zero tolerance; entries
-leave as ``fractions.Fraction``.
+fraction-free elimination (Math. Comp. 22, 1968).  Floats and booleans are
+rejected on input, since every identity here is checked with zero tolerance;
+entries leave as ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -53,10 +53,11 @@ def format_fraction(x: Fraction) -> str:
 
 def _coerce(value):
     """The input gate: an exact rational as an int or a Fraction."""
+    if isinstance(value, (bool, float)):  # checked before int, of which bool is a subclass
+        raise NonRationalEntry(f"{type(value).__name__} entry {value!r} rejected; "
+                               "supply exact rationals")
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, float):
-        raise NonRationalEntry(f"float entry {value!r} rejected; supply exact rationals")
     if isinstance(value, str):
         return parse_fraction(value)
     if isinstance(value, Rational):

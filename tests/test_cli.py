@@ -63,6 +63,26 @@ def test_duality_rejects_float_kernel(tmp_path, capsys):
     assert "invalid-config" in err
 
 
+def test_duality_rejects_boolean_kernel(tmp_path, capsys):
+    # JSON true/false are not 1/0: the entry is named and the run is bad input
+    kernel = kernel_file(tmp_path, "bool", {"entries": [[True, False], [False, True]]})
+    code, out, err = run(["duality", "--n", "1", "--kernel", kernel], capsys)
+    assert code == 2 and out == ""
+    assert "invalid-config" in err and "bool entry True" in err
+
+
+def test_cap_below_one_is_invalid_config(capsys, monkeypatch):
+    for raw in ("0", "-1"):
+        monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", raw)
+        for argv in (["lattice", "subsets", "--n", "0"], ["cannings", "--model", "wf", "--N", "2"]):
+            code, out, err = run(argv, capsys)
+            assert code == 2 and out == "", argv
+            assert "invalid-config" in err and "MOEBIUS_DUAL_MAX_STATES must be >= 1" in err
+    monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "1")
+    code, _, _ = run(["lattice", "subsets", "--n", "0"], capsys)
+    assert code == 0
+
+
 def test_coarsen_sets_and_partitions(capsys):
     code, out, _ = run(["coarsen", "sets", "--n", "4"], capsys)
     assert code == 0

@@ -1,7 +1,10 @@
+import dataclasses
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebius_dual import (
     DualityVariant,
@@ -20,8 +23,10 @@ from moebius_dual import (
     skeleton_relation,
     subset_lattice,
     coarse_duality_pipeline,
+    positivity_certificate,
 )
-from moebius_dual.errors import IncompatibleMatrix, SizeOverflow
+from moebius_dual.coarse_graining import CoarseResult
+from moebius_dual.errors import IncompatibleMatrix, SizeOverflow, VerificationFailure
 from moebius_dual.lattices import Skeleton, enumerate_partitions
 
 F = Fraction
@@ -44,6 +49,80 @@ def test_identity_always_compatible():
     res = check_compatibility(RationalMatrix.identity(4), rel)
     assert res.compatible
     assert res.coarse == RationalMatrix.identity(2)
+
+
+def reference_check_compatibility(h, rel):
+    """The class row sums as one Fraction sum per entry and class, each fine row
+    against the first member of its class: the oracle for the lumping product."""
+    n, m = len(rel.elements), rel.num_classes
+    a = h.array()
+    members = [[i for i, c in enumerate(rel.class_of) if c == k] for k in range(m)]
+    sums = [[sum((a[i, c] for c in members[k]), Fraction(0)) for k in range(m)]
+            for i in range(n)]
+    coarse_rows = [None] * m
+    for i in range(n):
+        k = rel.class_of[i]
+        if coarse_rows[k] is None:
+            coarse_rows[k] = (i, sums[i])
+        elif sums[i] != coarse_rows[k][1]:
+            ref_i = coarse_rows[k][0]
+            bad = next(t for t in range(m) if sums[i][t] != sums[ref_i][t])
+            witness = (rel.elements[ref_i], rel.elements[i], rel.class_labels[bad])
+            return CoarseResult(compatible=False, coarse=None, witness=witness)
+    coarse = RationalMatrix([row for _, row in coarse_rows])
+    return CoarseResult(compatible=True, coarse=coarse, witness=None)
+
+
+@st.composite
+def matrix_and_relation(draw):
+    n = draw(st.integers(1, 6))
+    labels = draw(st.lists(st.sampled_from("xyz"), min_size=n, max_size=n))
+    class_label = dict(zip([f"e{i}" for i in range(n)], labels))
+    rel = EquivalenceRelation.from_function(class_label, class_label.get)
+    entry = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    mode = draw(st.sampled_from(["random", "compatible", "one entry off"]))
+    if mode != "random":
+        # give every row the class sums of its class's first row, correcting
+        # the entry at the first member of each target class
+        first = [rel.class_of.index(k) for k in range(rel.num_classes)]
+        for i in range(n):
+            ref = first[rel.class_of[i]]
+            for k, c0 in enumerate(first):
+                cols = [c for c in range(n) if rel.class_of[c] == k]
+                rows[i][c0] += sum(rows[ref][c] for c in cols) - sum(rows[i][c] for c in cols)
+    if mode == "one entry off":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] += draw(st.sampled_from([F(1, 5), F(-3)]))
+    # large entries take the Python-int numerator path
+    scale = draw(st.sampled_from([1, 2**70]))
+    return RationalMatrix(rows).scale(scale), rel
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrix_and_relation())
+def test_compatibility_matches_fraction_reference(case):
+    h, rel = case
+    assert check_compatibility(h, rel) == reference_check_compatibility(h, rel)
+
+
+def test_wrong_moebius_entry_is_caught():
+    # M enters Q directly, so a wrong M must fail H H^-1 = I even where the
+    # Z M = I check of the zeta pair is skipped by size
+    lat = subset_lattice(2)
+    rel = cardinality_relation(lat)
+    p = Kernel.of(RationalMatrix.from_function(4, 4, lambda i, j: F(1, 4)))
+    rows = [list(r) for r in lat.pair.moebius]
+    for i in range(4):
+        for j in range(4):
+            bad_rows = [list(r) for r in rows]
+            bad_rows[i][j] += 1
+            bad = dataclasses.replace(lat.pair, moebius=RationalMatrix(bad_rows))
+            for variant in DualityVariant:
+                with pytest.raises(VerificationFailure):
+                    positivity_certificate(p, bad, variant)
+                with pytest.raises(VerificationFailure):
+                    coarse_duality_pipeline(p, bad, variant, rel)
 
 
 def test_zeta_cardinality_coarse_value():

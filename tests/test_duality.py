@@ -21,7 +21,7 @@ from moebius_dual import (
     subset_lattice,
     support_implication_check,
 )
-from moebius_dual.errors import NonpositiveH, NotIrreducible, SingularH
+from moebius_dual.errors import NonpositiveH, NotIrreducible, SingularH, VerificationFailure
 
 F = Fraction
 
@@ -39,21 +39,28 @@ def test_kernel_kind_detection():
 def test_h_dual_two_chain_hand_values():
     zp = two_chain()
     p = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))
-    q = h_dual(p, DualityVariant.ZETA.h_matrix(zp))
+    q = h_dual(p, *DualityVariant.ZETA.h_pair(zp))
     assert q == RationalMatrix([["1/4", "1/4"], [0, 1]])
-    # the defining identity in the other variants
+    # the defining identity in the other variants, with H^-1 read off the pair
     for v in DualityVariant:
-        h = v.h_matrix(zp)
-        qv = h_dual(p, h)
+        h, h_inv = v.h_pair(zp)
+        assert h_inv == h.inverse()
+        qv = h_dual(p, h, h_inv)
         assert h @ qv.T == p.matrix @ h
 
 
 def test_h_dual_rejects_singular_or_mismatched_h():
     p = Kernel.of(RationalMatrix.identity(2))
+    # no H^-1 can invert a singular H, so H H^-1 = I fails for any candidate
+    singular = RationalMatrix([[1, 1], [1, 1]])
+    with pytest.raises(VerificationFailure, match=r"H H\^-1 = I"):
+        h_dual(p, singular, RationalMatrix.identity(2))
+    with pytest.raises(VerificationFailure, match=r"H H\^-1 = I"):
+        h_dual(p, RationalMatrix([[1, 1], [0, 1]]), RationalMatrix([[1, 1], [0, 1]]))
     with pytest.raises(SingularH):
-        h_dual(p, RationalMatrix([[1, 1], [1, 1]]))
+        h_dual(p, RationalMatrix.identity(3), RationalMatrix.identity(3))
     with pytest.raises(SingularH):
-        h_dual(p, RationalMatrix.identity(3))
+        h_dual(p, RationalMatrix.identity(2), RationalMatrix.identity(3))
 
 
 def test_cone_membership_subset_examples():
@@ -176,11 +183,11 @@ def test_support_implication():
     poset = zp.poset
     # upper-triangular P: dual supported on the reversed order
     p = Kernel.of(RationalMatrix([["1/2", "1/2"], [0, 1]]))
-    q = h_dual(p, zp.zeta)
+    q = h_dual(p, zp.zeta, zp.moebius)
     assert support_implication_check(p, q, poset, direction="forward")
     # hypothesis failing makes the check vacuously true
     p2 = Kernel.of(RationalMatrix([[0, 1], [1, 0]]))
-    q2 = h_dual(p2, zp.zeta)
+    q2 = h_dual(p2, zp.zeta, zp.moebius)
     assert support_implication_check(p2, q2, poset, direction="forward")
     with pytest.raises(ValueError):
         support_implication_check(p, q, poset, direction="sideways")

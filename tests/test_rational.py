@@ -34,6 +34,17 @@ def test_float_entries_rejected():
         RationalMatrix.diagonal([1, 2.0])
 
 
+def test_boolean_entries_rejected():
+    # bool is an int subclass; as a matrix entry it is a type error, not 1/0
+    for build in (lambda: RationalMatrix([[True, False], [False, True]]),
+                  lambda: RationalMatrix.diagonal([1, False]),
+                  lambda: RationalMatrix.from_json('{"entries": [[1, true]]}')):
+        with pytest.raises(NonRationalEntry, match="bool entry"):
+            build()
+    # a numpy bool array, such as a poset's order matrix, is 0/1 data
+    assert RationalMatrix(np.eye(2, dtype=bool)) == RationalMatrix.identity(2)
+
+
 def test_basic_algebra():
     a = RationalMatrix([["1/2", 1], [0, 2]])
     b = RationalMatrix([[2, 0], [1, "1/3"]])
