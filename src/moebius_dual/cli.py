@@ -142,8 +142,6 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_duality(args) -> int:
-    if args.poset != "subsets":
-        raise MoebiusDualError("only --poset subsets is supported for duality runs")
     _check_cap(1 << args.n)
     lat = subset_lattice(args.n)
     p = _load_kernel(args.kernel)
@@ -322,6 +320,7 @@ def _verification_suite(max_n: int):
 
 
 def cmd_verify_all(args) -> int:
+    _check_cap(1 << args.max_n)
     results = []
     failed = False
     for name, fn in _verification_suite(args.max_n):

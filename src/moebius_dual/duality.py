@@ -4,6 +4,9 @@ A kernel Q is the H-dual of P when H Q' = P H.  The four variants
 (H = Z, Z', Z^{-1}, (Z^{-1})') share one code path: each variant is a
 declarative descriptor saying which margin of P is accumulated over
 which cumulative set and which cone certifies nonnegativity of Q.
+Each certificate finds the cone images of all its margins with one
+product by M or M'; for the cumulative margins (P or P')(Z or Z') these
+images are, by Moebius inversion, the entries of Q' or Q.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
                      _require)
 from .poset import FinitePoset, ZetaPair
-from .rational import RationalMatrix, _require_equal, format_fraction
+from .rational import RationalMatrix, _require_equal
 
 __all__ = [
     "Kernel",
@@ -148,56 +151,56 @@ def h_dual(p: Kernel, h: RationalMatrix, h_inv: RationalMatrix) -> RationalMatri
     return q_t.T
 
 
+def _cone_reports(g: RationalMatrix, zp: ZetaPair, transposed: bool):
+    """Membership of every column of g in F_+ (images M g) or F'_+ (images M' g),
+    decided by one product: the image matrix and one ConeReport per column."""
+    images = (zp.moebius.T if transposed else zp.moebius) @ g
+    negative = images.signs() < 0
+    labels = zp.poset.elements
+    # a nonnegative Moebius image forces g >= 0 itself; the witness is the
+    # first negative entry of the first such column
+    g_negative = (g.signs() < 0) & ~negative.any(axis=0)
+    _require(not g_negative.any(), "cone member g >= 0",
+             lambda: labels[np.argwhere(g_negative.T)[0][1]])
+    reports = tuple(
+        ConeReport(member=not neg.any(), image=tuple(image),
+                   first_negative=labels[np.argmax(neg)] if neg.any() else None)
+        for neg, image in zip(negative.T, images.T)
+    )
+    return images, reports
+
+
 def cone_membership(g, zp: ZetaPair, transposed: bool = False) -> ConeReport:
     """Membership of g in F_+ (image = Z^{-1} g) or F'_+ (image = (Z^{-1})' g)."""
-    moeb = zp.moebius.T if transposed else zp.moebius
-    image = moeb.apply(g)
-    first_negative = None
-    for lab, v in zip(zp.poset.elements, image):
-        if v < 0:
-            first_negative = lab
-            break
-    member = first_negative is None
-    if member:
-        # a nonnegative Moebius image forces g >= 0 itself
-        _require(all(Fraction(x) >= 0 for x in g), "cone member g >= 0",
-                 lambda: next(lab for lab, x in zip(zp.poset.elements, g) if Fraction(x) < 0))
-    return ConeReport(member=member, image=tuple(image), first_negative=first_negative)
-
-
-def _cumulative_vectors(p: RationalMatrix, poset: FinitePoset, variant: DualityVariant):
-    """The per-index vectors whose cone membership decides Q >= 0.
-
-    Columns accumulated over {d <= a} / {a <= d}, or rows over {b <= c} / {c <= b},
-    per the variant's descriptor.
-    """
-    a = p.array() if variant.uses_columns else p.array().T
-    # column i of the order holds the down-set of i, row i its up-set
-    members = poset.matrix if variant.cumulative_downward else poset.matrix.T
-    return [list(a[:, members[:, i]].sum(axis=1)) for i in range(len(poset))]
+    return _cone_reports(RationalMatrix([[x] for x in g]), zp, transposed)[1][0]
 
 
 def _require_nonnegative(p: Kernel) -> None:
     """A kernel is caller input: a negative entry is a bad parameter."""
     if not p.matrix.is_nonnegative():
-        (i, j), v = next((ij, v) for ij, v in np.ndenumerate(p.matrix.array()) if v < 0)
-        raise InvalidParameter(f"kernel entry ({i}, {j}) is negative: {format_fraction(v)}")
+        i, j = np.argwhere(p.matrix.signs() < 0)[0].tolist()
+        raise InvalidParameter(f"kernel entry ({i}, {j}) is negative: {p.matrix[i, j]}")
+
+
+def _certify(p: Kernel, zp: ZetaPair, variant: DualityVariant, cumulative: bool):
+    """Cone images, reports, verdict and dual for the margins of P: its columns
+    (or rows) as they are, or accumulated over down-sets (or up-sets)."""
+    _require_nonnegative(p)
+    margins = p.matrix if variant.uses_columns else p.matrix.T
+    if cumulative:
+        margins = margins @ (zp.zeta if variant.cumulative_downward else zp.zeta.T)
+    images, reports = _cone_reports(margins, zp, variant.transposed_cone)
+    q = h_dual(p, *variant.h_pair(zp))
+    return images, reports, all(r.member for r in reports), q
 
 
 def positivity_certificate(
     p: Kernel, zp: ZetaPair, variant: DualityVariant
 ) -> CertificateReport:
     """Exact equivalence test: Q >= 0 iff every cumulative margin lies in the cone.
-
-    The verdict is cross-checked against the directly computed dual.
-    """
-    _require_nonnegative(p)
-    reports = tuple(
-        cone_membership(vec, zp, transposed=variant.transposed_cone)
-        for vec in _cumulative_vectors(p.matrix, zp.poset, variant)
-    )
-    holds = all(r.member for r in reports)
-    q = h_dual(p, *variant.h_pair(zp))
+    The cone images (Q' or Q) and the verdict are checked against the computed dual."""
+    images, reports, holds, q = _certify(p, zp, variant, cumulative=True)
+    _require_equal(images, q.T if variant.uses_columns else q, "condition (i) images = Q")
     q_nonneg = q.is_nonnegative()
     _require(holds == q_nonneg, "condition (i) <=> Q >= 0", (holds, q_nonneg))
     return CertificateReport(
@@ -231,22 +234,18 @@ def strong_condition_check(
 ) -> StrongConditionReport:
     """Part (ii): every single column (or row) of P in the cone forces the
     stated monotonicity of Q over all comparable pairs."""
-    _require_nonnegative(p)
-    a = p.matrix.array()
-    vecs = [list(v) for v in (a.T if variant.uses_columns else a)]
-    reports = tuple(
-        cone_membership(v, zp, transposed=variant.transposed_cone) for v in vecs
-    )
-    holds = all(r.member for r in reports)
-    q = h_dual(p, *variant.h_pair(zp))
+    _, reports, holds, q = _certify(p, zp, variant, cumulative=False)
     if holds:
         _require(q.is_nonnegative(), "condition (ii) => Q >= 0")
         # for i <= j, row j of Q ("in-a") or of Q' ("in-b") minus row i has the stated sign
-        qa = q.array() if variant.monotonicity.endswith("-a") else q.array().T
+        qa = q if variant.monotonicity.endswith("-a") else q.T
         sign = 1 if variant.monotonicity.startswith("increasing") else -1
-        for i, j in zp.poset.comparable_pairs():
-            if i != j and not all(sign * (qa[j] - qa[i]) >= 0):
-                pair = (zp.poset.elements[i], zp.poset.elements[j])
+        # the order is upper-triangular: pairs (i, j > i) come in comparable_pairs order
+        for i, row in enumerate(zp.poset.matrix):
+            above = np.flatnonzero(row[i + 1:]) + i + 1
+            bad = ((qa[above] - qa[np.full(len(above), i)]).signs() * sign < 0).any(axis=1)
+            if bad.any():
+                pair = (zp.poset.elements[i], zp.poset.elements[above[np.argmax(bad)]])
                 raise VerificationFailure("condition (ii) => Q monotone", pair)
     return StrongConditionReport(
         variant=variant, condition_holds=holds, per_index=reports, q=q, monotone=True
@@ -267,7 +266,7 @@ def support_implication_check(
 
     def supported_within(m, upper):
         # every nonzero entry (c, d) has c <= d (upper) or d <= c
-        return not ((m.array() != 0) & ~(poset.matrix if upper else poset.matrix.T)).any()
+        return not ((m.signs() != 0) & ~(poset.matrix if upper else poset.matrix.T)).any()
 
     hyp_upper = direction == "forward"
     if not supported_within(p.matrix, upper=hyp_upper):
@@ -325,9 +324,7 @@ def invariant_distribution(p: Kernel):
 
 
 def _is_irreducible(m: RationalMatrix) -> bool:
-    n = m.rows
-    adj = np.array([[1 if m[i, j] != 0 else 0 for j in range(n)] for i in range(n)])
-    reach = np.eye(n, dtype=np.int64)
-    for _ in range(n):
-        reach = ((reach + reach @ adj) > 0).astype(np.int64)
+    adj, reach = m.signs() != 0, np.eye(m.rows, dtype=bool)
+    for _ in range(m.rows):
+        reach |= (reach.astype(np.int64) @ adj) > 0
     return bool(reach.all())

@@ -142,19 +142,18 @@ def _stable_toposort(m: np.ndarray):
 def build_poset(labels: Sequence, leq: Callable, *, validate: bool | None = None) -> FinitePoset:
     """Build a poset with a canonical linear extension as index order.
 
-    The index order sorts by (number of predecessors, input position); the
-    predecessor count increases strictly along the order, so this is a
-    stable topological sort.  Validation of the partial-order axioms is on
-    by default for up to ``DEFAULT_VALIDATION_BOUND`` elements.
+    The index order is Kahn's topological sort that always takes, among the
+    elements whose predecessors are all placed, the one earliest in the
+    input; so input already in a linear extension keeps its order.  For
+    a < b < c and an incomparable d, input [a, b, c, d] gives (a, b, c, d)
+    and [d, c, b, a] gives (d, a, b, c).  Validation of the partial-order
+    axioms is on by default for up to ``DEFAULT_VALIDATION_BOUND`` elements.
     """
     labels = tuple(labels)
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     n = len(labels)
-    m = np.zeros((n, n), dtype=bool)
-    for i, a in enumerate(labels):
-        for j, b in enumerate(labels):
-            m[i, j] = bool(leq(a, b))
+    m = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool).reshape(n, n)
     if validate is None:
         validate = n <= DEFAULT_VALIDATION_BOUND
     if validate:

@@ -202,6 +202,10 @@ class RationalMatrix:
         return np.array(_fractions(self._num.ravel().tolist(), self._den),
                         dtype=object).reshape(self.shape)
 
+    def signs(self) -> np.ndarray:
+        """Array of the sign (-1, 0 or 1) of each entry; the denominator is positive."""
+        return np.sign(self._num).astype(np.int8)
+
     def __iter__(self):
         return (_fractions(r, self._den) for r in self._num.tolist())
 

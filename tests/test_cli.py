@@ -130,6 +130,21 @@ def test_verify_all_passes(capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
+def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
+    import moebius_dual.cli as cli
+
+    def refuse(n):
+        raise AssertionError(f"subset_lattice({n}) built past the cap")
+
+    monkeypatch.setattr(cli, "subset_lattice", refuse)
+    monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "8")
+    for max_n, states in (("4", 16), ("13", 8192)):
+        code, out, err = run(["verify-all", "--max-n", max_n], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "size-cap",
+                                   "detail": f"{states} states exceed the cap 8"}
+
+
 def test_exit_codes(capsys, monkeypatch, tmp_path):
     # size cap
     code, _, err = run(["lattice", "subsets", "--n", "25"], capsys)

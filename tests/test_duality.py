@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moebius_dual import (
+    ConeReport,
     DualityVariant,
     Kernel,
     RationalMatrix,
@@ -21,7 +22,8 @@ from moebius_dual import (
     subset_lattice,
     support_implication_check,
 )
-from moebius_dual.errors import NonpositiveH, NotIrreducible, SingularH, VerificationFailure
+from moebius_dual.errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH,
+                                 VerificationFailure)
 
 F = Fraction
 
@@ -211,3 +213,167 @@ def test_invariant_distribution():
         invariant_distribution(Kernel.of(RationalMatrix.identity(2)))
     with pytest.raises(ValueError):
         invariant_distribution(Kernel.of(RationalMatrix([[2]])))
+
+
+# -- the Fraction-loop certificates, kept as the reference -------------------
+# One cone_membership call per state, cumulative vectors summed as Fraction
+# object arrays, and the monotone scan run pair by pair in comparable_pairs
+# order; the library forms all cone images with one product instead.
+
+
+def _reference_cone(g, zp, transposed):
+    image = (zp.moebius.T if transposed else zp.moebius).apply(g)
+    labels = zp.poset.elements
+    first_negative = next((lab for lab, v in zip(labels, image) if v < 0), None)
+    if first_negative is None and any(F(x) < 0 for x in g):
+        witness = next(lab for lab, x in zip(labels, g) if F(x) < 0)
+        raise VerificationFailure("cone member g >= 0", witness)
+    return (first_negative is None, tuple(image), first_negative)
+
+
+def _reference_cumulative_vectors(p, poset, variant):
+    a = p.array() if variant.uses_columns else p.array().T
+    members = poset.matrix if variant.cumulative_downward else poset.matrix.T
+    return [list(a[:, members[:, i]].sum(axis=1)) for i in range(len(poset))]
+
+
+def _reference_certificate(p, zp, variant):
+    """(per_index, condition_holds, q, q_nonnegative) of condition (i)."""
+    reports = tuple(_reference_cone(vec, zp, variant.transposed_cone)
+                    for vec in _reference_cumulative_vectors(p.matrix, zp.poset, variant))
+    q = h_dual(p, *variant.h_pair(zp))
+    return reports, all(r[0] for r in reports), q, q.is_nonnegative()
+
+
+def _reference_monotone_failure(q, zp, variant):
+    """The first comparable pair at which Q breaks the variant's monotonicity."""
+    qa = q.array() if variant.monotonicity.endswith("-a") else q.array().T
+    sign = 1 if variant.monotonicity.startswith("increasing") else -1
+    for i, j in zp.poset.comparable_pairs():
+        if i != j and not all(sign * (qa[j] - qa[i]) >= 0):
+            return (zp.poset.elements[i], zp.poset.elements[j])
+    return None
+
+
+def _reference_strong(p, zp, variant):
+    """(per_index, condition_holds, q, first failing monotone pair) of condition (ii)."""
+    a = p.matrix.array()
+    reports = tuple(_reference_cone(list(v), zp, variant.transposed_cone)
+                    for v in (a.T if variant.uses_columns else a))
+    holds = all(r[0] for r in reports)
+    q = h_dual(p, *variant.h_pair(zp))
+    return reports, holds, q, _reference_monotone_failure(q, zp, variant) if holds else None
+
+
+def _as_tuples(reports):
+    return tuple((r.member, r.image, r.first_negative) for r in reports)
+
+
+def _cone_built(zp, variant, weights):
+    """A kernel whose columns (or rows) lie in the variant's cone: each is Z
+    (or Z') times a nonnegative weight vector."""
+    base = zp.zeta.T if variant.transposed_cone else zp.zeta
+    g = base @ RationalMatrix(weights)  # column c is the margin of state c
+    return g if variant.uses_columns else g.T
+
+
+_ratio = st.fractions(min_value=0, max_value=3, max_denominator=7)
+
+
+@st.composite
+def kernel_cases(draw):
+    n = draw(st.integers(0, 3))
+    zp = subset_lattice(n).pair
+    variant = draw(st.sampled_from(list(DualityVariant)))
+    k = 1 << n
+    rows = draw(st.lists(st.lists(_ratio, min_size=k, max_size=k), min_size=k, max_size=k))
+    kind = draw(st.sampled_from(["random", "stochastic", "large", "cone"]))
+    if kind == "stochastic":
+        rows = [[x / sum(r) for x in r] if sum(r) else [F(1, k)] * k for r in rows]
+    m = _cone_built(zp, variant, rows) if kind == "cone" else RationalMatrix(rows)
+    if kind == "large":
+        m = m.scale(2**70)  # numerators beyond int64
+    return zp, variant, Kernel.of(m), kind
+
+
+@settings(max_examples=100, deadline=None)
+@given(kernel_cases())
+def test_certificates_match_fraction_reference(case):
+    zp, variant, p, kind = case
+    per_index, holds, q, q_nonneg = _reference_certificate(p, zp, variant)
+    rep = positivity_certificate(p, zp, variant)
+    assert (_as_tuples(rep.per_index), rep.condition_holds, rep.q, rep.q_nonnegative) == (
+        per_index, holds, q, q_nonneg)
+    per_index, holds, q, failure = _reference_strong(p, zp, variant)
+    assert failure is None
+    strong = strong_condition_check(p, zp, variant)
+    assert (_as_tuples(strong.per_index), strong.condition_holds, strong.q) == (
+        per_index, holds, q)
+    assert strong.condition_holds or kind != "cone"
+
+
+@pytest.mark.parametrize("descriptor", ["uses_columns", "cumulative_downward", "transposed_cone"])
+@pytest.mark.parametrize("variant", list(DualityVariant))
+def test_broken_descriptor_fails_images_identity(descriptor, variant, monkeypatch):
+    # flipping one entry of the descriptor table changes the images of every
+    # kernel, whether or not the condition (i) verdict changes with it
+    flag = getattr(DualityVariant, descriptor)
+    monkeypatch.setattr(DualityVariant, descriptor,
+                        property(lambda self: flag.fget(self) != (self is variant)))
+    zp = subset_lattice(2).pair
+    p = Kernel.of(RationalMatrix([["1/2", "1/3", "1/6", "0"], ["1/5", "2/5", "0", "2/5"],
+                                  ["1/7", "0", "3/7", "3/7"], ["1/4", "1/4", "1/4", "1/4"]]))
+    with pytest.raises(VerificationFailure) as e:
+        positivity_certificate(p, zp, variant)
+    assert e.value.identity == "condition (i) images = Q"
+    for other in DualityVariant:
+        if other is not variant:
+            positivity_certificate(p, zp, other)
+
+
+@pytest.mark.parametrize("variant", list(DualityVariant))
+def test_monotone_failure_names_the_reference_pair(variant, monkeypatch):
+    # claim the opposite monotonicity: the first pair that breaks it is the
+    # one the pair-by-pair reference scan finds
+    import random
+
+    rng = random.Random(3)
+    zp = subset_lattice(3).pair
+    w = [[F(rng.randrange(0, 4)) for _ in range(8)] for _ in range(8)]
+    p = Kernel.of(_cone_built(zp, variant, w))
+    claimed = variant.monotonicity
+    flipped = claimed.replace("increasing", "x").replace("decreasing", "increasing").replace(
+        "x", "decreasing")
+    monkeypatch.setattr(DualityVariant, "monotonicity",
+                        property(lambda self: flipped if self is variant else claimed))
+    q = h_dual(p, *variant.h_pair(zp))
+    expected = _reference_monotone_failure(q, zp, variant)
+    assert expected is not None
+    with pytest.raises(VerificationFailure) as e:
+        strong_condition_check(p, zp, variant)
+    assert (e.value.identity, e.value.witness) == ("condition (ii) => Q monotone", expected)
+
+
+def test_cone_member_with_negative_g_names_the_reference_witness():
+    # with -I in place of M a negative g has a nonnegative image; both paths
+    # name the first negative entry of g
+    import dataclasses
+
+    zp = subset_lattice(2).pair
+    bad = dataclasses.replace(zp, moebius=RationalMatrix.identity(4).scale(-1))
+    g = [0, -1, -2, 0]
+    with pytest.raises(VerificationFailure) as ref:
+        _reference_cone(g, bad, False)
+    with pytest.raises(VerificationFailure) as e:
+        cone_membership(g, bad)
+    assert (e.value.identity, e.value.witness) == (ref.value.identity, ref.value.witness)
+    assert e.value.witness == zp.poset.elements[1]
+    # a negative g outside the cone is a plain non-member
+    assert cone_membership([-1, 0, 0, 0], zp) == ConeReport(False, (-1, 0, 0, 0), 0)
+
+
+def test_negative_kernel_names_first_negative_entry():
+    p = Kernel.of(RationalMatrix([[1, 0, "-1/3"], [0, -2, 1], [0, 0, 1]]))
+    zp = build_poset(range(3), lambda a, b: a <= b)
+    with pytest.raises(InvalidParameter, match=r"entry \(0, 2\) is negative: -1/3"):
+        positivity_certificate(p, moebius_matrix(zp), DualityVariant.ZETA)

@@ -36,14 +36,25 @@ def test_checks_use_one_mechanism():
     assert found == []
 
 
-def test_library_runs_no_elimination_for_known_inverses():
-    # every H^-1 is read off a zeta pair or a closed form; RationalMatrix.inverse
-    # stays a public method, but nothing in the library calls it
-    found = [
+def _method_calls(attr, *, bare=False):
+    """Source positions of calls ``x.attr(...)``, or only ``x.attr()`` when bare."""
+    return [
         f"{name}:{node.lineno}"
         for name, tree in _source_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr == "inverse"
+        and node.func.attr == attr and not (bare and (node.args or node.keywords))
     ]
-    assert found == []
+
+
+def test_library_runs_no_elimination_for_known_inverses():
+    # every H^-1 is read off a zeta pair or a closed form; RationalMatrix.inverse
+    # stays a public method, but nothing in the library calls it
+    assert _method_calls("inverse") == []
+
+
+def test_library_builds_no_fraction_arrays():
+    # the library reads matrices through RationalMatrix products and signs();
+    # RationalMatrix.array() stays public for callers, but nothing in src calls
+    # it; bare, since np.array(...) always takes an argument
+    assert _method_calls("array", bare=True) == []

@@ -50,6 +50,24 @@ def test_index_order_is_stable_linear_extension():
                if q.leq(a, b))
 
 
+def test_index_order_takes_earliest_ready_input_first():
+    # a < b < c with d incomparable to all three: Kahn's sort places, at each
+    # step, the earliest input among elements whose predecessors are placed
+    rank = {"a": 0, "b": 1, "c": 2}
+    calls = []
+
+    def leq(x, y):
+        calls.append((x, y))
+        return x == y or (x in rank and y in rank and rank[x] <= rank[y])
+
+    assert build_poset("abcd", leq).elements == ("a", "b", "c", "d")
+    # not sorted by predecessor count, which would put a and d first
+    assert build_poset("dcba", leq).elements == ("d", "a", "b", "c")
+    # leq is asked once per ordered pair, row by row in input order
+    assert calls[16:] == [(x, y) for x in "dcba" for y in "dcba"]
+    assert build_poset([], leq).matrix.shape == (0, 0)
+
+
 def test_duplicate_labels_rejected():
     with pytest.raises(ValueError):
         build_poset([1, 1], lambda a, b: a <= b)
