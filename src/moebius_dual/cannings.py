@@ -35,8 +35,8 @@ from .errors import (
     _check_range,
     _require,
 )
-from .lattices import _popcount
-from .poset import ZetaPair, build_poset, moebius_matrix
+from .lattices import _flatten, _popcount, _subset_order
+from .poset import ZetaPair, _poset_from_matrix, moebius_matrix
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -348,7 +348,9 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     if (t + 1) ** n > cap:
         raise SizeOverflow(f"(T+1)^N = {(t + 1) ** n} partial states, cap {cap}")
     states = _partial_states(n, t)
-    poset = build_poset(states, lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)))
+    # componentwise inclusion is inclusion of the flattened masks
+    order = _subset_order([_flatten(s, n) for s in states])
+    poset = _poset_from_matrix(tuple(states), order, validate=None)
     pair = moebius_matrix(poset, verify=len(states) <= 256)
     idx = poset.index
     size = len(states)

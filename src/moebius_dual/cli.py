@@ -45,6 +45,10 @@ EXIT_SIZE = 3
 
 ENUMERATION = "coarse set closed forms = enumeration"
 
+# the largest n for which 2**n has at most 4,300 decimal digits, the default
+# limit of Python's int-to-str conversion
+_DECIMAL_EXPONENT = 14_284
+
 
 def _max_states() -> int:
     raw = os.environ.get("MOEBIUS_DUAL_MAX_STATES")
@@ -62,6 +66,15 @@ def _max_states() -> int:
 def _check_cap(states: int):
     cap = _max_states()
     if states > cap:
+        raise SizeOverflow(f"{states} states exceed the cap {cap}")
+
+
+def _check_subset_cap(n: int):
+    """``_check_cap(2**n)`` decided on bit lengths, so that a huge n builds no
+    huge integer; past ``_DECIMAL_EXPONENT`` the count is written as 2^n."""
+    cap = _max_states()
+    if n >= cap.bit_length():  # exactly when 2**n > cap
+        states = 1 << n if n <= _DECIMAL_EXPONENT else f"2^{n}"
         raise SizeOverflow(f"{states} states exceed the cap {cap}")
 
 
@@ -128,7 +141,7 @@ def _variant(name: str) -> DualityVariant:
 
 def cmd_lattice(args) -> int:
     if args.family == "subsets":
-        _check_cap(1 << args.n)
+        _check_subset_cap(args.n)
         lat = subset_lattice(args.n)
         pair = lat.pair
         labels = [lat.label(m) for m in pair.poset.elements]
@@ -142,7 +155,7 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_duality(args) -> int:
-    _check_cap(1 << args.n)
+    _check_subset_cap(args.n)
     lat = subset_lattice(args.n)
     p = _load_kernel(args.kernel)
     if p.matrix.shape != (len(lat.poset), len(lat.poset)):
@@ -320,7 +333,7 @@ def _verification_suite(max_n: int):
 
 
 def cmd_verify_all(args) -> int:
-    _check_cap(1 << args.max_n)
+    _check_subset_cap(args.max_n)
     results = []
     failed = False
     for name, fn in _verification_suite(args.max_n):

@@ -21,9 +21,9 @@ from .lattices import (
     Partition,
     Skeleton,
     SubsetLattice,
+    _pair_masks,
     _popcount,
     enumerate_partitions,
-    partition_moebius_closed_form,
     skeleton,
     skeletons_of,
 )
@@ -193,56 +193,50 @@ def coarse_set_matrices(n: int) -> CoarseSetMatrices:
     )
 
 
+def _class_counts(hits: np.ndarray, classes: np.ndarray, size: int) -> np.ndarray:
+    """Per row of the bool matrix ``hits``, the number of its hits in each of
+    ``size`` classes, for ``classes`` the class index of each column."""
+    flat = (np.arange(len(hits))[:, None] * size + classes)[hits]
+    return np.bincount(flat, minlength=len(hits) * size).reshape(len(hits), size)
+
+
 def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
     """The same four matrices by direct counting over all 2^N subsets.
 
-    For each cardinality class a representative J is fixed and the class
-    sums of Z, Z^{-1}, Z', (Z')^{-1} rows at J are accumulated by iterating
-    every subset.  Representative independence is verified over all
-    representatives up to N=8 and over two extreme representatives beyond.
+    For each cardinality class the class sums of Z, Z^{-1}, Z', (Z')^{-1}
+    rows at a representative J are counted over every subset, by the
+    cardinality of its supersets and subsets of J.  Representative
+    independence is verified over all representatives up to N=8 and over
+    two extreme representatives beyond.
     """
     _check_range("enumeration route", "N", n, 0, 12)
     size = n + 1
-    full = (1 << n) - 1
-
-    def reps(j):
-        if n <= 8:
-            return [m for m in range(1 << n) if _popcount(m) == j]
-        lo = (1 << j) - 1  # first j ground elements
-        hi = lo << (n - j)  # last j ground elements
-        return [lo] if lo == hi else [lo, hi]
-
-    def rows_for(rep):
-        z = [0] * size
-        mo = [0] * size
-        zt = [0] * size
-        mot = [0] * size
-        j = _popcount(rep)
-        for mask in range(1 << n):
-            k = _popcount(mask)
-            if rep & ~mask == 0:  # rep subset of mask
-                z[k] += 1
-                mo[k] += (-1) ** (k - j)
-            if mask & ~rep == 0:  # mask subset of rep
-                zt[k] += 1
-                mot[k] += (-1) ** (j - k)
-        return z, mo, zt, mot
+    masks = np.arange(1 << n)
+    cards = np.bitwise_count(masks)
+    ks = np.arange(size)
 
     rows = []
     for j in range(size):
-        cand = [rows_for(r) for r in reps(j)]
-        _require(all(c == cand[0] for c in cand[1:]), "coarse set rows are representative-free", j)
+        if n <= 8:
+            reps = masks[cards == j]
+        else:
+            lo = (1 << j) - 1  # first j ground elements
+            hi = lo << (n - j)  # last j ground elements
+            reps = np.array([lo] if lo == hi else [lo, hi])
+        up = _class_counts(reps[:, None] & ~masks == 0, cards, size)
+        down = _class_counts(masks & ~reps[:, None] == 0, cards, size)
+        sign = 1 - 2 * ((ks + j) % 2)  # (-1)^(k-j)
+        cand = np.hstack([up, sign * up, down, sign * down])
+        _require(bool((cand == cand[0]).all()), "coarse set rows are representative-free", j)
         rows.append(cand[0])
 
-    def mk(idx):
-        return RationalMatrix([r[idx] for r in rows])
-
+    table = np.array(rows)
     out = CoarseSetMatrices(
         ground_size=n,
-        zeta=mk(0),
-        moebius=mk(1),
-        zeta_transpose=mk(2),
-        moebius_transpose=mk(3),
+        zeta=RationalMatrix(table[:, :size]),
+        moebius=RationalMatrix(table[:, size:2 * size]),
+        zeta_transpose=RationalMatrix(table[:, 2 * size:3 * size]),
+        moebius_transpose=RationalMatrix(table[:, 3 * size:]),
     )
     eye = RationalMatrix.identity(size)
     _require_equal(out.zeta @ out.moebius, eye, "coarse Z M = I")
@@ -269,9 +263,9 @@ def coarse_partition_matrices(n: int):
     """(coarse zeta, coarse Moebius) on the skeletons of n.
 
     zeta(eta, kappa) counts partitions with skeleton kappa coarser than a
-    fixed representative of eta; the Moebius row sums mu over the same set.
-    Each row is recomputed from a second, relabelled representative to
-    confirm it does not depend on the choice.
+    fixed representative of eta; the Moebius row sums the closed-form mu
+    over the same set.  Each row is recomputed from a second, relabelled
+    representative to confirm it does not depend on the choice.
     """
     _check_range("coarse partition matrices", "n", n, 1, 8)
     parts = enumerate_partitions(n)
@@ -279,35 +273,44 @@ def coarse_partition_matrices(n: int):
     # so the rows line up with skeleton_relation on the full lattice
     skels = []
     pos = {}
+    skel_of = []
     for g in parts:
         s = skeleton(g)
         if s not in pos:
             pos[s] = len(skels)
             skels.append(s)
+        skel_of.append(pos[s])
     _require(set(skels) == set(skeletons_of(n)), "skeletons of the partitions = skeletons of n", n)
     m = len(skels)
-    by_skel = [[] for _ in range(m)]
-    for g in parts:
-        by_skel[pos[skeleton(g)]].append(g)
+    skel_of = np.array(skel_of)
+    rgs = np.array([g.rgs for g in parts])
+    pairs = _pair_masks(rgs)
+    blocks = rgs.max(axis=1) + 1
+    # (c - 1)! for c alpha-atoms in a block of gamma, and 1 for a block with none
+    weight = np.array([1] + [math.factorial(c - 1) for c in range(1, n + 1)])
     reversal = {i: n + 1 - i for i in range(1, n + 1)}
 
     def rows_for(alpha):
-        z = [0] * m
-        mo = [0] * m
-        for k in range(m):
-            for gamma in by_skel[k]:
-                if alpha.refines(gamma):
-                    z[k] += 1
-                    mo[k] += partition_moebius_closed_form(alpha, gamma)
-        return z, mo
+        coarser = np.flatnonzero((_pair_masks(np.array([alpha.rgs])) & ~pairs) == 0)
+        g = rgs[coarser]
+        # the block of gamma holding each alpha-atom, an atom named by its first element
+        firsts = [alpha.rgs.index(a) for a in range(alpha.num_atoms)]
+        counts = np.zeros((len(g), n), dtype=np.int64)
+        np.add.at(counts, (np.arange(len(g))[:, None], g[:, firsts]), 1)
+        sign = 1 - 2 * ((alpha.num_atoms + blocks[coarser]) % 2)
+        mu = sign * weight[counts].prod(axis=1)
+        mo = np.zeros(m, dtype=np.int64)
+        np.add.at(mo, skel_of[coarser], mu)
+        return np.concatenate([np.bincount(skel_of[coarser], minlength=m), mo])
 
     rows = []
     for eta in skels:
         rep = _skeleton_representative(eta)
         rows.append(rows_for(rep))
-        _require(rows[-1] == rows_for(_permuted(rep, reversal)),
+        _require(bool((rows[-1] == rows_for(_permuted(rep, reversal))).all()),
                  "coarse partition rows are representative-free", eta)
-    z, mo = (RationalMatrix([r[t] for r in rows]) for t in (0, 1))
+    table = np.array(rows)
+    z, mo = RationalMatrix(table[:, :m]), RationalMatrix(table[:, m:])
     _require_equal(z @ mo, RationalMatrix.identity(m), "coarse Z M = I")
     return skels, z, mo
 

@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .errors import InvalidSkeleton, NotComparable, SizeOverflow, _check_range
-from .poset import FinitePoset, ZetaPair, build_poset, moebius_matrix
+from .poset import FinitePoset, ZetaPair, _poset_from_matrix, moebius_matrix
 
 __all__ = [
     "SubsetLattice",
@@ -41,6 +43,24 @@ MAX_PARTITION_GROUND = 8
 
 def _popcount(x: int) -> int:
     return x.bit_count()
+
+
+def _flatten(masks, width: int) -> int:
+    """The bitmasks of ``width`` bits each side by side, the first lowest."""
+    out = 0
+    for t, m in enumerate(masks):
+        out |= m << (t * width)
+    return out
+
+
+def _subset_order(masks) -> np.ndarray:
+    """Bool matrix with [i, j] True iff masks[i] is a subset of masks[j].
+
+    The masks are held in the narrowest unsigned dtype that fits them, and as
+    Python ints beyond 64 bits.
+    """
+    a = np.array(masks, dtype=np.min_scalar_type(max(masks, default=0)))
+    return (a[:, None] & ~a[None, :]) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +100,8 @@ class SubsetLattice:
 def subset_lattice(n: int, *, cap: int = MAX_SUBSET_GROUND) -> SubsetLattice:
     """Subset lattice of {1..n}, with the closed-form mu verified by type."""
     _check_range("subset lattice", "N", n, 0, cap)
-    masks = sorted(range(1 << n), key=lambda m: (_popcount(m), m))
-    poset = build_poset(masks, lambda a, b: a & ~b == 0, validate=n <= 8)
+    masks = tuple(sorted(range(1 << n), key=lambda m: (_popcount(m), m)))
+    poset = _poset_from_matrix(masks, _subset_order(masks), validate=n <= 8)
     return SubsetLattice(ground_size=n, pair=moebius_matrix(poset, verify=n <= 8))
 
 
@@ -112,10 +132,7 @@ class ProductSetLattice:
 
     def flatten(self, jvec) -> int:
         """The order isomorphism onto the subset lattice of {1..N*T}."""
-        m = 0
-        for t, j in enumerate(jvec):
-            m |= j << (t * self.ground_size)
-        return m
+        return _flatten(jvec, self.ground_size)
 
 
 def product_set_lattice(n: int, t: int, *, cap: int = 4096) -> ProductSetLattice:
@@ -127,9 +144,8 @@ def product_set_lattice(n: int, t: int, *, cap: int = 4096) -> ProductSetLattice
     for _ in range(t):
         labels = [vec + (m,) for vec in labels for m in range(1 << n)]
     labels.sort(key=lambda v: (sum(_popcount(m) for m in v), v))
-    poset = build_poset(
-        labels, lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)), validate=False
-    )
+    flat = [_flatten(v, n) for v in labels]
+    poset = _poset_from_matrix(tuple(labels), _subset_order(flat), validate=False)
     return ProductSetLattice(ground_size=n, copies=t, pair=moebius_matrix(poset))
 
 
@@ -274,10 +290,23 @@ def bell_number(n: int) -> int:
     return sum(math.comb(n - 1, k) * bell_number(k) for k in range(n))
 
 
+def _pair_masks(rgs: np.ndarray) -> np.ndarray:
+    """Per row of restricted-growth strings, the bitmask of the element pairs
+    (i < j) in one block.  A partition refines another iff its pairs are a
+    subset of the other's.  The C(n, 2) bits fit int64 up to n = 11, past
+    any partition lattice that fits in memory."""
+    n = rgs.shape[1]
+    out = np.zeros(len(rgs), dtype=np.int64)
+    for k, (i, j) in enumerate((i, j) for j in range(n) for i in range(j)):
+        out |= (rgs[:, i] == rgs[:, j]).astype(np.int64) << k
+    return out
+
+
 def partition_lattice(n: int, *, cap: int = MAX_PARTITION_GROUND) -> PartitionLattice:
     _check_range("partition lattice", "n", n, 1, cap)
     parts = enumerate_partitions(n)
-    poset = build_poset(parts, lambda a, b: a.refines(b), validate=n <= 5)
+    pairs = _pair_masks(np.array([p.rgs for p in parts]))
+    poset = _poset_from_matrix(tuple(parts), _subset_order(pairs.tolist()), validate=n <= 5)
     return PartitionLattice(ground_size=n, pair=moebius_matrix(poset, verify=n <= 6))
 
 
@@ -337,7 +366,7 @@ class Skeleton:
 
 
 def skeleton(alpha: Partition) -> Skeleton:
-    return Skeleton.of(len(a) for a in alpha.atoms())
+    return Skeleton.of(map(alpha.rgs.count, range(alpha.num_atoms)))
 
 
 def skeletons_of(n: int):

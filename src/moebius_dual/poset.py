@@ -3,12 +3,17 @@
 The index order of a :class:`FinitePoset` is always a linear extension
 (stable topological sort), which makes the zeta matrix unitriangular and
 its exact inversion a back-substitution.  The Moebius matrix is computed
-by the classical recursion
+by the classical recursion (Rota 1964)
 
     mu(a, a) = 1,
     mu(a, b) = - sum of mu(a, c) over a <= c < b   for a < b,
 
-and cross-checked against exact Gaussian elimination in the test suite.
+one column at a time: column b of M is e_b minus the sum of the columns c
+strictly below b, taken over the rows below b, where alone they can be
+nonzero.  Column b is bounded by the sum of the column maxima below it;
+the columns stay int64 while that bound fits and switch to Python ints
+once it does not, so the values are exact at any size.  The recursion is
+cross-checked against exact Gaussian elimination in the test suite.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import PartialOrderViolation, SizeOverflow
-from .rational import RationalMatrix, _require_equal
+from .rational import _INT64_MAX, RationalMatrix, _require_equal
 
 __all__ = [
     "FinitePoset",
@@ -62,10 +67,11 @@ class FinitePoset:
 
     def up_idx(self, i: int):
         """Indices j with element i <= element j."""
-        return [j for j in range(len(self)) if self.matrix[i, j]]
+        return np.flatnonzero(self.matrix[i]).tolist()
 
     def down_idx(self, i: int):
-        return [j for j in range(len(self)) if self.matrix[j, i]]
+        """Indices j with element j <= element i."""
+        return np.flatnonzero(self.matrix[:, i]).tolist()
 
     def comparable_pairs(self):
         """All index pairs (i, j) with element i <= element j."""
@@ -150,23 +156,30 @@ def build_poset(labels: Sequence, leq: Callable, *, validate: bool | None = None
     axioms is on by default for up to ``DEFAULT_VALIDATION_BOUND`` elements.
     """
     labels = tuple(labels)
+    n = len(labels)
+    m = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool).reshape(n, n)
+    return _poset_from_matrix(labels, m, validate)
+
+
+def _poset_from_matrix(labels: tuple, m: np.ndarray, validate: bool | None) -> FinitePoset:
+    """The poset of ``build_poset`` from its bool order matrix over ``labels``."""
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
     n = len(labels)
-    m = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool).reshape(n, n)
     if validate is None:
         validate = n <= DEFAULT_VALIDATION_BOUND
     if validate:
         _validate_order(labels, m)
-    order = _stable_toposort(m)
-    perm = np.array(order) if n else np.zeros(0, dtype=int)
-    sorted_labels = tuple(labels[i] for i in order)
-    sorted_m = m[np.ix_(perm, perm)]
-    if np.tril(sorted_m, -1).any():
-        # cannot happen for a valid partial order; guards unvalidated input
-        raise PartialOrderViolation("linear-extension", ())
-    index = {lab: i for i, lab in enumerate(sorted_labels)}
-    return FinitePoset(elements=sorted_labels, matrix=sorted_m, index=index)
+    # Kahn's sort returns input already in a linear extension unchanged
+    if np.tril(m, -1).any():
+        order = _stable_toposort(m)
+        labels = tuple(labels[i] for i in order)
+        m = m[np.ix_(order, order)]
+        if np.tril(m, -1).any():
+            # cannot happen for a valid partial order; guards unvalidated input
+            raise PartialOrderViolation("linear-extension", ())
+    index = {lab: i for i, lab in enumerate(labels)}
+    return FinitePoset(elements=labels, matrix=m, index=index)
 
 
 def zeta_matrix(p: FinitePoset) -> RationalMatrix:
@@ -178,21 +191,32 @@ def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
     """Zeta matrix, its exact inverse and the integer mu, via the recursion."""
     n = len(p)
     z = zeta_matrix(p)
-    below = [np.flatnonzero(p.matrix[:, b]).tolist() for b in range(n)]
-    mu_rows = []
-    mu: dict = {}
-    for i in range(n):
-        row = [0] * n
-        row[i] = 1
-        for b in np.flatnonzero(p.matrix[i]).tolist():
-            if b != i:
-                # over c <= b, row[c] is mu(i, c) when i <= c < b and 0 otherwise
-                row[b] = -sum(map(row.__getitem__, below[b]))
-            mu[(p.elements[i], p.elements[b])] = row[b]
-        mu_rows.append(row)
-    moeb = RationalMatrix(mu_rows)
+    # (b, c) for every c < b, grouped by b with c ascending: the index order
+    # is a linear extension, so everything below b precedes it
+    bs, cs = np.nonzero(p.matrix.T)
+    strict = cs < bs
+    bs, cs = bs[strict], cs[strict]
+    ends = np.cumsum(np.bincount(bs, minlength=n)).tolist()
+    num = np.eye(n, dtype=np.int64)
+    colmax = [1] * n  # max |entry| of each column
+    start = 0
+    for b, end in enumerate(ends):
+        if end > start:
+            below = cs[start:end]
+            if num.dtype != object and sum(map(colmax.__getitem__, below.tolist())) > _INT64_MAX:
+                num = num.astype(object)
+            # row a of the sum is the sum of mu(a, c) over a <= c < b, nonzero only for a < b
+            col = -num.take(below, axis=0).take(below, axis=1).sum(axis=1)
+            num[below, b] = col
+            colmax[b] = max(1, *map(abs, col.tolist()))
+        start = end
+    moeb = RationalMatrix._wrap(num, 1)
     if verify:
         _require_equal(z @ moeb, RationalMatrix.identity(n), "Z M = I")
+    ii, jj = np.nonzero(p.matrix)
+    labels = p.elements
+    mu = {(labels[i], labels[j]): v
+          for i, j, v in zip(ii.tolist(), jj.tolist(), num[ii, jj].tolist())}
     return ZetaPair(poset=p, zeta=z, moebius=moeb, mu=mu)
 
 

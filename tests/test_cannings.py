@@ -12,6 +12,7 @@ from moebius_dual import (
     Kernel,
     OffspringLaw,
     RationalMatrix,
+    build_poset,
     coarse_backward_moment_formula,
     coarse_forward_direct,
     coarsen_multiallelic,
@@ -29,6 +30,7 @@ from moebius_dual.cannings import (
     _ancestors,
     _block_forward,
     _forward_unions,
+    _partial_states,
     _verify_multiallelic_duality,
 )
 from moebius_dual.errors import (
@@ -458,3 +460,25 @@ def test_inclusion_exclusion_route_fires_on_its_own(monkeypatch):
         _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix(rows))
     assert exc.value.identity == "Q(J, K) = inclusion-exclusion of P"
     assert exc.value.witness == (hap.pair.poset.elements[3], hap.pair.poset.elements[5])
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_partial_state_order_matches_the_python_leq_reference(t):
+    # the builder orders the partial states by inclusion of their flattened
+    # masks; the reference is componentwise inclusion through a Python leq
+    for n in range(1, 5):
+        got = multiallelic_kernels(wright_fisher_law(n), t).pair.poset
+        ref = build_poset(_partial_states(n, t),
+                          lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)))
+        assert got.elements == ref.elements and (got.matrix == ref.matrix).all()
+
+
+def test_partial_states_past_64_flattened_bits():
+    # N = 1 and T = 70 flatten to 70 bits, held as Python ints
+    law = OffspringLaw.build(1, [((1,), 1)])
+    ma = multiallelic_kernels(law, 70)
+    assert len(ma.pair.poset) == 71
+    bottom = ma.pair.poset.elements[0]
+    assert all(ma.pair.poset.leq(bottom, s) for s in ma.pair.poset.elements)
+    assert not any(ma.pair.poset.leq(a, b) for a in ma.pair.poset.elements[1:]
+                   for b in ma.pair.poset.elements[1:] if a != b)

@@ -145,6 +145,31 @@ def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
                                    "detail": f"{states} states exceed the cap 8"}
 
 
+@pytest.mark.parametrize("command", [
+    ["lattice", "subsets", "--n"],
+    ["duality", "--kernel", "unread.json", "--n"],
+    ["verify-all", "--max-n"],
+])
+def test_huge_subset_counts_exit_on_the_cap(command, capsys, monkeypatch):
+    import moebius_dual.cli as cli
+
+    def refuse(n):
+        raise AssertionError(f"subset_lattice({n}) built past the cap")
+
+    monkeypatch.setattr(cli, "subset_lattice", refuse)
+    # 2**14284 is the largest power of two that Python formats by default;
+    # past it the count is written as a power, and 2**(10**18) is never built
+    for n, states in ((13, "8192"), (14284, str(1 << 14284)), (14285, "2^14285"),
+                      (20000, "2^20000"), (10**18, f"2^{10**18}")):
+        code, out, err = run(command + [str(n)], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "size-cap",
+                                   "detail": f"{states} states exceed the cap 4096"}
+    monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "8")
+    code, _, err = run(command + ["4"], capsys)
+    assert code == 3 and json.loads(err)["detail"] == "16 states exceed the cap 8"
+
+
 def test_exit_codes(capsys, monkeypatch, tmp_path):
     # size cap
     code, _, err = run(["lattice", "subsets", "--n", "25"], capsys)

@@ -25,9 +25,15 @@ from moebius_dual import (
     coarse_duality_pipeline,
     positivity_certificate,
 )
-from moebius_dual.coarse_graining import CoarseResult
+from moebius_dual.coarse_graining import CoarseResult, _permuted, _skeleton_representative
 from moebius_dual.errors import IncompatibleMatrix, SizeOverflow, VerificationFailure
-from moebius_dual.lattices import Skeleton, enumerate_partitions
+from moebius_dual.lattices import (
+    Partition,
+    Skeleton,
+    enumerate_partitions,
+    partition_moebius_closed_form,
+    skeleton,
+)
 
 F = Fraction
 
@@ -323,3 +329,86 @@ def test_coarse_pipeline_restores_stochasticity_on_symmetric_kernel():
             res.h_coarse_hat @ res.q_coarse_hh.matrix.T
             == res.p_coarse.matrix @ res.h_coarse_hat
         )
+
+
+# ---------------------------------------------------------------------------
+# The Python loops that the coarse enumerations replaced, kept as references
+# ---------------------------------------------------------------------------
+
+
+def reference_coarse_set_rows(n):
+    """Per cardinality j, the rows of Z, M, Z', M' at the first representative
+    and whether every other representative gives the same rows."""
+    size = n + 1
+
+    def reps(j):
+        if n <= 8:
+            return [m for m in range(1 << n) if bin(m).count("1") == j]
+        lo = (1 << j) - 1
+        hi = lo << (n - j)
+        return [lo] if lo == hi else [lo, hi]
+
+    def rows_for(rep):
+        z, mo, zt, mot = ([0] * size for _ in range(4))
+        j = bin(rep).count("1")
+        for mask in range(1 << n):
+            k = bin(mask).count("1")
+            if rep & ~mask == 0:
+                z[k] += 1
+                mo[k] += (-1) ** (k - j)
+            if mask & ~rep == 0:
+                zt[k] += 1
+                mot[k] += (-1) ** (j - k)
+        return z, mo, zt, mot
+
+    out = []
+    for j in range(size):
+        cand = [rows_for(r) for r in reps(j)]
+        assert all(c == cand[0] for c in cand[1:])
+        out.append(cand[0])
+    return [RationalMatrix([r[t] for r in out]) for t in range(4)]
+
+
+def reference_coarse_partition_rows(n):
+    parts = enumerate_partitions(n)
+    skels = list(dict.fromkeys(skeleton(g) for g in parts))
+    by_skel = [[g for g in parts if skeleton(g) == s] for s in skels]
+    reversal = {i: n + 1 - i for i in range(1, n + 1)}
+
+    def rows_for(alpha):
+        z = [0] * len(skels)
+        mo = [0] * len(skels)
+        for k, members in enumerate(by_skel):
+            for gamma in members:
+                if alpha.refines(gamma):
+                    z[k] += 1
+                    mo[k] += partition_moebius_closed_form(alpha, gamma)
+        return z, mo
+
+    rows = []
+    for eta in skels:
+        rep = _skeleton_representative(eta)
+        rows.append(rows_for(rep))
+        assert rows[-1] == rows_for(_permuted(rep, reversal))
+    return skels, RationalMatrix([r[0] for r in rows]), RationalMatrix([r[1] for r in rows])
+
+
+def test_coarse_set_enumeration_matches_loop_reference():
+    for n in range(13):
+        en = coarse_set_matrices_enumerated(n)
+        assert [en.zeta, en.moebius, en.zeta_transpose, en.moebius_transpose] == (
+            reference_coarse_set_rows(n))
+
+
+def test_coarse_partition_matrices_match_loop_reference():
+    for n in range(1, 8):
+        assert coarse_partition_matrices(n) == reference_coarse_partition_rows(n)
+
+
+def test_representative_dependence_is_caught(monkeypatch):
+    # a second representative that disagrees with the first fails the check
+    from moebius_dual import coarse_graining
+
+    monkeypatch.setattr(coarse_graining, "_permuted", lambda alpha, perm: Partition.singletons(alpha.n))
+    with pytest.raises(VerificationFailure, match="representative-free"):
+        coarse_partition_matrices(3)

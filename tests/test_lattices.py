@@ -10,6 +10,7 @@ from moebius_dual import (
     RationalMatrix,
     Skeleton,
     bell_number,
+    build_poset,
     enumerate_partitions,
     partition_lattice,
     partition_moebius_closed_form,
@@ -177,3 +178,41 @@ def test_random_partition_pairs_mu_consistency(n, data):
         assert mu != 0
         assert (mu > 0) == ((a.num_atoms - b.num_atoms) % 2 == 0)
         assert skeleton_order(skeleton(a), skeleton(b))
+
+
+def test_order_matrices_match_the_python_leq_reference():
+    # the lattices build their order matrices with bit operations; the
+    # reference is the build_poset call with a Python leq that they replaced
+    for n in range(7):
+        masks = sorted(range(1 << n), key=lambda m: (bin(m).count("1"), m))
+        ref = build_poset(masks, lambda a, b: a & ~b == 0, validate=n <= 8)
+        got = subset_lattice(n).poset
+        assert got.elements == ref.elements and (got.matrix == ref.matrix).all()
+    for n, t in ((1, 1), (2, 2), (3, 2), (2, 3), (1, 5)):
+        got = product_set_lattice(n, t).poset
+        ref = build_poset(got.elements, lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)))
+        assert got.elements == ref.elements and (got.matrix == ref.matrix).all()
+    for n in range(1, 7):
+        parts = enumerate_partitions(n)
+        ref = build_poset(parts, lambda a, b: a.refines(b), validate=n <= 5)
+        got = partition_lattice(n).poset
+        assert got.elements == ref.elements and (got.matrix == ref.matrix).all()
+        assert all(skeleton(p) == Skeleton.of(len(a) for a in p.atoms()) for p in parts)
+
+
+def test_lattice_builders_make_no_per_pair_python_call(monkeypatch):
+    from moebius_dual import cannings, coarse_graining, lattices, poset
+    from moebius_dual.cannings import multiallelic_kernels, wright_fisher_law
+
+    def per_pair(*args, **kwargs):
+        raise AssertionError("per-pair Python call")
+
+    law = wright_fisher_law(3)
+    monkeypatch.setattr(Partition, "refines", per_pair)
+    for module in (poset, lattices, cannings):
+        monkeypatch.setattr(module, "build_poset", per_pair, raising=False)
+    subset_lattice(6)
+    product_set_lattice(2, 3)
+    partition_lattice(5)
+    coarse_graining.coarse_partition_matrices(6)
+    multiallelic_kernels(law, 2)

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -139,3 +140,79 @@ def test_up_down_sets():
     assert ups == {2, 4, 6, 8, 10, 12}
     assert downs == {1, 2}
     assert all(p.leq_idx(a, b) for a, b in p.comparable_pairs())
+
+
+def reference_moebius(p):
+    """The row-by-row sum recursion that ``moebius_matrix`` replaced, kept as a
+    reference: the Moebius rows as Python ints and the mu dict in its order."""
+    n = len(p)
+    below = [np.flatnonzero(p.matrix[:, b]).tolist() for b in range(n)]
+    mu_rows = []
+    mu = {}
+    for i in range(n):
+        row = [0] * n
+        row[i] = 1
+        for b in np.flatnonzero(p.matrix[i]).tolist():
+            if b != i:
+                # over c <= b, row[c] is mu(i, c) when i <= c < b and 0 otherwise
+                row[b] = -sum(map(row.__getitem__, below[b]))
+            mu[(p.elements[i], p.elements[b])] = row[b]
+        mu_rows.append(row)
+    return mu_rows, mu
+
+
+def assert_matches_reference(p):
+    zp = moebius_matrix(p)
+    rows, mu = reference_moebius(p)
+    assert list(zp.moebius) == rows
+    assert list(zp.mu.items()) == list(mu.items())
+    assert all(type(v) is int for v in zp.mu.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sets(st.integers(min_value=1, max_value=400), min_size=0, max_size=40))
+def test_moebius_matches_sum_recursion_on_divisibility_posets(labels):
+    # a shuffled input order makes the index order a nontrivial linear extension
+    p = build_poset(sorted(labels, key=lambda x: (x * 7919) % 401), lambda a, b: b % a == 0)
+    assert_matches_reference(p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=24).flatmap(
+    lambda n: st.tuples(st.just(n), st.sets(st.tuples(st.integers(0, n - 1),
+                                                      st.integers(0, n - 1)), max_size=3 * n))))
+def test_moebius_matches_sum_recursion_on_random_dag_closures(case):
+    n, edges = case
+    # edges i -> j with i < j, closed transitively and reflexively
+    reach = np.eye(n, dtype=bool)
+    for i, j in edges:
+        if i < j:
+            reach[i, j] = True
+    for k in range(n):
+        reach |= reach[:, [k]] & reach[[k], :]
+    labels = [f"x{(5 * i) % n if n % 5 else i}" for i in range(n)][::-1]
+    pos = {lab: n - 1 - i for i, lab in enumerate(labels)}
+    p = build_poset(labels, lambda a, b: bool(reach[pos[a], pos[b]]))
+    assert_matches_reference(p)
+
+
+def test_moebius_switches_to_python_ints_past_int64():
+    # 25 stacked antichains of 8: every element is above the whole level below,
+    # and mu(a, b) = (-1)^d 7^(d-1) for b d levels above a, up to 7^23 > 2^63
+    width, levels = 8, 25
+    p = build_poset([(lvl, k) for lvl in range(levels) for k in range(width)],
+                    lambda a, b: a == b or a[0] < b[0])
+    zp = moebius_matrix(p)
+    for (a, b), v in zp.mu.items():
+        d = b[0] - a[0]
+        assert v == (1 if d == 0 else (-1) ** d * (width - 1) ** (d - 1))
+    assert max(map(abs, zp.mu.values())) == 7 ** 23 > 2 ** 63
+    assert_matches_reference(p)
+    assert zp.moebius == zeta_matrix(p).inverse()
+
+
+def test_up_and_down_sets_follow_the_index_order():
+    p = build_poset([4, 2, 1, 3, 12, 6], lambda a, b: b % a == 0)
+    for i in range(len(p)):
+        assert p.up_idx(i) == [j for j in range(len(p)) if p.matrix[i, j]]
+        assert p.down_idx(i) == [j for j in range(len(p)) if p.matrix[j, i]]
