@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
 
+import numpy as np
+
 from .coarse_graining import (
     EquivalenceRelation,
     CoarseDualityResult,
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .lattices import _flatten, _popcount, _subset_order
 from .poset import ZetaPair, _poset_from_matrix, moebius_matrix
-from .rational import RationalMatrix, _require_equal
+from .rational import _INT64_MAX, RationalMatrix, _bound, _require_equal
 
 __all__ = [
     "OffspringLaw",
@@ -73,7 +75,6 @@ class OffspringLaw:
     def build(cls, n: int, atoms) -> "OffspringLaw":
         full = (1 << n) - 1
         support = []
-        total = Fraction(0)
         for k, (nu, p) in enumerate(atoms):
             nu = tuple(nu)
             p = Fraction(p)
@@ -90,10 +91,10 @@ class OffspringLaw:
             if p <= 0:
                 raise InvalidOffspringLaw(f"atom {k}: probability {p} is not positive")
             support.append((nu, p))
-            total += p
-        if total != 1:
-            raise InvalidOffspringLaw(f"total probability is {total}, not 1")
         law = cls(ground_size=n, support=tuple(support), exchangeable=False)
+        den, weights = _atom_weights(law)
+        if sum(weights) != den:
+            raise InvalidOffspringLaw(f"total probability is {Fraction(sum(weights), den)}, not 1")
         object.__setattr__(law, "exchangeable", law._check_exchangeable())
         return law
 
@@ -106,24 +107,17 @@ class OffspringLaw:
         invariance is closed under composition, so checking the N-1
         generators is an exact test.  This implies the exchangeability of
         the offspring-size vector used by every coarse-graining here.
+        Probabilities are compared as integer weights over one denominator.
         """
-        table = {nu: p for nu, p in self.support}
-
-        def swap_bits(mask, k):
-            lo, hi = (mask >> k) & 1, (mask >> (k + 1)) & 1
-            if lo != hi:
-                mask ^= (1 << k) | (1 << (k + 1))
-            return mask
-
+        weights = dict(zip((nu for nu, _ in self.support), _atom_weights(self)[1]))
         for k in range(self.ground_size - 1):
-            for nu, p in self.support:
-                relabeled = tuple(swap_bits(m, k) for m in nu)
-                swapped = (
-                    relabeled[:k]
-                    + (relabeled[k + 1], relabeled[k])
-                    + relabeled[k + 2:]
-                )
-                if table.get(swapped, Fraction(0)) != p:
+            lo, hi = 1 << k, 2 << k
+            for nu, w in weights.items():
+                # swap individuals k and k+1 inside every children set ...
+                relabeled = [m ^ (lo | hi) if bool(m & lo) != bool(m & hi) else m for m in nu]
+                # ... and as parents
+                relabeled[k], relabeled[k + 1] = relabeled[k + 1], relabeled[k]
+                if weights.get(tuple(relabeled), 0) != w:
                     return False
         return True
 
@@ -276,30 +270,106 @@ def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-def _forward_unions(nu, n):
-    """union over i in J of nu_i, for every J, by peeling the lowest bit."""
-    out = [0] * (1 << n)
-    for j in range(1, 1 << n):
-        low = j & -j
-        out[j] = out[j ^ low] | nu[low.bit_length() - 1]
-    return out
+# entries of one per-atom table; the largest built-in law, WF(6), needs 46,656 x 64
+_TABLE_CAP = 1 << 22
+# (atom, state) pairs counted at once, which bounds the transient int64 arrays
+# of a small kernel; a block of a large one covers at least as many pairs as
+# its bincount has bins (states^2), so zeroing the bins never dominates
+_BLOCK_PAIRS = 1 << 13
 
 
-def _ancestors(nu, j_mask):
-    """The unique minimal set of parents whose children cover j_mask.
+def _atom_tables(law: OffspringLaw):
+    """The two per-atom step maps of the set-valued chains, for every atom a
+    and every subset J of the population, in the narrowest unsigned dtype
+    that holds an N-bit mask:
 
-    Because the nu_i are disjoint, each child has exactly one parent, so
-    any covering set contains this one; minimality is therefore uniqueness.
+    fwd[a, J] = union of nu_i over i in J (the children of J), and
+    anc[a, J] = the parents of the members of J (the ancestors of J).
+
+    Because the nu_i are disjoint, each child has exactly one parent, so any
+    set of parents whose children cover J contains anc[a, J]; minimality is
+    therefore uniqueness.  That the children of anc[a, J] cover J is checked
+    once over the whole table.
     """
-    k = 0
-    cover = 0
-    for i, m in enumerate(nu):
-        if m & j_mask:
-            k |= 1 << i
-            cover |= m
-    if cover & j_mask != j_mask:
-        raise VerificationFailure("the children of the ancestors of J cover J", (nu, j_mask))
-    return k
+    n, atoms = law.ground_size, len(law.support)
+    if atoms << n > _TABLE_CAP:
+        raise SizeOverflow(f"{atoms} atoms x 2^{n} subsets exceed the table cap {_TABLE_CAP}")
+    dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if n <= 8 * np.dtype(d).itemsize)
+    nu = np.array([nu for nu, _ in law.support], dtype=dtype).reshape(atoms, n)
+    # parent[a, c] = the one-bit mask of the parent of child c
+    parent = np.zeros_like(nu)
+    bits = np.arange(n, dtype=dtype)
+    for i in range(n):
+        parent |= ((nu[:, i:i + 1] >> bits) & 1) << i
+    # adding element i to every J below 2^i, by doubling the columns
+    fwd = np.zeros((atoms, 1 << n), dtype=dtype)
+    anc = np.zeros_like(fwd)
+    for i in range(n):
+        lo = 1 << i
+        np.bitwise_or(fwd[:, :lo], nu[:, i:i + 1], out=fwd[:, lo:2 * lo])
+        np.bitwise_or(anc[:, :lo], parent[:, i:i + 1], out=anc[:, lo:2 * lo])
+    subsets = np.arange(1 << n, dtype=dtype)
+    uncovered = np.take_along_axis(fwd, anc, axis=1) & subsets != subsets
+
+    def first_uncovered():
+        a, j = np.argwhere(uncovered)[0].tolist()
+        return law.support[a][0], j
+
+    _require(not uncovered.any(), "the children of the ancestors of J cover J", first_uncovered)
+    return fwd, anc
+
+
+def _kernel_counts(law: OffspringLaw, states, t: int):
+    """D P(J, K) and D Q(J, K) on ``states`` (T-tuples of disjoint masks),
+    for D the law's common denominator, as exact integer arrays.
+
+    A state is coded by its type assignment read in base T+1, so the image
+    of every (atom, state) pair is located with one table lookup per type.
+    Q drops the pairs whose per-type ancestor sets overlap.  The pairs of
+    the atoms sharing one integer weight are counted with np.bincount and
+    the counts are multiplied by that weight in exact integers.
+    """
+    n, size = law.ground_size, len(states)
+    fwd, anc = _atom_tables(law)
+    den, weights = _atom_weights(law)
+    place = np.zeros(1 << n, dtype=np.int64)  # sum over c in J of (T+1)^c
+    for c in range(n):
+        place[1 << c:2 << c] = place[:1 << c] + (t + 1) ** c
+    masks = np.array(states, dtype=np.int64).reshape(size, t)
+    types = np.arange(1, t + 1)
+    index = np.zeros((t + 1) ** n, dtype=np.int64)
+    index[place[masks] @ types] = np.arange(size)
+    rows = np.arange(size) * size
+    # every entry is at most its row sum, which is D
+    dtype = np.int64 if den <= _INT64_MAX else object
+    p_num = np.zeros(size * size, dtype=dtype)
+    q_num = np.zeros(size * size, dtype=dtype)
+    groups = {}
+    for a, w in enumerate(weights):
+        groups.setdefault(w, []).append(a)
+    block = max(_BLOCK_PAIRS // size, size)
+    for w, chosen in groups.items():
+        p_cnt = np.zeros(size * size, dtype=np.int64)
+        q_cnt = np.zeros(size * size, dtype=np.int64)
+        for lo in range(0, len(chosen), block):
+            ids = chosen[lo:lo + block]
+            f, g = fwd[ids], anc[ids]
+            p_code = q_code = seen = 0
+            disjoint = True
+            for k, typ in enumerate(types):
+                kids, par = f[:, masks[:, k]], g[:, masks[:, k]]
+                p_code = p_code + place[kids] * typ
+                q_code = q_code + place[par] * typ
+                disjoint = disjoint & (par & seen == 0)
+                seen = seen | par
+            p_cnt += np.bincount((rows + index[p_code]).ravel(), minlength=size * size)
+            # overlapping ancestors code no state, so they are looked up as 0 and dropped
+            q_cnt += np.bincount((rows + index[np.where(disjoint, q_code, 0)])[disjoint],
+                                  minlength=size * size)
+        p_num += p_cnt.astype(dtype) * w
+        q_num += q_cnt.astype(dtype) * w
+    return den, p_num.reshape(size, size), q_num.reshape(size, size)
 
 
 @dataclass(frozen=True)
@@ -352,35 +422,14 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     order = _subset_order([_flatten(s, n) for s in states])
     poset = _poset_from_matrix(tuple(states), order, validate=None)
     pair = moebius_matrix(poset, verify=len(states) <= 256)
-    idx = poset.index
-    size = len(states)
     covering = tuple(
         i for i, s in enumerate(poset.elements)
         if sum(_popcount(m) for m in s) == n
     )
 
-    # integer counts D * P(J, K) and D * Q(J, K), for D the law's common denominator
-    p_rows = [[0] * size for _ in range(size)]
-    q_rows = [[0] * size for _ in range(size)]
-    den, weights = _atom_weights(law)
-    for (nu, _), w in zip(law.support, weights):
-        unions = _forward_unions(nu, n)
-        for si, jvec in enumerate(poset.elements):
-            p_rows[si][idx[tuple(unions[m] for m in jvec)]] += w
-            # ancestors per type; mass is lost when they are not disjoint
-            avec = []
-            seen = 0
-            for m in jvec:
-                a = _ancestors(nu, m)
-                if a & seen:
-                    break
-                seen |= a
-                avec.append(a)
-            else:
-                q_rows[si][idx[tuple(avec)]] += w
-
-    p_ext = RationalMatrix(p_rows).scale(Fraction(1, den))
-    q = RationalMatrix(q_rows).scale(Fraction(1, den))
+    den, p_num, q_num = _kernel_counts(law, poset.elements, t)
+    p_ext = RationalMatrix._wrap(p_num, den)
+    q = RationalMatrix._wrap(q_num, den)
     p_ext_k = Kernel.of(p_ext)
     q_k = Kernel.of(q)
     _require(p_ext_k.is_stochastic, "P stochastic")
@@ -410,21 +459,26 @@ def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> None:
     _require_equal(pair.zeta.T @ q.T, p_ext @ pair.zeta.T, "Z' Q' = P Z'")
     poset = pair.poset
     size = len(poset)
-    # both sides as integer numerators over the one denominator lcm(den P, den Q)
+    # both sides as integer numerators over the one denominator lcm(den P, den Q),
+    # in int64 when no partial sum below can leave it
     den = math.lcm(p_ext._den, q._den)
-    pa = (p_ext._num.astype(object) * (den // p_ext._den)).tolist()
-    qa = (q._num.astype(object) * (den // q._den)).tolist()
-    ups = [poset.up_idx(j) for j in range(size)]
-    downs = [poset.down_idx(k) for k in range(size)]
-    signs = [(-1) ** sum(_popcount(m) for m in s) for s in poset.elements]
-    # super_sums[l][j] = (-1)^|L| times the sum of P(L, M) over states M componentwise above J
-    super_sums = [[signs[l] * sum(pa[l][m] for m in ups[j]) for j in range(size)]
-                  for l in range(size)]
-    for j in range(size):
-        for k in range(size):
-            if signs[k] * sum(super_sums[l][j] for l in downs[k]) != qa[j][k]:
-                jk = (poset.elements[j], poset.elements[k])
-                raise VerificationFailure("Q(J, K) = inclusion-exclusion of P", jk)
+    bound = max(_bound(p_ext._num) * (den // p_ext._den), _bound(q._num) * (den // q._den))
+    dtype = np.int64 if bound * size * size <= _INT64_MAX else object
+    pa = p_ext._num.astype(dtype) * (den // p_ext._den)
+    qa = q._num.astype(dtype) * (den // q._den)
+    signs = np.array([(-1) ** sum(_popcount(m) for m in s) for s in poset.elements])
+    # super_sums[l, j] = (-1)^|L| times the sum of P(L, M) over states M componentwise above J
+    super_sums = np.stack([pa[:, poset.up_idx(j)].sum(axis=1) for j in range(size)], axis=1)
+    super_sums *= signs[:, None]
+    # alternating[j, k] = (-1)^|K| times the sum of super_sums[L, J] over states L below K
+    alternating = np.stack([super_sums[poset.down_idx(k)].sum(axis=0) for k in range(size)],
+                           axis=1)
+    alternating *= signs
+    wrong = np.argwhere(alternating != qa)
+    if len(wrong):
+        j, k = wrong[0].tolist()
+        raise VerificationFailure("Q(J, K) = inclusion-exclusion of P",
+                                  (poset.elements[j], poset.elements[k]))
 
 
 @dataclass(frozen=True)
@@ -499,22 +553,6 @@ class MonteCarloResult:
     backward_stderr: float
 
 
-class _AtomSampler:
-    """Inverse-CDF sampling from the exact law by integer weights.
-
-    All probabilities are scaled by their common denominator, so the draw
-    is an exact integer comparison with no floating point involved.
-    """
-
-    def __init__(self, law: OffspringLaw):
-        self.atoms = [nu for nu, _ in law.support]
-        self.cum = list(accumulate(_atom_weights(law)[1]))
-        self.total = self.cum[-1]
-
-    def draw(self, rng: random.Random):
-        return self.atoms[bisect_right(self.cum, rng.randrange(self.total))]
-
-
 def _summary(counts, values, reps):
     """Exact mean and sample standard error from terminal-state tallies."""
     mean = sum((c * values[s] for s, c in counts.items()), Fraction(0)) / reps
@@ -551,35 +589,32 @@ def monte_carlo_duality(
     if (a | b) >> n:
         raise InvalidParameter(f"monte carlo: start sets {a:b}, {b:b} must lie in a population of {n}")
     h = hypergeometric_matrix(n)
-    sampler = _AtomSampler(law)
-    j_b = _popcount(b)
-    i_a = _popcount(a)
+    fwd, anc = (table.tolist() for table in _atom_tables(law))
+    cum = list(accumulate(_atom_weights(law)[1]))
+    total, k = cum[-1], cum[-1].bit_length()
+    rng = random.Random()
+    # the C seed under Random.seed: for an int it sets the same state, without
+    # the wrapper's type checks
+    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
 
-    fwd_counts: dict = {}
-    bwd_counts: dict = {}
-    for rep in range(reps):
-        rng = random.Random(seed * 1_000_003 + 2 * rep)
-        x = a
-        for _ in range(steps):
-            nu = sampler.draw(rng)
-            nxt = 0
-            m = x
-            while m:
-                low = m & -m
-                nxt |= nu[low.bit_length() - 1]
-                m ^= low
-            x = nxt
-        i = _popcount(x)
-        fwd_counts[i] = fwd_counts.get(i, 0) + 1
+    def terminal_sizes(start, rows, offset):
+        """|state after ``steps``| per replica; each draw is randrange(total)
+        spelled out as its getrandbits(k) rejection loop."""
+        sizes = [0] * (n + 1)
+        for rep in range(reps):
+            reseed(seed * 1_000_003 + 2 * rep + offset)
+            x = start
+            for _ in range(steps):
+                r = getrandbits(k)
+                while r >= total:
+                    r = getrandbits(k)
+                x = rows[bisect_right(cum, r)][x]
+            sizes[x.bit_count()] += 1
+        return {i: c for i, c in enumerate(sizes) if c}
 
-        rng = random.Random(seed * 1_000_003 + 2 * rep + 1)
-        y = b
-        for _ in range(steps):
-            nu = sampler.draw(rng)
-            y = _ancestors(nu, y)
-        j = _popcount(y)
-        bwd_counts[j] = bwd_counts.get(j, 0) + 1
-
+    fwd_counts = terminal_sizes(a, fwd, 0)
+    bwd_counts = terminal_sizes(b, anc, 1)
+    j_b, i_a = _popcount(b), _popcount(a)
     fwd_vals = {i: h[i, j_b] for i in fwd_counts}
     bwd_vals = {j: h[i_a, j] for j in bwd_counts}
     f_mean, f_se = _summary(fwd_counts, fwd_vals, reps)

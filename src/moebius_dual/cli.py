@@ -78,6 +78,15 @@ def _check_subset_cap(n: int):
         raise SizeOverflow(f"{states} states exceed the cap {cap}")
 
 
+def _check_partition_cap(n: int):
+    """``_check_cap(bell_number(n))``, decided first on the bound
+    Bell(n) >= 2^(n-1), so that a huge n computes no huge Bell number."""
+    cap = _max_states()
+    if n - 1 >= cap.bit_length():  # exactly when 2**(n-1) > cap
+        raise SizeOverflow(f"Bell({n}) >= 2^{n - 1} states exceed the cap {cap}")
+    _check_cap(bell_number(n))
+
+
 def _emit(args, payload, *, matrix=None, labels=None):
     """Write the payload in the requested format to --output or stdout."""
     if args.format == "json":
@@ -146,7 +155,7 @@ def cmd_lattice(args) -> int:
         pair = lat.pair
         labels = [lat.label(m) for m in pair.poset.elements]
     else:
-        _check_cap(bell_number(args.n))
+        _check_partition_cap(args.n)
         pair = partition_lattice(args.n).pair
         labels = [str(p) for p in pair.poset.elements]
     chosen = {"zeta": pair.zeta, "moebius": pair.moebius}[args.emit]

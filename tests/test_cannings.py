@@ -1,10 +1,15 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pytest
 
@@ -27,9 +32,7 @@ from moebius_dual import (
 )
 from moebius_dual import cannings
 from moebius_dual.cannings import (
-    _ancestors,
     _block_forward,
-    _forward_unions,
     _partial_states,
     _verify_multiallelic_duality,
 )
@@ -69,6 +72,23 @@ def test_law_construction_and_exchangeability():
     assert not lopsided_law().exchangeable
     with pytest.raises(NotExchangeable):
         lopsided_law().require_exchangeable()
+
+
+def test_exchangeability_is_exact_past_float_precision():
+    # moving one atom weight by 1/2^70 (and its opposite by the same amount,
+    # so the total stays 1) breaks the symmetry between the two
+    eps = F(1, 2**70)
+    atoms = dict(wright_fisher_law(3).support)
+    atoms[(0b111, 0, 0)] += eps
+    atoms[(0, 0, 0b111)] -= eps
+    assert not OffspringLaw.build(3, atoms.items()).exchangeable
+    # moving a whole orbit by the same amount keeps it
+    orbit = [nu for nu in atoms if sorted(map(bin, nu)) == sorted(map(bin, (0b111, 0, 0)))]
+    atoms = dict(wright_fisher_law(3).support)
+    for nu in orbit:
+        atoms[nu] += eps
+    atoms[(0b001, 0b010, 0b100)] -= len(orbit) * eps
+    assert OffspringLaw.build(3, atoms.items()).exchangeable
 
 
 def haploid(law):
@@ -333,6 +353,28 @@ def test_coarse_forward_direct_matches_binomial_for_wf():
 # ---------------------------------------------------------------------------
 
 
+def _forward_unions(nu, n):
+    """union over i in J of nu_i, for every J, by peeling the lowest bit."""
+    out = [0] * (1 << n)
+    for j in range(1, 1 << n):
+        low = j & -j
+        out[j] = out[j ^ low] | nu[low.bit_length() - 1]
+    return out
+
+
+def _ancestors(nu, j_mask):
+    """The unique minimal set of parents whose children cover j_mask."""
+    k = 0
+    cover = 0
+    for i, m in enumerate(nu):
+        if m & j_mask:
+            k |= 1 << i
+            cover |= m
+    if cover & j_mask != j_mask:
+        raise VerificationFailure("the children of the ancestors of J cover J", (nu, j_mask))
+    return k
+
+
 def reference_p_q(law, poset):
     """P and Q on the states of ``poset`` by one Fraction per atom and state."""
     n, idx, size = law.ground_size, poset.index, len(poset)
@@ -409,22 +451,47 @@ MIXED_LAW = mixture(3, [(F(1, 3), wright_fisher_law(3)), (F(1, 2), moran_law(3))
                         (F(1, 6), identity_law(3))])
 HUGE_LAW = mixture(3, [(F(1, 2**61 - 1), wright_fisher_law(3)),
                        (1 - F(1, 2**61 - 1), moran_law(3))])
+
+
+def moran_atoms(n):
+    """The Moran law's atoms for any n, past the cap of moran_law."""
+    atoms = []
+    for b in range(n):
+        for d in range(n):
+            if b != d:
+                nu = [1 << i for i in range(n)]
+                nu[b], nu[d] = (1 << b) | (1 << d), 0
+                atoms.append((tuple(nu), F(1, n * (n - 1))))
+    return atoms
+
+
+# N = 9: masks take 9 bits, past one byte
+MORAN9 = OffspringLaw.build(9, moran_atoms(9))
 REFERENCE_LAWS = {
     **{f"wf{n}": wright_fisher_law(n) for n in range(1, 5)},
     **{f"moran{n}": moran_law(n) for n in range(2, 5)},
     "mixed3": MIXED_LAW,
     "huge3": HUGE_LAW,
+    "moran9": MORAN9,
 }
+# every law at T = 1 and 2 but N = 9 (3^9 states pass the cap) at T = 1 only,
+# and the N <= 3 laws at T = 3
+KERNEL_CASES = (
+    [(name, t) for name in sorted(REFERENCE_LAWS) if name != "moran9" for t in (1, 2)]
+    + [(name, 3) for name, law in sorted(REFERENCE_LAWS.items()) if law.ground_size <= 3]
+    + [("moran9", 1)]
+)
 
 
 def test_reference_laws_have_the_intended_denominators():
     assert {p.denominator for _, p in MIXED_LAW.support} == {81, 162, 324}
     assert MIXED_LAW.exchangeable and HUGE_LAW.exchangeable
     assert common_denominator(HUGE_LAW) > 2**63
+    # a Monte Carlo draw below it takes getrandbits(k) with k > 64
+    assert common_denominator(HUGE_LAW).bit_length() > 64
 
 
-@pytest.mark.parametrize("t", [1, 2])
-@pytest.mark.parametrize("name", sorted(REFERENCE_LAWS))
+@pytest.mark.parametrize("name, t", KERNEL_CASES)
 def test_kernel_builders_match_fraction_reference(name, t):
     law = REFERENCE_LAWS[name]
     ma = multiallelic_kernels(law, t)
@@ -482,3 +549,112 @@ def test_partial_states_past_64_flattened_bits():
     assert all(ma.pair.poset.leq(bottom, s) for s in ma.pair.poset.elements)
     assert not any(ma.pair.poset.leq(a, b) for a in ma.pair.poset.elements[1:]
                    for b in ma.pair.poset.elements[1:] if a != b)
+
+
+def test_atom_tables_use_the_narrowest_mask_dtype():
+    import numpy as np
+
+    for law, dtype in ((wright_fisher_law(4), np.uint8), (MORAN9, np.uint16)):
+        fwd, anc = cannings._atom_tables(law)
+        assert fwd.dtype == anc.dtype == dtype
+        assert fwd.shape == anc.shape == (len(law.support), 1 << law.ground_size)
+        for a, (nu, _) in enumerate(law.support):
+            assert fwd[a].tolist() == _forward_unions(nu, law.ground_size)
+            assert anc[a].tolist() == [_ancestors(nu, j) for j in range(1 << law.ground_size)]
+
+
+def test_atom_tables_check_the_cover_and_the_size():
+    # built past OffspringLaw.build: child 2 has no parent, so nothing covers it
+    orphan = OffspringLaw(ground_size=2, support=(((0b01, 0), F(1)),), exchangeable=True)
+    with pytest.raises(VerificationFailure) as exc:
+        cannings._atom_tables(orphan)
+    assert exc.value.identity == "the children of the ancestors of J cover J"
+    assert exc.value.witness == ((0b01, 0), 0b10)
+    with pytest.raises(VerificationFailure):
+        monte_carlo_duality(orphan, 0b10, 0b10, steps=1, reps=1, seed=0)
+    with pytest.raises(SizeOverflow, match="table cap"):
+        monte_carlo_duality(identity_law(23), 1, 1, steps=1, reps=1, seed=0)
+
+
+def test_library_runs_without_the_reference_step_maps(monkeypatch):
+    # the per-atom maps now come from one table; the loop versions live here
+    # only, as references
+    assert not any(hasattr(cannings, name) for name in ("_forward_unions", "_ancestors",
+                                                          "_AtomSampler"))
+
+    def refuse(*args):
+        raise AssertionError("reference step map called")
+
+    module = sys.modules[__name__]
+    monkeypatch.setattr(module, "_forward_unions", refuse)
+    monkeypatch.setattr(module, "_ancestors", refuse)
+    law = wright_fisher_law(4)
+    ma = multiallelic_kernels(law, 2)
+    assert ma.p_ext.is_stochastic and ma.q.is_substochastic
+    res = monte_carlo_duality(law, 0b0011, 0b0001, steps=3, reps=20, seed=5)
+    assert res.reps == 20
+
+
+# ---------------------------------------------------------------------------
+# Reference Monte Carlo estimator: a fresh random.Random per replica and side,
+# randrange over the integer weights and one step map call per step
+# ---------------------------------------------------------------------------
+
+
+def reference_monte_carlo(law, a, b, steps, reps, seed):
+    n = law.ground_size
+    den = common_denominator(law)
+    atoms = [nu for nu, _ in law.support]
+    cum = list(accumulate(p.numerator * (den // p.denominator) for _, p in law.support))
+    fwd_counts, bwd_counts = {}, {}
+    for rep in range(reps):
+        rng = random.Random(seed * 1_000_003 + 2 * rep)
+        x = a
+        for _ in range(steps):
+            nu = atoms[bisect_right(cum, rng.randrange(cum[-1]))]
+            x = _forward_unions(nu, n)[x]
+        i = bin(x).count("1")
+        fwd_counts[i] = fwd_counts.get(i, 0) + 1
+        rng = random.Random(seed * 1_000_003 + 2 * rep + 1)
+        y = b
+        for _ in range(steps):
+            nu = atoms[bisect_right(cum, rng.randrange(cum[-1]))]
+            y = _ancestors(nu, y)
+        j = bin(y).count("1")
+        bwd_counts[j] = bwd_counts.get(j, 0) + 1
+    h = hypergeometric_matrix(n)
+    i_a, j_b = bin(a).count("1"), bin(b).count("1")
+    f_mean, f_se = cannings._summary(fwd_counts, {i: h[i, j_b] for i in fwd_counts}, reps)
+    b_mean, b_se = cannings._summary(bwd_counts, {j: h[i_a, j] for j in bwd_counts}, reps)
+    return cannings.MonteCarloResult(steps=steps, reps=reps, seed=seed,
+                                     forward_mean=f_mean, forward_stderr=f_se,
+                                     backward_mean=b_mean, backward_stderr=b_se)
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 3])
+@pytest.mark.parametrize("name", sorted(REFERENCE_LAWS))
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_monte_carlo_matches_the_reference_estimator(name, seed, data):
+    law = REFERENCE_LAWS[name]
+    full = (1 << law.ground_size) - 1
+    a = data.draw(st.integers(0, full), label="a")
+    b = data.draw(st.integers(0, full), label="b")
+    reps = data.draw(st.integers(1, 6), label="reps")
+    for steps in range(7):
+        got = monte_carlo_duality(law, a, b, steps=steps, reps=reps, seed=seed)
+        assert got == reference_monte_carlo(law, a, b, steps, reps, seed)
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 20, 255, 256, 257, 2**61 - 1,
+                                   common_denominator(HUGE_LAW), 2**64 + 1, 3**50])
+def test_rejection_loop_equals_randrange(total):
+    # the estimator spells randrange(total) out as this getrandbits loop
+    k = total.bit_length()
+    for seed in (0, -1, 2**64 + 3, 12345):
+        ref, rng = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            r = rng.getrandbits(k)
+            while r >= total:
+                r = rng.getrandbits(k)
+            assert r == ref.randrange(total)

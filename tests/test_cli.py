@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -168,6 +169,31 @@ def test_huge_subset_counts_exit_on_the_cap(command, capsys, monkeypatch):
     monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "8")
     code, _, err = run(command + ["4"], capsys)
     assert code == 3 and json.loads(err)["detail"] == "16 states exceed the cap 8"
+
+
+def test_huge_partition_counts_exit_on_the_bell_bound(capsys, monkeypatch):
+    import moebius_dual.cli as cli
+
+    def refuse(n):
+        raise AssertionError(f"partition_lattice({n}) built past the cap")
+
+    monkeypatch.setattr(cli, "partition_lattice", refuse)
+    # Bell(n) >= 2^(n-1) decides the cap before any Bell number is computed
+    for n in (1500, 10**18):
+        start = time.perf_counter()
+        code, out, err = run(["lattice", "partitions", "--n", str(n)], capsys)
+        assert time.perf_counter() - start < 1
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "size-cap",
+                                   "detail": f"Bell({n}) >= 2^{n - 1} states exceed the cap 4096"}
+    # while 2^(n-1) <= cap the exact Bell number is still reported
+    for n, states in ((8, 4140), (13, 27644437)):
+        code, _, err = run(["lattice", "partitions", "--n", str(n)], capsys)
+        assert code == 3
+        assert json.loads(err)["detail"] == f"{states} states exceed the cap 4096"
+    monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "1")
+    code, _, err = run(["lattice", "partitions", "--n", "2"], capsys)
+    assert code == 3 and json.loads(err)["detail"] == "Bell(2) >= 2^1 states exceed the cap 1"
 
 
 def test_exit_codes(capsys, monkeypatch, tmp_path):
