@@ -107,9 +107,12 @@ class OffspringLaw:
         invariance is closed under composition, so checking the N-1
         generators is an exact test.  This implies the exchangeability of
         the offspring-size vector used by every coarse-graining here.
-        Probabilities are compared as integer weights over one denominator.
+        Probabilities are compared as integer weights over one denominator,
+        summed over the atoms that list one indexed partition more than once.
         """
-        weights = dict(zip((nu for nu, _ in self.support), _atom_weights(self)[1]))
+        weights = Counter()
+        for (nu, _), w in zip(self.support, _atom_weights(self)[1]):
+            weights[nu] += w
         for k in range(self.ground_size - 1):
             lo, hi = 1 << k, 2 << k
             for nu, w in weights.items():
@@ -270,18 +273,26 @@ def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-# entries of one per-atom table; the largest built-in law, WF(6), needs 46,656 x 64
-_TABLE_CAP = 1 << 22
-# (atom, state) pairs counted at once, which bounds the transient int64 arrays
-# of a small kernel; a block of a large one covers at least as many pairs as
-# its bincount has bins (states^2), so zeroing the bins never dominates
+# (atom, state) pairs counted at once, which bounds the per-atom tables and
+# the transient int64 arrays of a small kernel; a block of a large one covers
+# at least as many pairs as its bincount has bins (states^2), so zeroing the
+# bins never dominates
 _BLOCK_PAIRS = 1 << 13
 
 
-def _atom_tables(law: OffspringLaw):
+def _children_array(law: OffspringLaw):
+    """nu[a, i] = the children set of parent i in atom a, as an atoms x N
+    array in the narrowest unsigned dtype that holds an N-bit mask."""
+    n = law.ground_size
+    dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
+                 if n <= 8 * np.dtype(d).itemsize)
+    return np.array([nu for nu, _ in law.support], dtype=dtype).reshape(len(law.support), n)
+
+
+def _atom_tables(nu):
     """The two per-atom step maps of the set-valued chains, for every atom a
-    and every subset J of the population, in the narrowest unsigned dtype
-    that holds an N-bit mask:
+    (a row of ``nu``, from ``_children_array``) and every subset J of the
+    population, in the dtype of ``nu``:
 
     fwd[a, J] = union of nu_i over i in J (the children of J), and
     anc[a, J] = the parents of the members of J (the ancestors of J).
@@ -291,30 +302,25 @@ def _atom_tables(law: OffspringLaw):
     therefore uniqueness.  That the children of anc[a, J] cover J is checked
     once over the whole table.
     """
-    n, atoms = law.ground_size, len(law.support)
-    if atoms << n > _TABLE_CAP:
-        raise SizeOverflow(f"{atoms} atoms x 2^{n} subsets exceed the table cap {_TABLE_CAP}")
-    dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
-                 if n <= 8 * np.dtype(d).itemsize)
-    nu = np.array([nu for nu, _ in law.support], dtype=dtype).reshape(atoms, n)
+    atoms, n = nu.shape
     # parent[a, c] = the one-bit mask of the parent of child c
     parent = np.zeros_like(nu)
-    bits = np.arange(n, dtype=dtype)
+    bits = np.arange(n, dtype=nu.dtype)
     for i in range(n):
         parent |= ((nu[:, i:i + 1] >> bits) & 1) << i
     # adding element i to every J below 2^i, by doubling the columns
-    fwd = np.zeros((atoms, 1 << n), dtype=dtype)
+    fwd = np.zeros((atoms, 1 << n), dtype=nu.dtype)
     anc = np.zeros_like(fwd)
     for i in range(n):
         lo = 1 << i
         np.bitwise_or(fwd[:, :lo], nu[:, i:i + 1], out=fwd[:, lo:2 * lo])
         np.bitwise_or(anc[:, :lo], parent[:, i:i + 1], out=anc[:, lo:2 * lo])
-    subsets = np.arange(1 << n, dtype=dtype)
+    subsets = np.arange(1 << n, dtype=nu.dtype)
     uncovered = np.take_along_axis(fwd, anc, axis=1) & subsets != subsets
 
     def first_uncovered():
         a, j = np.argwhere(uncovered)[0].tolist()
-        return law.support[a][0], j
+        return tuple(nu[a].tolist()), j
 
     _require(not uncovered.any(), "the children of the ancestors of J cover J", first_uncovered)
     return fwd, anc
@@ -325,13 +331,14 @@ def _kernel_counts(law: OffspringLaw, states, t: int):
     for D the law's common denominator, as exact integer arrays.
 
     A state is coded by its type assignment read in base T+1, so the image
-    of every (atom, state) pair is located with one table lookup per type.
+    of every (atom, state) pair is located with one table lookup per type;
+    the tables are built per block of atoms.
     Q drops the pairs whose per-type ancestor sets overlap.  The pairs of
     the atoms sharing one integer weight are counted with np.bincount and
     the counts are multiplied by that weight in exact integers.
     """
     n, size = law.ground_size, len(states)
-    fwd, anc = _atom_tables(law)
+    nu = _children_array(law)
     den, weights = _atom_weights(law)
     place = np.zeros(1 << n, dtype=np.int64)  # sum over c in J of (T+1)^c
     for c in range(n):
@@ -353,8 +360,7 @@ def _kernel_counts(law: OffspringLaw, states, t: int):
         p_cnt = np.zeros(size * size, dtype=np.int64)
         q_cnt = np.zeros(size * size, dtype=np.int64)
         for lo in range(0, len(chosen), block):
-            ids = chosen[lo:lo + block]
-            f, g = fwd[ids], anc[ids]
+            f, g = _atom_tables(nu[chosen[lo:lo + block]])
             p_code = q_code = seen = 0
             disjoint = True
             for k, typ in enumerate(types):
@@ -580,7 +586,8 @@ def monte_carlo_duality(
     atoms and takes ancestor sets, independent of the precomputed kernel);
     only the cardinality of the terminal state enters the estimate.  Each
     replica seeds its own generator from (seed, replica), so results do not
-    depend on execution order.
+    depend on execution order.  The image of an (atom, set) pair is computed
+    on its first visit and memoised, so the cost follows the pairs visited.
     """
     law.require_exchangeable()
     n = law.ground_size
@@ -589,7 +596,8 @@ def monte_carlo_duality(
     if (a | b) >> n:
         raise InvalidParameter(f"monte carlo: start sets {a:b}, {b:b} must lie in a population of {n}")
     h = hypergeometric_matrix(n)
-    fwd, anc = (table.tolist() for table in _atom_tables(law))
+    atoms = [nu for nu, _ in law.support]
+    full = (1 << n) - 1
     cum = list(accumulate(_atom_weights(law)[1]))
     total, k = cum[-1], cum[-1].bit_length()
     rng = random.Random()
@@ -597,9 +605,31 @@ def monte_carlo_duality(
     # the wrapper's type checks
     reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
 
-    def terminal_sizes(start, rows, offset):
+    def children(key):
+        """The union of nu_i over i in J, for key = atom << N | J."""
+        x, y = key & full, 0
+        for i, m in enumerate(atoms[key >> n]):
+            if x >> i & 1:
+                y |= m
+        return y
+
+    def ancestors(key):
+        """The parents of the members of J, for key = atom << N | J.  Each
+        child has one parent, so this is the unique minimal set of parents
+        whose children cover J."""
+        x, nu = key & full, atoms[key >> n]
+        parents = cover = 0
+        for i, m in enumerate(nu):
+            if m & x:
+                parents |= 1 << i
+                cover |= m
+        _require(cover & x == x, "the children of the ancestors of J cover J", (nu, x))
+        return parents
+
+    def terminal_sizes(start, image, offset):
         """|state after ``steps``| per replica; each draw is randrange(total)
         spelled out as its getrandbits(k) rejection loop."""
+        memo = {}
         sizes = [0] * (n + 1)
         for rep in range(reps):
             reseed(seed * 1_000_003 + 2 * rep + offset)
@@ -608,12 +638,16 @@ def monte_carlo_duality(
                 r = getrandbits(k)
                 while r >= total:
                     r = getrandbits(k)
-                x = rows[bisect_right(cum, r)][x]
+                key = bisect_right(cum, r) << n | x
+                try:
+                    x = memo[key]
+                except KeyError:
+                    x = memo[key] = image(key)
             sizes[x.bit_count()] += 1
         return {i: c for i, c in enumerate(sizes) if c}
 
-    fwd_counts = terminal_sizes(a, fwd, 0)
-    bwd_counts = terminal_sizes(b, anc, 1)
+    fwd_counts = terminal_sizes(a, children, 0)
+    bwd_counts = terminal_sizes(b, ancestors, 1)
     j_b, i_a = _popcount(b), _popcount(a)
     fwd_vals = {i: h[i, j_b] for i in fwd_counts}
     bwd_vals = {j: h[i_a, j] for j in bwd_counts}

@@ -91,6 +91,23 @@ def test_exchangeability_is_exact_past_float_precision():
     assert OffspringLaw.build(3, atoms.items()).exchangeable
 
 
+def test_exchangeability_sums_the_weights_of_repeated_atoms():
+    # B is A under the swap of individuals 1 and 2; listed as A, A, B the
+    # law puts 3/4 on A and 1/4 on B
+    a, b = (0b11, 0), (0, 0b11)
+    law = OffspringLaw.build(2, [(a, F(1, 2)), (a, F(1, 4)), (b, F(1, 4))])
+    assert not law.exchangeable
+    for formula in (coarse_forward_direct, coarse_backward_moment_formula):
+        with pytest.raises(NotExchangeable):
+            formula(law)
+    # the same atoms split as 1/4, 1/4 and 1/2 give A and B 1/2 each
+    law = OffspringLaw.build(2, [(a, F(1, 4)), (a, F(1, 4)), (b, F(1, 2))])
+    assert law.exchangeable
+    assert coarse_forward_direct(law) == coarse_forward_direct(moran_law(2))
+    ma = multiallelic_kernels(law, 1)
+    assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
 def haploid(law):
     """The T = 1 kernels: states are 1-tuples (mask,) of carrier sets."""
     return multiallelic_kernels(law, 1)
@@ -555,25 +572,46 @@ def test_atom_tables_use_the_narrowest_mask_dtype():
     import numpy as np
 
     for law, dtype in ((wright_fisher_law(4), np.uint8), (MORAN9, np.uint16)):
-        fwd, anc = cannings._atom_tables(law)
-        assert fwd.dtype == anc.dtype == dtype
+        nu = cannings._children_array(law)
+        fwd, anc = cannings._atom_tables(nu)
+        assert nu.dtype == fwd.dtype == anc.dtype == dtype
         assert fwd.shape == anc.shape == (len(law.support), 1 << law.ground_size)
         for a, (nu, _) in enumerate(law.support):
             assert fwd[a].tolist() == _forward_unions(nu, law.ground_size)
             assert anc[a].tolist() == [_ancestors(nu, j) for j in range(1 << law.ground_size)]
 
 
-def test_atom_tables_check_the_cover_and_the_size():
+def test_atom_tables_check_the_cover():
     # built past OffspringLaw.build: child 2 has no parent, so nothing covers it
     orphan = OffspringLaw(ground_size=2, support=(((0b01, 0), F(1)),), exchangeable=True)
-    with pytest.raises(VerificationFailure) as exc:
-        cannings._atom_tables(orphan)
-    assert exc.value.identity == "the children of the ancestors of J cover J"
-    assert exc.value.witness == ((0b01, 0), 0b10)
-    with pytest.raises(VerificationFailure):
-        monte_carlo_duality(orphan, 0b10, 0b10, steps=1, reps=1, seed=0)
-    with pytest.raises(SizeOverflow, match="table cap"):
-        monte_carlo_duality(identity_law(23), 1, 1, steps=1, reps=1, seed=0)
+    for run in (lambda: cannings._atom_tables(cannings._children_array(orphan)),
+                lambda: monte_carlo_duality(orphan, 0b10, 0b10, steps=1, reps=1, seed=0)):
+        with pytest.raises(VerificationFailure) as exc:
+            run()
+        assert exc.value.identity == "the children of the ancestors of J cover J"
+        assert exc.value.witness == ((0b01, 0), 0b10)
+
+
+@pytest.mark.parametrize("name, t", [("wf3", 1), ("mixed3", 2), ("huge3", 1), ("wf4", 2)])
+def test_kernel_counts_do_not_depend_on_the_atom_blocks(monkeypatch, name, t):
+    # one state's worth of pairs per block: every weight group spans many blocks
+    law = REFERENCE_LAWS[name]
+    monkeypatch.setattr(cannings, "_BLOCK_PAIRS", 1)
+    ma = multiallelic_kernels(law, t)
+    assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
+def test_monte_carlo_builds_no_table(monkeypatch):
+    # a Moran law on N = 16 has 240 atoms x 2^16 subsets; the chains visit
+    # a few of those pairs and compute only them
+    def refuse(*args):
+        raise AssertionError("per-atom table built")
+
+    monkeypatch.setattr(cannings, "_atom_tables", refuse)
+    law = OffspringLaw.build(16, moran_atoms(16))
+    a, b = 0x00FF, 0x0F0F
+    got = monte_carlo_duality(law, a, b, steps=2, reps=3, seed=7)
+    assert got == reference_monte_carlo(law, a, b, steps=2, reps=3, seed=7)
 
 
 def test_library_runs_without_the_reference_step_maps(monkeypatch):
