@@ -3,7 +3,6 @@ set-valued exchangeable population models, all in rational arithmetic."""
 
 from .cannings import (
     MonteCarloResult,
-    MultiAllelicCoarse,
     MultiAllelicKernels,
     OffspringLaw,
     coarse_backward_moment_formula,
@@ -67,14 +66,12 @@ from .errors import (
 from .lattices import (
     Partition,
     PartitionLattice,
-    ProductSetLattice,
     Skeleton,
     SubsetLattice,
     bell_number,
     enumerate_partitions,
     partition_lattice,
     partition_moebius_closed_form,
-    product_set_lattice,
     skeleton,
     skeleton_count,
     skeleton_order,

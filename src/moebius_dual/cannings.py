@@ -37,14 +37,13 @@ from .errors import (
     _check_range,
     _require,
 )
-from .lattices import _flatten, _popcount, _subset_order
+from .lattices import _flatten, _subset_order
 from .poset import ZetaPair, _poset_from_matrix, moebius_matrix
 from .rational import _INT64_MAX, RationalMatrix, _bound, _require_equal
 
 __all__ = [
     "OffspringLaw",
     "MultiAllelicKernels",
-    "MultiAllelicCoarse",
     "MonteCarloResult",
     "wright_fisher_law",
     "moran_law",
@@ -198,7 +197,7 @@ def _size_weights(law: OffspringLaw):
     den, weights = _atom_weights(law)
     sizes = Counter()
     for (nu, _), w in zip(law.support, weights):
-        sizes[tuple(map(_popcount, nu))] += w
+        sizes[tuple(m.bit_count() for m in nu)] += w
     return den, sizes
 
 
@@ -410,7 +409,7 @@ def _partial_states(n: int, t: int):
             if a:
                 masks[a - 1] |= 1 << i
         states.append(tuple(masks))
-    states = sorted(set(states), key=lambda s: (sum(_popcount(m) for m in s), s))
+    states = sorted(set(states), key=lambda s: (sum(m.bit_count() for m in s), s))
     return states
 
 
@@ -430,7 +429,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
     pair = moebius_matrix(poset, verify=len(states) <= 256)
     covering = tuple(
         i for i, s in enumerate(poset.elements)
-        if sum(_popcount(m) for m in s) == n
+        if sum(m.bit_count() for m in s) == n
     )
 
     den, p_num, q_num = _kernel_counts(law, poset.elements, t)
@@ -472,7 +471,7 @@ def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> None:
     dtype = np.int64 if bound * size * size <= _INT64_MAX else object
     pa = p_ext._num.astype(dtype) * (den // p_ext._den)
     qa = q._num.astype(dtype) * (den // q._den)
-    signs = np.array([(-1) ** sum(_popcount(m) for m in s) for s in poset.elements])
+    signs = np.array([(-1) ** sum(m.bit_count() for m in s) for s in poset.elements])
     # super_sums[l, j] = (-1)^|L| times the sum of P(L, M) over states M componentwise above J
     super_sums = np.stack([pa[:, poset.up_idx(j)].sum(axis=1) for j in range(size)], axis=1)
     super_sums *= signs[:, None]
@@ -487,18 +486,9 @@ def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> None:
                                   (poset.elements[j], poset.elements[k]))
 
 
-@dataclass(frozen=True)
-class MultiAllelicCoarse:
-    types: int
-    classes: tuple  # type-count vectors, in coarse index order
-    pipeline: CoarseDualityResult
-    p_coarse: Kernel
-    h_coarse_hat: RationalMatrix
-    q_coarse_hh: Kernel  # substochastic; stochastic at T = 1
-
-
-def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
-    """Type-count coarse-graining of the multi-allelic dual pair.
+def coarsen_multiallelic(ma: MultiAllelicKernels) -> CoarseDualityResult:
+    """Type-count coarse-graining of the multi-allelic dual pair; the classes
+    of the result's ``rel`` are the type-count vectors, in coarse index order.
 
     Verifies the multinomial class sizes, the product-binomial closed form
     of the transformed coarse H, and the direct forward formula
@@ -513,7 +503,7 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
     n = law.ground_size
     poset = ma.pair.poset
     rel = EquivalenceRelation.from_function(
-        poset.elements, lambda s: tuple(_popcount(m) for m in s)
+        poset.elements, lambda s: tuple(m.bit_count() for m in s)
     )
     res = coarse_duality_pipeline(ma.p_ext, ma.pair, DualityVariant.ZETA_TRANSPOSE, rel)
     _require_equal(res.q, ma.q.matrix, "pipeline Q = builder Q")
@@ -532,15 +522,7 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> MultiAllelicCoarse:
                        "coarse H hypergeometric inverse = I")
         _require_equal(res.q_coarse_hh.matrix, coarse_backward_moment_formula(law),
                        "coarse Q = backward moment formula")
-
-    return MultiAllelicCoarse(
-        types=ma.types,
-        classes=classes,
-        pipeline=res,
-        p_coarse=res.p_coarse,
-        h_coarse_hat=res.h_coarse_hat,
-        q_coarse_hh=res.q_coarse_hh,
-    )
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +630,7 @@ def monte_carlo_duality(
 
     fwd_counts = terminal_sizes(a, children, 0)
     bwd_counts = terminal_sizes(b, ancestors, 1)
-    j_b, i_a = _popcount(b), _popcount(a)
+    j_b, i_a = b.bit_count(), a.bit_count()
     fwd_vals = {i: h[i, j_b] for i in fwd_counts}
     bwd_vals = {j: h[i_a, j] for j in bwd_counts}
     f_mean, f_se = _summary(fwd_counts, fwd_vals, reps)

@@ -33,7 +33,7 @@ from .duality import (
     strong_condition_check,
 )
 from .errors import InvalidParameter, MoebiusDualError, SizeOverflow, VerificationFailure, _require
-from .lattices import bell_number, partition_lattice, subset_lattice
+from .lattices import bell_number, partition_lattice, partition_moebius_closed_form, subset_lattice
 from .rational import RationalMatrix, format_fraction
 
 DEFAULT_MAX_STATES = 4096
@@ -63,15 +63,9 @@ def _max_states() -> int:
     return cap
 
 
-def _check_cap(states: int):
-    cap = _max_states()
-    if states > cap:
-        raise SizeOverflow(f"{states} states exceed the cap {cap}")
-
-
 def _check_subset_cap(n: int):
-    """``_check_cap(2**n)`` decided on bit lengths, so that a huge n builds no
-    huge integer; past ``_DECIMAL_EXPONENT`` the count is written as 2^n."""
+    """Raise SizeOverflow when 2**n states exceed the cap, decided on bit lengths
+    so that a huge n builds no huge integer; past ``_DECIMAL_EXPONENT`` it reads 2^n."""
     cap = _max_states()
     if n >= cap.bit_length():  # exactly when 2**n > cap
         states = 1 << n if n <= _DECIMAL_EXPONENT else f"2^{n}"
@@ -79,12 +73,14 @@ def _check_subset_cap(n: int):
 
 
 def _check_partition_cap(n: int):
-    """``_check_cap(bell_number(n))``, decided first on the bound
-    Bell(n) >= 2^(n-1), so that a huge n computes no huge Bell number."""
+    """Raise SizeOverflow when Bell(n) states exceed the cap, decided first on
+    the bound Bell(n) >= 2^(n-1), so that a huge n computes no huge Bell number."""
     cap = _max_states()
     if n - 1 >= cap.bit_length():  # exactly when 2**(n-1) > cap
         raise SizeOverflow(f"Bell({n}) >= 2^{n - 1} states exceed the cap {cap}")
-    _check_cap(bell_number(n))
+    states = bell_number(n)
+    if states > cap:
+        raise SizeOverflow(f"{states} states exceed the cap {cap}")
 
 
 def _emit(args, payload, *, matrix=None, labels=None):
@@ -139,10 +135,6 @@ def _load_kernel(path: str) -> Kernel:
         return Kernel.of(RationalMatrix.from_json(fh.read()))
 
 
-def _variant(name: str) -> DualityVariant:
-    return DualityVariant(name)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -171,7 +163,7 @@ def cmd_duality(args) -> int:
         raise MoebiusDualError(
             f"kernel is {p.matrix.rows}x{p.matrix.cols}, lattice has {len(lat.poset)} states"
         )
-    variant = _variant(args.variant)
+    variant = DualityVariant(args.variant)
     cert = positivity_certificate(p, lat.pair, variant)
     strong = strong_condition_check(p, lat.pair, variant)
     report = {
@@ -221,7 +213,7 @@ def _build_law(model: str, n: int):
 def cmd_cannings(args) -> int:
     law = _build_law(args.model, args.N)
     ma = multiallelic_kernels(law, args.T, cap=_max_states())
-    mc = coarsen_multiallelic(ma)
+    res = coarsen_multiallelic(ma)
     haploid = args.T == 1
     report = {"model": args.model, "N": args.N, "T": args.T,
               "forward_stochastic": ma.p_ext.is_stochastic}
@@ -232,11 +224,11 @@ def cmd_cannings(args) -> int:
     else:
         report["backward_substochastic"] = ma.q.is_substochastic
         report["max_defect"] = format_fraction(max(ma.defect))
-        report["classes"] = [str(c) for c in mc.classes]
-    report["coarse_forward"] = _matrix_doc(mc.p_coarse.matrix)
+        report["classes"] = [str(c) for c in res.rel.class_labels]
+    report["coarse_forward"] = _matrix_doc(res.p_coarse.matrix)
     if haploid:
-        report["hypergeometric"] = _matrix_doc(mc.h_coarse_hat)
-    report["coarse_backward"] = _matrix_doc(mc.q_coarse_hh.matrix)
+        report["hypergeometric"] = _matrix_doc(res.h_coarse_hat)
+    report["coarse_backward"] = _matrix_doc(res.q_coarse_hh.matrix)
     report["coarse_duality_verified"] = True
     _emit(args, report)
     return EXIT_OK
@@ -271,11 +263,6 @@ def cmd_simulate(args) -> int:
 
 def _verification_suite(max_n: int):
     """One (name, callable) pair per identity; callables raise on failure."""
-    from .lattices import (
-        enumerate_partitions,
-        partition_moebius_closed_form,
-    )
-
     checks = []
 
     def add(name):
@@ -393,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("duality", help="positivity certificate for a kernel")
-    p.add_argument("--poset", choices=("subsets",), default="subsets")
     p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument(
         "--variant",

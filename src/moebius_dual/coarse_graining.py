@@ -22,7 +22,6 @@ from .lattices import (
     Skeleton,
     SubsetLattice,
     _pair_masks,
-    _popcount,
     enumerate_partitions,
     skeleton,
     skeletons_of,
@@ -139,7 +138,7 @@ def check_compatibility(h: RationalMatrix, rel: EquivalenceRelation) -> CoarseRe
 
 
 def cardinality_relation(lat: SubsetLattice) -> EquivalenceRelation:
-    return EquivalenceRelation.from_function(lat.poset.elements, _popcount)
+    return EquivalenceRelation.from_function(lat.poset.elements, int.bit_count)
 
 
 def skeleton_relation(elements) -> EquivalenceRelation:

@@ -1,4 +1,4 @@
-"""Concrete lattices: subsets, products of subsets, and set partitions.
+"""Concrete lattices: subsets and set partitions.
 
 Subsets of {1..N} are encoded as bitmasks (bit i-1 set iff element i is
 in the subset), indexed by (popcount, mask value).  Partitions are
@@ -15,17 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidSkeleton, NotComparable, SizeOverflow, _check_range
+from .errors import InvalidSkeleton, NotComparable, _check_range
 from .poset import FinitePoset, ZetaPair, _poset_from_matrix, moebius_matrix
 
 __all__ = [
     "SubsetLattice",
-    "ProductSetLattice",
     "Partition",
     "PartitionLattice",
     "Skeleton",
     "subset_lattice",
-    "product_set_lattice",
     "partition_lattice",
     "partition_moebius_closed_form",
     "skeleton",
@@ -39,10 +37,6 @@ __all__ = [
 
 MAX_SUBSET_GROUND = 20
 MAX_PARTITION_GROUND = 8
-
-
-def _popcount(x: int) -> int:
-    return x.bit_count()
 
 
 def _flatten(masks, width: int) -> int:
@@ -82,7 +76,7 @@ class SubsetLattice:
     def mu_closed_form(self, j_mask: int, k_mask: int) -> int:
         if j_mask & ~k_mask:
             raise NotComparable(f"{j_mask:b} is not a subset of {k_mask:b}")
-        return (-1) ** (_popcount(k_mask) - _popcount(j_mask))
+        return (-1) ** (k_mask.bit_count() - j_mask.bit_count())
 
     def mask_of(self, items) -> int:
         m = 0
@@ -97,56 +91,18 @@ class SubsetLattice:
         return "{" + " ".join(items) + "}"
 
 
-def subset_lattice(n: int, *, cap: int = MAX_SUBSET_GROUND) -> SubsetLattice:
-    """Subset lattice of {1..n}, with the closed-form mu verified by type."""
-    _check_range("subset lattice", "N", n, 0, cap)
-    masks = tuple(sorted(range(1 << n), key=lambda m: (_popcount(m), m)))
+def subset_lattice(n: int) -> SubsetLattice:
+    """Subset lattice of {1..n}, with the closed-form mu verified by type.
+
+    It is also the T-fold product of the subset lattice of {1..N}, with the
+    componentwise order, for n = N*T: a product of Boolean lattices is
+    Boolean (Rota 1964), and ``_flatten`` is the isomorphism, putting the
+    t-th N-bit block of a mask at bits t*N..t*N+N-1.
+    """
+    _check_range("subset lattice", "N", n, 0, MAX_SUBSET_GROUND)
+    masks = tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
     poset = _poset_from_matrix(masks, _subset_order(masks), validate=n <= 8)
     return SubsetLattice(ground_size=n, pair=moebius_matrix(poset, verify=n <= 8))
-
-
-# ---------------------------------------------------------------------------
-# Product-of-sets lattice
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductSetLattice:
-    """T-fold product of the subset lattice of {1..N}, componentwise order."""
-
-    ground_size: int
-    copies: int
-    pair: ZetaPair
-
-    @property
-    def poset(self) -> FinitePoset:
-        return self.pair.poset
-
-    def mu_closed_form(self, jvec, kvec) -> int:
-        total = 0
-        for j, k in zip(jvec, kvec):
-            if j & ~k:
-                raise NotComparable("componentwise inclusion fails")
-            total += _popcount(k) - _popcount(j)
-        return (-1) ** total
-
-    def flatten(self, jvec) -> int:
-        """The order isomorphism onto the subset lattice of {1..N*T}."""
-        return _flatten(jvec, self.ground_size)
-
-
-def product_set_lattice(n: int, t: int, *, cap: int = 4096) -> ProductSetLattice:
-    for name, value in (("N", n), ("T", t)):
-        _check_range("product-of-sets lattice", name, value, 0, cap.bit_length() - 1)
-    if (1 << (n * t)) > cap:
-        raise SizeOverflow(f"product-of-sets lattice has 2^{n * t} elements, cap {cap}")
-    labels = [()]
-    for _ in range(t):
-        labels = [vec + (m,) for vec in labels for m in range(1 << n)]
-    labels.sort(key=lambda v: (sum(_popcount(m) for m in v), v))
-    flat = [_flatten(v, n) for v in labels]
-    poset = _poset_from_matrix(tuple(labels), _subset_order(flat), validate=False)
-    return ProductSetLattice(ground_size=n, copies=t, pair=moebius_matrix(poset))
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +258,8 @@ def _pair_masks(rgs: np.ndarray) -> np.ndarray:
     return out
 
 
-def partition_lattice(n: int, *, cap: int = MAX_PARTITION_GROUND) -> PartitionLattice:
-    _check_range("partition lattice", "n", n, 1, cap)
+def partition_lattice(n: int) -> PartitionLattice:
+    _check_range("partition lattice", "n", n, 1, MAX_PARTITION_GROUND)
     parts = enumerate_partitions(n)
     pairs = _pair_masks(np.array([p.rgs for p in parts]))
     poset = _poset_from_matrix(tuple(parts), _subset_order(pairs.tolist()), validate=n <= 5)

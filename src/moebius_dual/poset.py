@@ -220,12 +220,11 @@ def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
     return ZetaPair(poset=p, zeta=z, moebius=moeb, mu=mu)
 
 
-def product_poset(
-    p1: FinitePoset, p2: FinitePoset, *, cap: int = DEFAULT_PRODUCT_CAP
-) -> FinitePoset:
+def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:
     """Cartesian product with the componentwise order."""
-    if len(p1) * len(p2) > cap:
-        raise SizeOverflow(f"product has {len(p1) * len(p2)} elements, cap {cap}")
+    size = len(p1) * len(p2)
+    if size > DEFAULT_PRODUCT_CAP:
+        raise SizeOverflow(f"product has {size} elements, cap {DEFAULT_PRODUCT_CAP}")
     labels = [(a, b) for a in p1.elements for b in p2.elements]
 
     def leq(x, y):

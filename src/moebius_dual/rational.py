@@ -227,9 +227,13 @@ class RationalMatrix:
     # -- algebra ---------------------------------------------------------------
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if self._num.shape[1] != other._num.shape[0]:
+            raise InvalidParameter(f"cannot multiply shapes {self.shape} @ {other.shape}")
         return RationalMatrix._wrap(_product(self._num, other._num), self._den * other._den)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
+        if self.shape != other.shape:
+            raise InvalidParameter(f"cannot add or subtract shapes {self.shape} and {other.shape}")
         den = math.lcm(self._den, other._den)
         fa, fb = den // self._den, den // other._den
         bound = _bound(self._num) * fa + _bound(other._num) * fb
@@ -260,6 +264,8 @@ class RationalMatrix:
     def apply(self, vector):
         """Matrix-vector product, returning a list of Fractions."""
         num, den = _from_values(vector, (-1, 1))
+        if len(num) != self.cols:
+            raise InvalidParameter(f"cannot apply shape {self.shape} to a vector of length {len(num)}")
         return _fractions(_product(self._num, num).ravel().tolist(), self._den * den)
 
     def power(self, n: int) -> "RationalMatrix":
@@ -335,8 +341,11 @@ class RationalMatrix:
         if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
             raise InvalidParameter(f"matrix JSON entries must be a list of rows, got {entries!r:.40}")
         m = cls(entries)
-        if m.rows != doc.get("rows", m.rows) or m.cols != doc.get("cols", m.cols):
-            raise ValueError("declared shape does not match entries")
+        for name, size in (("rows", m.rows), ("cols", m.cols)):
+            declared = doc.get(name, size)
+            if type(declared) is not int or declared != size:
+                raise InvalidParameter(f"matrix JSON {name} must be {size} to match entries, "
+                                       f"got {declared!r}")
         return m
 
     def to_csv(self, row_labels=None, col_labels=None) -> str:

@@ -149,20 +149,18 @@ def test_criterion_07_coarse_duality_pipeline():
             mc = coarsen_multiallelic(multiallelic_kernels(law, 1))
             assert mc.p_coarse.is_stochastic
             assert mc.q_coarse_hh.is_stochastic
-            res = mc.pipeline
             assert (
-                res.h_coarse_hat @ res.q_coarse_hh.matrix.T
-                == res.p_coarse.matrix @ res.h_coarse_hat
+                mc.h_coarse_hat @ mc.q_coarse_hh.matrix.T
+                == mc.p_coarse.matrix @ mc.h_coarse_hat
             )
     # multi-allelic: the coarse dual is substochastic, duality still exact
     for law, t in ((wright_fisher_law(2), 2), (wright_fisher_law(3), 2), (moran_law(4), 2)):
         mc = coarsen_multiallelic(multiallelic_kernels(law, t))
         assert mc.p_coarse.is_stochastic
         assert mc.q_coarse_hh.is_substochastic
-        res = mc.pipeline
         assert (
-            res.h_coarse_hat @ res.q_coarse_hh.matrix.T
-            == res.p_coarse.matrix @ res.h_coarse_hat
+            mc.h_coarse_hat @ mc.q_coarse_hh.matrix.T
+            == mc.p_coarse.matrix @ mc.h_coarse_hat
         )
     _report(7, "coarse duality and (sub)stochasticity for WF/Moran N<=4, haploid and multi-allelic")
 

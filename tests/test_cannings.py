@@ -215,8 +215,8 @@ def test_coarsen_haploid_wf2():
     assert mc.q_coarse_hh.matrix == RationalMatrix(
         [[1, 0, 0], [0, 1, 0], [0, "1/2", "1/2"]]
     )
-    assert mc.pipeline.h_hat == (F(1), F(2), F(1))
-    assert mc.classes == ((0,), (1,), (2,))
+    assert mc.h_hat == (F(1), F(2), F(1))
+    assert mc.rel.class_labels == ((0,), (1,), (2,))
 
 
 def test_hypergeometric_closed_forms():
@@ -281,9 +281,9 @@ def test_multiallelic_cap():
 
 def test_coarsen_multiallelic_wf2_t2():
     mc = coarsen_multiallelic(multiallelic_kernels(wright_fisher_law(2), 2))
-    cls = list(mc.classes)
+    cls = list(mc.rel.class_labels)
     i11, i20 = cls.index((1, 1)), cls.index((2, 0))
-    assert mc.pipeline.h_hat[i11] == 2
+    assert mc.h_hat[i11] == 2
     assert mc.p_coarse.matrix[i11, i20] == F(1, 4)
     assert mc.p_coarse.is_stochastic
     assert mc.q_coarse_hh.is_substochastic

@@ -41,8 +41,7 @@ def test_duality_certificate(tmp_path, capsys):
         json.dumps({"rows": 4, "cols": 4, "entries": [["1/4"] * 4] * 4})
     )
     code, out, _ = run(
-        ["duality", "--poset", "subsets", "--n", "2", "--variant", "zeta",
-         "--kernel", str(kernel)],
+        ["duality", "--n", "2", "--variant", "zeta", "--kernel", str(kernel)],
         capsys,
     )
     assert code == 0
@@ -235,6 +234,12 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
          "entries must be a list of rows, got None"),
         (["duality", "--n", "1", "--kernel", kernel_file(tmp_path, "int-entries", {"entries": 5})],
          "entries must be a list of rows, got 5"),
+        (["duality", "--n", "0", "--kernel",
+          kernel_file(tmp_path, "bool-shape", {"rows": True, "cols": True, "entries": [["1"]]})],
+         "matrix JSON rows must be 1"),
+        # the duality command has only the subset lattice, so it takes no --poset
+        (["duality", "--poset", "subsets", "--n", "1", "--kernel", negative_kernel(tmp_path)],
+         "--poset"),
     ]
     for argv, name in bad:
         code, out, err = run(argv, capsys)
@@ -255,12 +260,19 @@ def negative_kernel(tmp_path):
     return str(path)
 
 
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+
+
+def run_python(args, cwd, **kwargs):
+    """Run a fresh interpreter with ``args``, importing the package from src."""
+    src = os.path.join(ROOT, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, cwd=cwd, **kwargs)
+
+
 def run_optimized(code, tmp_path):
     """Run ``code`` in a fresh ``python -O``, which strips every assert statement."""
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
-                          env=env, cwd=tmp_path)
+    return run_python(["-O", "-c", code], tmp_path, text=True)
 
 
 def test_checks_survive_optimized_mode(tmp_path):
@@ -339,6 +351,24 @@ def test_golden_output(command, tmp_path, capsys):
     code, out, _ = run(command.format(kernel=kernel).split(), capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+# sha256 of each demo's stdout, recorded before the product-of-sets lattice
+# and the multi-allelic coarse result were folded into subset_lattice and
+# CoarseDualityResult
+DEMOS = {
+    "01_posets_and_moebius.py": "88dd53b50c146f4cfd5151cba39a7e83ca8baf1b20ebb40115bc62c437cf1e9b",
+    "02_duality_cones.py": "2dad3d2d5da6710548bcec3ed486b5258b82ed6e90628c959b57dc39e50939fc",
+    "03_coarse_graining.py": "ba477fc24d48e6951b1c6ba0b5751d36988ea8958e9f5cf783f26fe96b6df8e4",
+    "04_cannings_models.py": "bc129a018e8fd7ef6c2f87c2a70a460f7ab9a29184486c45fcea17de1586c61e",
+}
+
+
+@pytest.mark.parametrize("script", sorted(DEMOS))
+def test_demo_output(script, tmp_path):
+    done = run_python([os.path.join(ROOT, "demos", script)], tmp_path)
+    assert done.returncode == 0, done.stderr.decode()
+    assert hashlib.sha256(done.stdout).hexdigest() == DEMOS[script]
 
 
 def test_output_file(tmp_path, capsys):

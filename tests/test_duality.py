@@ -195,6 +195,27 @@ def test_support_implication():
         support_implication_check(p, q, poset, direction="sideways")
 
 
+@pytest.mark.parametrize("zp", [two_chain(), subset_lattice(2).pair], ids=["chain2", "subsets2"])
+def test_support_implication_both_directions(zp):
+    poset = zp.poset
+    n = len(poset)
+    upper = RationalMatrix(poset.matrix.astype(np.int64))  # P(c, d) != 0 only for c <= d
+    full = RationalMatrix(np.ones((n, n), dtype=np.int64))  # charges incomparable pairs too
+    for direction, hyp, broken_q in (("forward", upper, upper), ("reverse", upper.T, upper.T)):
+        # the conclusion is on the other side of the diagonal from the hypothesis
+        assert support_implication_check(Kernel.of(hyp), hyp.T, poset, direction=direction)
+        with pytest.raises(VerificationFailure, match=r"support of P => support of Q"):
+            support_implication_check(Kernel.of(hyp), broken_q, poset, direction=direction)
+        # a P that fails the hypothesis makes the check vacuous, whatever Q is
+        assert support_implication_check(Kernel.of(full), broken_q, poset, direction=direction)
+
+
+def test_h_transform_rejects_a_short_h():
+    q = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))
+    with pytest.raises(InvalidParameter, match=r"\(1, 1\) @ \(2, 2\)"):
+        h_transform(q, [1])
+
+
 def test_h_transform():
     q = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))
     # h = right 1-eigenvector (constant) keeps it stochastic

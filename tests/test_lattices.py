@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -12,9 +13,9 @@ from moebius_dual import (
     bell_number,
     build_poset,
     enumerate_partitions,
+    moebius_matrix,
     partition_lattice,
     partition_moebius_closed_form,
-    product_set_lattice,
     skeleton,
     skeleton_count,
     skeleton_order,
@@ -22,6 +23,7 @@ from moebius_dual import (
     subset_lattice,
 )
 from moebius_dual.errors import InvalidParameter, InvalidSkeleton, NotComparable, SizeOverflow
+from moebius_dual.lattices import _flatten
 
 
 def test_subset_lattice_canonical_order():
@@ -53,26 +55,25 @@ def test_subset_helpers():
         lat.mask_of([4])
     with pytest.raises(SizeOverflow):
         subset_lattice(25)
+    with pytest.raises(InvalidParameter, match="must be in 0.."):
+        subset_lattice(-1)
 
 
-def test_product_set_lattice_is_isomorphic_to_flat_subsets():
-    prod = product_set_lattice(2, 2)
-    flat = subset_lattice(4)
-    for i, a in enumerate(prod.poset.elements):
-        for j, b in enumerate(prod.poset.elements):
-            same = prod.poset.leq(a, b) == flat.poset.leq(
-                prod.flatten(a), prod.flatten(b)
-            )
-            assert same
-            if prod.poset.leq(a, b):
-                assert prod.mu_closed_form(a, b) == prod.pair.mu_value(a, b)
-    with pytest.raises(SizeOverflow):
-        product_set_lattice(4, 4)
-    # a negative size is a bad parameter, checked before any shift
-    for n, t in ((-1, 2), (2, -1)):
-        with pytest.raises(InvalidParameter, match="must be in 0.."):
-            product_set_lattice(n, t)
-    assert len(product_set_lattice(0, 0).poset) == 1
+def test_flattening_maps_the_product_of_subset_lattices_onto_subsets():
+    # the T-fold product of the subset lattice of {1..N} under the componentwise
+    # order is subset_lattice(N*T): _flatten is a bijection onto its masks that
+    # carries the order, and with it the Moebius function, across
+    for n, t in ((0, 3), (1, 1), (2, 2), (3, 2), (2, 3), (1, 5)):
+        vecs = list(product(range(1 << n), repeat=t))
+        prod = moebius_matrix(build_poset(vecs, lambda a, b: all(x & ~y == 0 for x, y in zip(a, b))))
+        flat = subset_lattice(n * t)
+        assert sorted(_flatten(v, n) for v in vecs) == sorted(flat.poset.elements)
+        for a in vecs:
+            for b in vecs:
+                fa, fb = _flatten(a, n), _flatten(b, n)
+                assert prod.poset.leq(a, b) == flat.poset.leq(fa, fb)
+                if prod.poset.leq(a, b):
+                    assert prod.mu_value(a, b) == flat.mu_closed_form(fa, fb)
 
 
 def test_partition_encoding():
@@ -188,10 +189,6 @@ def test_order_matrices_match_the_python_leq_reference():
         ref = build_poset(masks, lambda a, b: a & ~b == 0, validate=n <= 8)
         got = subset_lattice(n).poset
         assert got.elements == ref.elements and (got.matrix == ref.matrix).all()
-    for n, t in ((1, 1), (2, 2), (3, 2), (2, 3), (1, 5)):
-        got = product_set_lattice(n, t).poset
-        ref = build_poset(got.elements, lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)))
-        assert got.elements == ref.elements and (got.matrix == ref.matrix).all()
     for n in range(1, 7):
         parts = enumerate_partitions(n)
         ref = build_poset(parts, lambda a, b: a.refines(b), validate=n <= 5)
@@ -212,7 +209,6 @@ def test_lattice_builders_make_no_per_pair_python_call(monkeypatch):
     for module in (poset, lattices, cannings):
         monkeypatch.setattr(module, "build_poset", per_pair, raising=False)
     subset_lattice(6)
-    product_set_lattice(2, 3)
     partition_lattice(5)
     coarse_graining.coarse_partition_matrices(6)
     multiallelic_kernels(law, 2)

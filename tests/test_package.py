@@ -58,3 +58,21 @@ def test_library_builds_no_fraction_arrays():
     # RationalMatrix.array() stays public for callers, but nothing in src calls
     # it; bare, since np.array(...) always takes an argument
     assert _method_calls("array", bare=True) == []
+
+
+def test_modules_import_only_names_they_use():
+    # __init__ imports to re-export; every other module uses what it imports
+    unused = []
+    for name, tree in _source_trees():
+        if name == "__init__.py":
+            continue
+        imported = {
+            alias.asname or alias.name.split(".")[0]: node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{name}:{line} {ident}" for ident, line in imported.items() if ident not in used]
+    assert unused == []

@@ -114,7 +114,7 @@ def test_product_poset_moebius_factorizes():
 
 def test_product_poset_cap():
     with pytest.raises(SizeOverflow):
-        product_poset(chain(80), chain(80), cap=4096)
+        product_poset(chain(80), chain(80))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,6 @@
 import math
+import operator
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -253,6 +255,33 @@ def test_malformed_json_is_invalid_parameter():
     for text in ("[1, 2]", '{"rows": 2}', '{"entries": 5}', '{"entries": [1, 2]}'):
         with pytest.raises(InvalidParameter):
             RationalMatrix.from_json(text)
+    # a declared size must be a non-bool int equal to the size of the entries
+    for field, text in (("rows", '{"rows": true, "cols": true, "entries": [["1"]]}'),
+                        ("cols", '{"rows": 1, "cols": true, "entries": [["1"]]}'),
+                        ("rows", '{"rows": "1", "entries": [["1"]]}'),
+                        ("rows", '{"rows": 2, "cols": 1, "entries": [["1"]]}'),
+                        ("cols", '{"rows": 1, "cols": 0, "entries": [["1"]]}')):
+        with pytest.raises(InvalidParameter, match=f"matrix JSON {field} must be 1"):
+            RationalMatrix.from_json(text)
+    assert RationalMatrix.from_json('{"rows": 1, "cols": 1, "entries": [["1"]]}').shape == (1, 1)
+
+
+@pytest.mark.parametrize("a, op, b", [
+    ((1, 1), "+", (2, 2)), ((1, 2), "+", (2, 2)), ((2, 1), "-", (2, 2)), ((2, 2), "@", (1, 3)),
+], ids=["1x1+2x2", "1x2+2x2", "2x1-2x2", "2x2@1x3"])
+def test_mismatched_shapes_are_invalid_parameter(a, op, b):
+    # numpy alone broadcasts + and - ([[5]] plus the 2x2 identity reads "6 5; 5 6")
+    # and fails @ with its own message; the error names both shapes instead
+    x, y = RationalMatrix(np.ones(a, dtype=np.int64)), RationalMatrix(np.ones(b, dtype=np.int64))
+    with pytest.raises(InvalidParameter, match=f"{re.escape(str(a))}.*{re.escape(str(b))}"):
+        {"+": operator.add, "-": operator.sub, "@": operator.matmul}[op](x, y)
+
+
+def test_apply_rejects_a_vector_of_the_wrong_length():
+    m = RationalMatrix.identity(3)
+    for vector in ([1, 2], [1, 2, 3, 4]):
+        with pytest.raises(InvalidParameter, match=rf"shape \(3, 3\) to a vector of length {len(vector)}"):
+            m.apply(vector)
 
 
 def test_first_difference_witness():
