@@ -26,7 +26,6 @@ from .coarse_graining import (
     coarse_partition_matrices,
     coarse_set_matrices,
     coarse_set_matrices_enumerated,
-    product_relation,
     skeleton_relation,
     coarse_duality_pipeline,
 )
@@ -73,8 +72,6 @@ from .lattices import (
     partition_lattice,
     partition_moebius_closed_form,
     skeleton,
-    skeleton_count,
-    skeleton_order,
     skeletons_of,
     subset_lattice,
 )

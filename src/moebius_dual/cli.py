@@ -218,7 +218,8 @@ def cmd_cannings(args) -> int:
     report = {"model": args.model, "N": args.N, "T": args.T,
               "forward_stochastic": ma.p_ext.is_stochastic}
     if haploid:
-        # the builder has verified the duality by both routes
+        # the builder has verified the duality by inclusion-exclusion, and the
+        # coarsener has matched its Q to the pipeline's (H^-1 P H)'
         report["backward_stochastic"] = ma.q.is_stochastic
         report["transpose_zeta_duality"] = True
     else:
@@ -303,14 +304,13 @@ def _verification_suite(max_n: int):
     @add("coarse partition matrices invert each other, n <= 5")
     def _():
         for n in range(1, min(max_n, 5) + 1):
-            skels, z, mo = coarse_partition_matrices(n)
-            _require(z @ mo == RationalMatrix.identity(len(skels)), "coarse Z M = I", n)
+            coarse_partition_matrices(n)  # checks coarse Z M = I
 
     @add(f"transpose-zeta duality for WF and Moran, N <= {min(max_n, 4)}")
     def _():
         for n in range(2, min(max_n, 4) + 1):
             for law in (wright_fisher_law(n), moran_law(n)):
-                multiallelic_kernels(law, 1)  # verifies both routes
+                multiallelic_kernels(law, 1)  # verifies Z' Q' = P Z' by inclusion-exclusion
 
     @add(f"coarse Cannings pipeline and hypergeometric forms, N <= {min(max_n, 4)}")
     def _():

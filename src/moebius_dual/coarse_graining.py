@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .duality import DualityVariant, Kernel, h_dual, h_transform
-from .errors import IncompatibleMatrix, _check_range, _require
+from .errors import IncompatibleMatrix, InvalidParameter, _check_range, _require
 from .lattices import (
     Partition,
     Skeleton,
@@ -37,7 +37,6 @@ __all__ = [
     "check_compatibility",
     "cardinality_relation",
     "skeleton_relation",
-    "product_relation",
     "coarse_set_matrices",
     "coarse_set_matrices_enumerated",
     "coarse_partition_matrices",
@@ -122,7 +121,8 @@ def check_compatibility(h: RationalMatrix, rel: EquivalenceRelation) -> CoarseRe
     """
     n = len(rel.elements)
     if h.shape != (n, n):
-        raise ValueError("matrix shape does not match the relation")
+        raise InvalidParameter(f"check_compatibility: h is {h.rows}x{h.cols}, "
+                               f"rel has {n} elements")
     v = RationalMatrix(np.eye(rel.num_classes, dtype=np.int64)[list(rel.class_of)])
     firsts = [rel.class_of.index(k) for k in range(rel.num_classes)]
     hv = h @ v
@@ -144,14 +144,6 @@ def cardinality_relation(lat: SubsetLattice) -> EquivalenceRelation:
 def skeleton_relation(elements) -> EquivalenceRelation:
     """Partitions grouped by their multiset of atom sizes."""
     return EquivalenceRelation.from_function(elements, skeleton)
-
-
-def product_relation(
-    rel1: EquivalenceRelation, rel2: EquivalenceRelation, elements
-) -> EquivalenceRelation:
-    """Componentwise relation on pairs, for product posets."""
-    c1, c2 = rel1.classes, rel2.classes
-    return EquivalenceRelation.from_function(elements, lambda e: (c1[e[0]], c2[e[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,20 +260,13 @@ def coarse_partition_matrices(n: int):
     """
     _check_range("coarse partition matrices", "n", n, 1, 8)
     parts = enumerate_partitions(n)
-    # index skeletons by first occurrence in the canonical partition order,
-    # so the rows line up with skeleton_relation on the full lattice
-    skels = []
-    pos = {}
-    skel_of = []
-    for g in parts:
-        s = skeleton(g)
-        if s not in pos:
-            pos[s] = len(skels)
-            skels.append(s)
-        skel_of.append(pos[s])
+    # skeletons in first-occurrence order, so the rows line up with
+    # skeleton_relation on the full lattice
+    rel = skeleton_relation(parts)
+    skels = list(rel.class_labels)
     _require(set(skels) == set(skeletons_of(n)), "skeletons of the partitions = skeletons of n", n)
     m = len(skels)
-    skel_of = np.array(skel_of)
+    skel_of = np.array(rel.class_of)
     rgs = np.array([g.rgs for g in parts])
     pairs = _pair_masks(rgs)
     blocks = rgs.max(axis=1) + 1
@@ -342,7 +327,8 @@ def coarse_duality_pipeline(
     duality and to inherit (sub)stochasticity from the fine dual.
     """
     if tuple(rel.elements) != tuple(zp.poset.elements):
-        raise ValueError("relation elements must match the poset index order")
+        raise InvalidParameter("coarse_duality_pipeline: rel elements must match the zp poset "
+                               "index order")
     h, h_inv = variant.h_pair(zp)
     # h_dual checks H H^-1 = I first, so a wrong H^-1 fails as that identity
     q = h_dual(p, h, h_inv)
@@ -374,9 +360,10 @@ def coarse_duality_pipeline(
                    "coarse H Q' = P H")
     if p.is_stochastic:
         _require(p_coarse.is_stochastic, "P stochastic => coarse P stochastic")
-    if Kernel.of(q).is_stochastic:
+    q_kernel = Kernel.of(q)
+    if q_kernel.is_stochastic:
         _require(q_coarse_hh.is_stochastic, "Q stochastic => coarse Q stochastic")
-    elif Kernel.of(q).is_substochastic:
+    elif q_kernel.is_substochastic:
         _require(q_coarse_hh.is_substochastic, "Q substochastic => coarse Q substochastic")
 
     return CoarseDualityResult(

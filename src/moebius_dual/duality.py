@@ -141,14 +141,13 @@ class CertificateReport:
 
 
 def h_dual(p: Kernel, h: RationalMatrix, h_inv: RationalMatrix) -> RationalMatrix:
-    """Q with Q' = H^{-1} P H for the given H and its inverse; both H H^{-1} = I
-    and the defining identity H Q' = P H are verified."""
+    """Q with Q' = H^{-1} P H for the given H and its inverse.  Only H H^{-1} = I
+    is verified: given it, the defining identity H Q' = P H follows by exact
+    associativity, H (H^{-1} P H) = (H H^{-1}) P H, so it is not restated."""
     if h.rows != h.cols or h.rows != p.matrix.rows or h_inv.shape != h.shape:
         raise SingularH("H and H^-1 must be square and match P")
     _require_equal(h @ h_inv, RationalMatrix.identity(h.rows), "H H^-1 = I")
-    q_t = h_inv @ p.matrix @ h
-    _require_equal(h @ q_t, p.matrix @ h, "H Q' = P H")
-    return q_t.T
+    return (h_inv @ p.matrix @ h).T
 
 
 def _cone_reports(g: RationalMatrix, zp: ZetaPair, transposed: bool):
@@ -262,7 +261,8 @@ def support_implication_check(
     True vacuously when the hypothesis on P fails.
     """
     if direction not in ("forward", "reverse"):
-        raise ValueError(direction)
+        raise InvalidParameter(f"support implication: direction must be 'forward' or 'reverse', "
+                               f"got {direction!r}")
 
     def supported_within(m, upper):
         # every nonzero entry (c, d) has c <= d (upper) or d <= c

@@ -27,8 +27,6 @@ __all__ = [
     "partition_lattice",
     "partition_moebius_closed_form",
     "skeleton",
-    "skeleton_count",
-    "skeleton_order",
     "skeletons_of",
     "bell_number",
     "MAX_SUBSET_GROUND",
@@ -341,47 +339,3 @@ def skeletons_of(n: int):
     gen(n, n, [])
     out.sort(key=lambda s: (-s.part_count, s.parts))
     return out
-
-
-def skeleton_count(eta: Skeleton, n: int) -> int:
-    """Number of partitions of {1..n} with skeleton eta:
-    n! / prod(e!) divided by the factorials of part-size multiplicities."""
-    if eta.total != n:
-        raise InvalidSkeleton(f"{eta} does not sum to {n}")
-    count = math.factorial(n)
-    for e in eta.parts:
-        count //= math.factorial(e)
-    mult = {}
-    for e in eta.parts:
-        mult[e] = mult.get(e, 0) + 1
-    for m in mult.values():
-        count //= math.factorial(m)
-    return count
-
-
-def skeleton_order(eta: Skeleton, kappa: Skeleton) -> bool:
-    """The merge order on E_N: kappa is obtainable by grouping-and-summing
-    eta's parts.  Decided by exact backtracking over assignments of eta's
-    parts to kappa's parts."""
-    if eta.total != kappa.total:
-        raise InvalidSkeleton("skeletons of different totals are never comparable")
-    if eta.part_count < kappa.part_count:
-        return False
-
-    targets = list(kappa.parts)
-
-    def assign(i, remaining):
-        if i == len(eta.parts):
-            return all(r == 0 for r in remaining)
-        seen = set()
-        for r in range(len(remaining)):
-            if remaining[r] >= eta.parts[i] and remaining[r] not in seen:
-                seen.add(remaining[r])
-                remaining[r] -= eta.parts[i]
-                if assign(i + 1, remaining):
-                    remaining[r] += eta.parts[i]
-                    return True
-                remaining[r] += eta.parts[i]
-        return False
-
-    return assign(0, targets)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -203,10 +204,22 @@ def test_duality_both_routes():
     hap = haploid(wright_fisher_law(3))
     with pytest.raises(VerificationFailure) as exc:
         _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix.identity(8))
-    assert exc.value.identity == "Z' Q' = P Z'"
+    assert exc.value.identity == "Q(J, K) = inclusion-exclusion of P"
     ident = haploid(identity_law(2))
     assert ident.p_ext.matrix == RationalMatrix.identity(4)
     assert ident.q.matrix == RationalMatrix.identity(4)
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_coarsen_catches_a_builder_q_off_in_one_entry(t):
+    # the pipeline forms its own Q = (H^-1 P H)' and matches the builder's to it
+    ma = multiallelic_kernels(wright_fisher_law(2), t)
+    size = len(ma.pair.poset)
+    bump = RationalMatrix.from_function(size, size, lambda i, j: F(1, 8) if (i, j) == (1, 1) else 0)
+    off = dataclasses.replace(ma, q=Kernel.of(ma.q.matrix + bump))
+    with pytest.raises(VerificationFailure) as exc:
+        coarsen_multiallelic(off)
+    assert exc.value.identity == "pipeline Q = builder Q"
 
 
 def test_coarsen_haploid_wf2():

@@ -19,14 +19,13 @@ from moebius_dual import (
     coarse_set_matrices_enumerated,
     moebius_matrix,
     product_poset,
-    product_relation,
     skeleton_relation,
     subset_lattice,
     coarse_duality_pipeline,
     positivity_certificate,
 )
 from moebius_dual.coarse_graining import CoarseResult, _permuted, _skeleton_representative
-from moebius_dual.errors import IncompatibleMatrix, SizeOverflow, VerificationFailure
+from moebius_dual.errors import IncompatibleMatrix, InvalidParameter, SizeOverflow, VerificationFailure
 from moebius_dual.lattices import (
     Partition,
     Skeleton,
@@ -152,6 +151,12 @@ def test_incompatible_with_witness():
     assert {a1, a2} == {1, 2} and cls == 1
 
 
+def test_compatibility_rejects_a_shape_mismatch():
+    rel = cardinality_relation(subset_lattice(2))
+    with pytest.raises(InvalidParameter, match=r"h is 3x3, rel has 4 elements"):
+        check_compatibility(RationalMatrix.identity(3), rel)
+
+
 def test_compatibility_closed_under_sum_and_product():
     lat = subset_lattice(3)
     rel = cardinality_relation(lat)
@@ -194,7 +199,8 @@ def test_product_zeta_coarse_factorizes():
     rel1, rel2 = cardinality_relation(lat1), cardinality_relation(lat2)
     prod = product_poset(lat1.poset, lat2.poset)
     zp = moebius_matrix(prod)
-    rel = product_relation(rel1, rel2, prod.elements)
+    c1, c2 = rel1.classes, rel2.classes
+    rel = EquivalenceRelation.from_function(prod.elements, lambda e: (c1[e[0]], c2[e[1]]))
     res = check_compatibility(zp.zeta, rel)
     assert res.compatible
     c1 = check_compatibility(lat1.pair.zeta, rel1).coarse
@@ -313,6 +319,14 @@ def test_coarse_pipeline_incompatible_p_raises():
     with pytest.raises(IncompatibleMatrix) as e:
         coarse_duality_pipeline(p, lat.pair, DualityVariant.ZETA, rel)
     assert e.value.which == "P"
+
+
+def test_coarse_pipeline_rejects_a_reordered_relation():
+    lat = subset_lattice(2)
+    p = Kernel.of(RationalMatrix.from_function(4, 4, lambda i, j: F(1, 4)))
+    rel = EquivalenceRelation.trivial(reversed(lat.poset.elements))
+    with pytest.raises(InvalidParameter, match=r"rel elements must match the zp poset"):
+        coarse_duality_pipeline(p, lat.pair, DualityVariant.ZETA, rel)
 
 
 def test_coarse_pipeline_restores_stochasticity_on_symmetric_kernel():

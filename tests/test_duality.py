@@ -191,7 +191,8 @@ def test_support_implication():
     p2 = Kernel.of(RationalMatrix([[0, 1], [1, 0]]))
     q2 = h_dual(p2, zp.zeta, zp.moebius)
     assert support_implication_check(p2, q2, poset, direction="forward")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameter, match=r"direction must be 'forward' or 'reverse', "
+                                               r"got 'sideways'"):
         support_implication_check(p, q, poset, direction="sideways")
 
 

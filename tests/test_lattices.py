@@ -17,9 +17,6 @@ from moebius_dual import (
     partition_lattice,
     partition_moebius_closed_form,
     skeleton,
-    skeleton_count,
-    skeleton_order,
-    skeletons_of,
     subset_lattice,
 )
 from moebius_dual.errors import InvalidParameter, InvalidSkeleton, NotComparable, SizeOverflow
@@ -139,34 +136,6 @@ def test_skeletons():
         Skeleton.of([0, 2])
 
 
-def test_skeleton_counts_partition_the_lattice():
-    for n in range(1, 7):
-        total = sum(skeleton_count(s, n) for s in skeletons_of(n))
-        assert total == bell_number(n)
-    # direct values
-    assert skeleton_count(Skeleton.of([2, 1]), 3) == 3
-    assert skeleton_count(Skeleton.of([2, 2]), 4) == 3
-    with pytest.raises(InvalidSkeleton):
-        skeleton_count(Skeleton.of([2, 2]), 3)
-
-
-def test_skeleton_order_matches_refinement_on_representatives():
-    # eta merge-coarsens to kappa iff some partition with skeleton eta
-    # refines one with skeleton kappa
-    for n in range(1, 6):
-        parts = enumerate_partitions(n)
-        for eta in skeletons_of(n):
-            for kappa in skeletons_of(n):
-                witness = any(
-                    a.refines(b)
-                    for a in parts
-                    if skeleton(a) == eta
-                    for b in parts
-                    if skeleton(b) == kappa
-                )
-                assert skeleton_order(eta, kappa) == witness
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.data())
 def test_random_partition_pairs_mu_consistency(n, data):
@@ -178,7 +147,6 @@ def test_random_partition_pairs_mu_consistency(n, data):
         # sign alternates with the atom-count gap
         assert mu != 0
         assert (mu > 0) == ((a.num_atoms - b.num_atoms) % 2 == 0)
-        assert skeleton_order(skeleton(a), skeleton(b))
 
 
 def test_order_matrices_match_the_python_leq_reference():

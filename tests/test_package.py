@@ -76,3 +76,81 @@ def test_modules_import_only_names_they_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{name}:{line} {ident}" for ident, line in imported.items() if ident not in used]
     assert unused == []
+
+
+# Every identity name the library checks.  Dropping or renaming a check must
+# edit this list, so that no check disappears unnoticed.
+IDENTITIES = [
+    "(P' - I) rho = 0 has a solution",
+    "H H^-1 = I",
+    "Moran law is exchangeable",
+    "P on covering states stochastic",
+    "P stochastic",
+    "P stochastic => coarse P stochastic",
+    "Q stochastic => coarse Q stochastic",
+    "Q substochastic",
+    "Q substochastic => coarse Q substochastic",
+    "Q' compatible with the relation",
+    "Q(J, K) = inclusion-exclusion of P",
+    "Q_h stochastic <=> Q h = h",
+    "Q_h substochastic <=> Q h <= h",
+    "Wright-Fisher law is exchangeable",
+    "Z M = I",
+    "Z nu* = g",
+    "class sizes are multinomial",
+    "coarse H = product-binomial form",
+    "coarse H Q' = P H",
+    "coarse H coarse H^-1 = I",
+    "coarse H hypergeometric inverse = I",
+    "coarse P = block forward form",
+    "coarse Q = backward moment formula",
+    "coarse Z M = I",
+    "coarse Z' M' = I",
+    "coarse partition rows are representative-free",
+    "coarse set closed forms = enumeration",
+    "coarse set rows are representative-free",
+    "condition (i) <=> Q >= 0",
+    "condition (i) images = Q",
+    "condition (ii) => Q >= 0",
+    "condition (ii) => Q monotone",
+    "cone member g >= 0",
+    "haploid Q and coarse Q stochastic",
+    "partition mu = closed form",
+    "pipeline Q = builder Q",
+    "rho > 0",
+    "rho P = rho",
+    "skeletons of the partitions = skeletons of n",
+    "subset mu = closed form",
+    "sum of rho != 0",
+    "support of P => support of Q",
+    "the children of the ancestors of J cover J",
+]
+
+
+def test_identity_names_are_pinned():
+    # the identity argument of each _require, _require_equal and
+    # VerificationFailure call: a string literal, or a module-level string
+    # constant; only the two helpers forward their own ``identity`` parameter
+    position = {"_require": 1, "_require_equal": 2, "VerificationFailure": 0}
+    names, forwarded = set(), []
+    for name, tree in _source_trees():
+        constants = {
+            target.id: node.value.value
+            for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+        }
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in position):
+                continue
+            arg = node.args[position[node.func.id]]
+            if isinstance(arg, ast.Constant):
+                names.add(arg.value)
+            elif isinstance(arg, ast.Name) and arg.id in constants:
+                names.add(constants[arg.id])
+            else:
+                forwarded.append(f"{name}:{ast.unparse(arg)}")
+    assert sorted(forwarded) == ["errors.py:identity", "rational.py:identity"]
+    assert sorted(names) == IDENTITIES
