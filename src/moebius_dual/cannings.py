@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,20 +106,21 @@ class OffspringLaw:
         generators is an exact test.  This implies the exchangeability of
         the offspring-size vector used by every coarse-graining here.
         Probabilities are compared as integer weights over one denominator,
-        summed over the atoms that list one indexed partition more than once.
+        summed over the atoms that list one indexed partition more than once;
+        a transposition keeps the law when it maps the sorted distinct atoms,
+        with their weights, onto themselves.
         """
-        weights = Counter()
-        for (nu, _), w in zip(self.support, _atom_weights(self)[1]):
-            weights[nu] += w
+        den, weights = _atom_weights(self)
+        nu, weights = _merged_atoms(_children_array(self),
+                                    np.array(weights, dtype=np.int64 if den <= _INT64_MAX else object))
         for k in range(self.ground_size - 1):
-            lo, hi = 1 << k, 2 << k
-            for nu, w in weights.items():
-                # swap individuals k and k+1 inside every children set ...
-                relabeled = [m ^ (lo | hi) if bool(m & lo) != bool(m & hi) else m for m in nu]
-                # ... and as parents
-                relabeled[k], relabeled[k + 1] = relabeled[k + 1], relabeled[k]
-                if weights.get(tuple(relabeled), 0) != w:
-                    return False
+            # swap individuals k and k+1 inside every children set ...
+            swapped = nu ^ ((nu >> k ^ nu >> k + 1) & 1) * (3 << k)
+            # ... and as parents
+            swapped[:, [k, k + 1]] = swapped[:, [k + 1, k]]
+            order = np.lexsort(swapped.T[::-1])
+            if not (np.array_equal(swapped[order], nu) and np.array_equal(weights[order], weights)):
+                return False
         return True
 
     def require_exchangeable(self):
@@ -283,9 +283,20 @@ def _children_array(law: OffspringLaw):
     """nu[a, i] = the children set of parent i in atom a, as an atoms x N
     array in the narrowest unsigned dtype that holds an N-bit mask."""
     n = law.ground_size
+    if n > 64:
+        raise SizeOverflow(f"population of {n}: children sets are held as masks of at most 64 bits")
     dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64)
                  if n <= 8 * np.dtype(d).itemsize)
     return np.array([nu for nu, _ in law.support], dtype=dtype).reshape(len(law.support), n)
+
+
+def _merged_atoms(nu, weights):
+    """The distinct rows of ``nu`` in lexicographic order, each with the sum
+    of the weights of the atoms that list it."""
+    order = np.lexsort(nu.T[::-1])
+    nu, weights = nu[order], weights[order]
+    starts = np.flatnonzero(np.concatenate([[True], (nu[1:] != nu[:-1]).any(axis=1)]))
+    return nu[starts], np.add.reduceat(weights, starts)
 
 
 def _atom_tables(nu):
@@ -553,6 +564,212 @@ def _summary(counts, values, reps):
     return float(mean), math.sqrt(float(var) / reps)
 
 
+# CPython's random.Random is the Mersenne Twister MT19937 (Matsumoto and
+# Nishimura, ACM TOMACS 1998): N words of state, seeded by init_by_array from
+# the 32-bit words of abs(seed) and renewed N words at a time by a twist.
+# The first N - M words of a fresh generator depend only on its seeded
+# state, so the estimator computes them for a block of seeds at once.
+_MT_N, _MT_M = 624, 397
+# the words of one lane block's table, about 1 MiB
+_TABLE_WORDS = 1 << 18
+
+
+def _init_genrand(s: int):
+    """The state of init_genrand(s)."""
+    mt = [s]
+    for i in range(1, _MT_N):
+        mt.append((1812433253 * (mt[-1] ^ mt[-1] >> 30) + i) & 0xFFFFFFFF)
+    return np.array(mt, dtype=np.uint32)
+
+
+_MT_START = _init_genrand(19650218)  # the state init_by_array starts from
+
+
+def _seed_keys(seeds: range):
+    """The init_by_array key of each seed s: the number of 32-bit words of
+    abs(s), at least one, and those words, least significant first, as the
+    columns of a uint32 array.  Words past N - 1 are left out: a key that
+    long is not run here."""
+    if max(abs(seeds[0]), abs(seeds[-1])) <= _INT64_MAX:
+        v = np.abs(np.arange(seeds.start, seeds.stop, seeds.step, dtype=np.int64)).astype(np.uint64)
+        return np.where(v >> 32 != 0, 2, 1), np.stack([v & 0xFFFFFFFF, v >> 32]).astype(np.uint32)
+    v = [abs(s) for s in seeds]
+    lengths = np.array([max(1, -(-x.bit_length() // 32)) for x in v])
+    width = min(int(lengths.max()), _MT_N - 1)
+    return lengths, np.array([[x >> 32 * w & 0xFFFFFFFF for x in v] for w in range(width)],
+                             dtype=np.uint32)
+
+
+def _mt_words(key, out) -> None:
+    """The first B words of random.Random(s) for the seeds whose keys are the
+    columns of ``key`` (an L x lanes uint32 array, 1 <= L < N): word r of
+    lane c goes to out[r, c], for ``out`` a (B+1) x lanes uint32 array and
+    B <= N - M.
+
+    init_by_array runs across the lanes: its first loop once to reach its
+    end, then again alongside its second loop, which reads its values in
+    order, so only the state words that the B words read are stored.  Word
+    r is mt[M + r] ^ twist(mt[r], mt[r + 1]), tempered.  mt[0] is
+    0x80000000, but mt[1] is set last, so words 0 and 1 are twisted with
+    mt[1] = 0 and take its bits at the end.  Row B holds mt[B], then serves
+    as scratch.
+    """
+    b, size = out.shape[0] - 1, len(key)
+    upper, lower, mag = np.uint32(0x80000000), np.uint32(0x7FFFFFFF), np.uint32(0x9908B0DF)
+    mult1, mult2 = np.uint32(1664525), np.uint32(1566083941)
+    key = key + np.arange(size, dtype=np.uint32)[:, None]  # init_key[j] + j
+
+    def scramble(prev, mult, new):
+        np.right_shift(prev, 30, out=new)
+        new ^= prev
+        new *= mult
+
+    # first loop: mt[i] = (mt[i] ^ scramble(mt[i - 1])) + key[j] + j, for
+    # i = 1..N-1 and j = i - 1 mod L, then once more at i = 1 after mt[0] = mt[N - 1]
+    prev, new = np.full_like(key[0], _MT_START[0]), np.empty_like(key[0])
+    for i in range(1, _MT_N):
+        scramble(prev, mult1, new)
+        new ^= _MT_START[i]
+        new += key[(i - 1) % size]
+        prev, new = new, prev
+        if i == 1:
+            first = prev.copy()
+    last = np.empty_like(new)
+    scramble(prev, mult1, last)
+    last ^= first
+    last += key[(_MT_N - 1) % size]
+    # second loop: mt[i] = (mt[i] ^ scramble(mt[i - 1])) - i, for i = 2..N-1,
+    # then once more at i = 1 after mt[0] = mt[N - 1]
+    out[0], out[1] = upper, 0
+    p1, t1, p2, t2 = first, prev, last.copy(), new
+    for i in range(2, _MT_N):
+        scramble(p1, mult1, t1)
+        t1 ^= _MT_START[i]
+        t1 += key[(i - 1) % size]
+        p1, t1 = t1, p1
+        scramble(p2, mult2, t2)
+        t2 ^= p1
+        t2 -= np.uint32(i)
+        p2, t2 = t2, p2
+        if i <= b:
+            out[i] = p2
+        if 0 <= i - _MT_M < b:
+            row = out[i - _MT_M]  # mt[r], and mt[r + 1] below it; t2 is free
+            np.bitwise_and(out[i - _MT_M + 1], lower, out=t2)
+            row &= upper
+            row |= t2
+            np.bitwise_and(row, 1, out=t2)
+            t2 *= mag
+            row >>= 1
+            row ^= t2
+            row ^= p2
+    scramble(p2, mult2, t2)
+    t2 ^= last
+    t2 -= np.uint32(1)  # mt[1]
+    np.bitwise_and(t2, lower, out=p2)
+    p2 >>= 1
+    out[0] ^= p2
+    np.bitwise_and(t2, 1, out=p2)
+    p2 *= mag
+    out[0] ^= p2
+    if b > 1:
+        np.bitwise_and(t2, upper, out=p2)
+        p2 >>= 1
+        out[1] ^= p2
+    scratch = out[b]
+    for y in out[:b]:
+        np.right_shift(y, 11, out=scratch)
+        y ^= scratch
+        np.left_shift(y, 7, out=scratch)
+        scratch &= np.uint32(0x9D2C5680)
+        y ^= scratch
+        np.left_shift(y, 15, out=scratch)
+        scratch &= np.uint32(0xEFC60000)
+        y ^= scratch
+        np.right_shift(y, 18, out=scratch)
+        y ^= scratch
+
+
+def _words(rng: random.Random, count: int):
+    """The next ``count`` 32-bit words of ``rng``, in order."""
+    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
+
+
+class _ReplicaWords:
+    """The 32-bit words of random.Random(s) for a block of seeds s, one lane
+    per seed, each lane read in order.
+
+    A (B+1) x lanes table holds B words per lane, from ``_mt_words``.  A lane
+    that reads past them continues in its own random.Random(s), which first
+    skips those B words: its unread words move to the top of its column and
+    fresh words fill the rest.  Keys too long for ``_mt_words``, or B past
+    N - M, take every word from CPython.
+    """
+
+    def __init__(self, seeds: range, depth: int):
+        self.seeds, self.depth = seeds, depth
+        self.table = np.empty((depth + 1, len(seeds)), dtype=np.uint32)
+        self.pos = np.zeros(len(seeds), dtype=np.intp)  # the next word of each lane
+        self.rngs = {}  # lane -> its generator, ``depth`` words past the top of its column
+        lengths, key = _seed_keys(seeds)
+        # the lanes of one key length form runs, which are views of the table
+        cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(seeds)]
+        for lo, hi in zip(cuts, cuts[1:]):
+            size = int(lengths[lo])
+            if size < _MT_N and depth <= _MT_N - _MT_M:
+                _mt_words(key[:size, lo:hi], self.table[:, lo:hi])
+                continue
+            for lane in range(lo, hi):
+                self.rngs[lane] = random.Random(seeds[lane])
+                self.table[:depth, lane] = _words(self.rngs[lane], depth)
+
+    def _refill(self, lane: int) -> None:
+        rng = self.rngs.get(lane)
+        if rng is None:
+            rng = self.rngs[lane] = random.Random(self.seeds[lane])
+            rng.getrandbits(32 * self.depth)
+        pos, column = int(self.pos[lane]), self.table[:self.depth, lane]
+        column[:] = np.concatenate([column[pos:], _words(rng, pos)])
+        self.pos[lane] = 0
+
+    def getrandbits(self, lanes, k: int, dtype):
+        """getrandbits(k) of every lane in ``lanes``, as ``dtype``: ceil(k/32)
+        words, least significant first, the last one shifted right by
+        32 ceil(k/32) - k."""
+        w = -(-k // 32)
+        for lane in lanes[self.pos[lanes] + w > self.depth].tolist():
+            self._refill(lane)
+        pos = self.pos[lanes]
+        self.pos[lanes] = pos + w
+        r = self.table[pos + w - 1, lanes].astype(dtype) >> 32 * w - k
+        for t in reversed(range(w - 1)):
+            r = r << 32 | self.table[pos + t, lanes].astype(dtype)
+        return r
+
+
+def _table_depth(steps: int, den: int, k: int) -> int:
+    """Words per lane for ``steps`` draws of getrandbits(k) below ``den``:
+    the words of the mean number of tries plus three standard deviations
+    plus two, within one draw's words and N - M.  A lane that needs more
+    continues in CPython, which stays a rare case."""
+    w, span = -(-k // 32), 1 << k
+    tries = -(-steps * span // den) + 3 * (math.isqrt(steps * (span - den) * span) // den + 1) + 2
+    return max(w, min(_MT_N - _MT_M, w * tries))
+
+
+def _draw_atoms(words: _ReplicaWords, lanes, cum, k: int):
+    """One atom per lane: randrange(D) for D = cum[-1], spelled out as its
+    getrandbits(k) rejection loop, located in the cumulative weights."""
+    atoms = np.empty(len(lanes), dtype=np.intp)
+    todo = np.arange(len(lanes))
+    while len(todo):
+        r = words.getrandbits(lanes[todo], k, cum.dtype)
+        ok = r < cum[-1]
+        atoms[todo[ok]] = np.searchsorted(cum, r[ok], side="right")
+        todo = todo[~ok]
+    return atoms
+
+
 def monte_carlo_duality(
     law: OffspringLaw,
     a: int,
@@ -567,9 +784,16 @@ def monte_carlo_duality(
     The chains run at the set level (the backward side draws offspring
     atoms and takes ancestor sets, independent of the precomputed kernel);
     only the cardinality of the terminal state enters the estimate.  Each
-    replica seeds its own generator from (seed, replica), so results do not
-    depend on execution order.  The image of an (atom, set) pair is computed
-    on its first visit and memoised, so the cost follows the pairs visited.
+    replica and side draws from random.Random(seed * 1_000_003 + m), with m
+    = 2 replica for the forward side and m = 2 replica + 1 for the backward
+    side, so results do not depend on execution order.  A draw is
+    randrange(D) over the integer atom weights, spelled out as its
+    getrandbits rejection loop.  Every replica steps at once: the streams'
+    first words come from one numpy pass over the seeds (``_mt_words``), a
+    step is N bit operations over the drawn atoms' children sets, and the
+    lanes run in blocks that bound the memory.  The cover of the ancestors
+    is checked at every backward step; a failure names the lowest replica
+    of its block at the first failing step.
     """
     law.require_exchangeable()
     n = law.ground_size
@@ -578,58 +802,45 @@ def monte_carlo_duality(
     if (a | b) >> n:
         raise InvalidParameter(f"monte carlo: start sets {a:b}, {b:b} must lie in a population of {n}")
     h = hypergeometric_matrix(n)
-    atoms = [nu for nu, _ in law.support]
-    full = (1 << n) - 1
-    cum = list(accumulate(_atom_weights(law)[1]))
-    total, k = cum[-1], cum[-1].bit_length()
-    rng = random.Random()
-    # the C seed under Random.seed: for an int it sets the same state, without
-    # the wrapper's type checks
-    reseed, getrandbits = super(random.Random, rng).seed, rng.getrandbits
+    nu = _children_array(law)
+    union = np.bitwise_or.reduce(nu, axis=1)
+    shifts = np.arange(n, dtype=nu.dtype)
+    bits = nu.dtype.type(1) << shifts
+    den, weights = _atom_weights(law)
+    k = den.bit_length()
+    # draws in the narrowest unsigned dtype that holds getrandbits(k), Python integers past 64 bits
+    dtype = np.uint32 if k <= 32 else np.uint64 if k <= 64 else object
+    cum = np.array(list(accumulate(weights)), dtype=dtype)
 
-    def children(key):
-        """The union of nu_i over i in J, for key = atom << N | J."""
-        x, y = key & full, 0
-        for i, m in enumerate(atoms[key >> n]):
-            if x >> i & 1:
-                y |= m
-        return y
+    def children(atom, x):
+        """The union of nu_i over i in x, per lane."""
+        return np.bitwise_or.reduce(nu[atom] * (x[:, None] >> shifts & 1), axis=1)
 
-    def ancestors(key):
-        """The parents of the members of J, for key = atom << N | J.  Each
-        child has one parent, so this is the unique minimal set of parents
-        whose children cover J."""
-        x, nu = key & full, atoms[key >> n]
-        parents = cover = 0
-        for i, m in enumerate(nu):
-            if m & x:
-                parents |= 1 << i
-                cover |= m
-        _require(cover & x == x, "the children of the ancestors of J cover J", (nu, x))
-        return parents
+    def ancestors(atom, x):
+        """The parents of the members of x, per lane.  Each child has one
+        parent, so this is the unique minimal set of parents whose children
+        cover x."""
+        rows = nu[atom]
+        uncovered = union[atom] & x != x
+        _require(not uncovered.any(), "the children of the ancestors of J cover J",
+                 lambda: (tuple(rows[uncovered.argmax()].tolist()), int(x[uncovered.argmax()])))
+        return np.bitwise_or.reduce((rows & x[:, None] != 0) * bits, axis=1)
 
-    def terminal_sizes(start, image, offset):
-        """|state after ``steps``| per replica; each draw is randrange(total)
-        spelled out as its getrandbits(k) rejection loop."""
-        memo = {}
-        sizes = [0] * (n + 1)
-        for rep in range(reps):
-            reseed(seed * 1_000_003 + 2 * rep + offset)
-            x = start
+    sizes = np.zeros((2, n + 1), dtype=np.int64)
+    seeds = range(seed * 1_000_003, seed * 1_000_003 + 2 * reps)
+    depth = _table_depth(steps, den, k)
+    block = max(2, _TABLE_WORDS // (depth + 1) & ~1)  # even, so even lanes are forward
+    for lo in range(0, len(seeds), block):
+        chunk = seeds[lo:lo + block]
+        words = _ReplicaWords(chunk, depth) if steps else None
+        for side, (start, image) in enumerate(((a, children), (b, ancestors))):
+            lanes = np.arange(side, len(chunk), 2)
+            x = np.full(len(lanes), start, dtype=nu.dtype)
             for _ in range(steps):
-                r = getrandbits(k)
-                while r >= total:
-                    r = getrandbits(k)
-                key = bisect_right(cum, r) << n | x
-                try:
-                    x = memo[key]
-                except KeyError:
-                    x = memo[key] = image(key)
-            sizes[x.bit_count()] += 1
-        return {i: c for i, c in enumerate(sizes) if c}
-
-    fwd_counts = terminal_sizes(a, children, 0)
-    bwd_counts = terminal_sizes(b, ancestors, 1)
+                x = image(_draw_atoms(words, lanes, cum, k), x)
+            sizes[side] += np.bincount(np.bitwise_count(x), minlength=n + 1)
+        del words  # so that the next block's table replaces this one, not joins it
+    fwd_counts, bwd_counts = ({i: c for i, c in enumerate(row) if c} for row in sizes.tolist())
     j_b, i_a = b.bit_count(), a.bit_count()
     fwd_vals = {i: h[i, j_b] for i in fwd_counts}
     bwd_vals = {j: h[i_a, j] for j in bwd_counts}

@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from bisect import bisect_right
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from itertools import accumulate
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -149,12 +151,21 @@ def test_law_build_checks_survive_optimized_mode():
         "    OffspringLaw.build(2, [((0b11, 0b01), 1/2)])\n"
         "except InvalidOffspringLaw as exc:\n"
         "    print('rejected:', exc)\n"
+        # the estimator's cover check, on a law built past OffspringLaw.build
+        "from moebius_dual import monte_carlo_duality\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "orphan = OffspringLaw(ground_size=2, support=(((0b01, 0), 1),), exchangeable=True)\n"
+        "try:\n"
+        "    monte_carlo_duality(orphan, 0b10, 0b10, steps=2, reps=5, seed=0)\n"
+        "except VerificationFailure as exc:\n"
+        "    print('refused:', exc.identity, exc.witness)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout.startswith("rejected: atom 0: children sets overlap")
+    assert out.stdout.splitlines()[1] == "refused: the children of the ancestors of J cover J ((1, 0), 2)"
 
 
 def test_moran_atom_shape():
@@ -482,6 +493,10 @@ MIXED_LAW = mixture(3, [(F(1, 3), wright_fisher_law(3)), (F(1, 2), moran_law(3))
 HUGE_LAW = mixture(3, [(F(1, 2**61 - 1), wright_fisher_law(3)),
                        (1 - F(1, 2**61 - 1), moran_law(3))])
 
+# a Monte Carlo draw below its common denominator, of 7,293 bits, takes 228
+# words, more than the first twist of the generator yields
+GIANT_LAW = mixture(2, [(F(1, 3**4600), wright_fisher_law(2)), (1 - F(1, 3**4600), moran_law(2))])
+
 
 def moran_atoms(n):
     """The Moran law's atoms for any n, past the cap of moran_law."""
@@ -513,12 +528,67 @@ KERNEL_CASES = (
 )
 
 
+def reference_exchangeable(law):
+    """The exchangeability test as one Counter lookup per atom and adjacent
+    transposition, on Fraction weights summed over repeated atoms."""
+    weights = Counter()
+    for nu, p in law.support:
+        weights[nu] += p
+    for k in range(law.ground_size - 1):
+        lo, hi = 1 << k, 2 << k
+        for nu, w in weights.items():
+            relabeled = [m ^ (lo | hi) if bool(m & lo) != bool(m & hi) else m for m in nu]
+            relabeled[k], relabeled[k + 1] = relabeled[k + 1], relabeled[k]
+            if weights.get(tuple(relabeled), 0) != w:
+                return False
+    return True
+
+
+EXCHANGEABILITY_BASES = ["wf2", "wf3", "moran3", "moran4", "mixed3", "huge3"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_exchangeability_matches_the_counter_reference(data):
+    # perturbed laws (weight moved between two atoms, mostly breaking the
+    # symmetry) with atoms split into repeated listings, in any order
+    atoms = list(REFERENCE_LAWS[data.draw(st.sampled_from(EXCHANGEABILITY_BASES), label="law")].support)
+    n = len(atoms[0][0])
+    if data.draw(st.booleans(), label="perturb"):
+        i = data.draw(st.integers(0, len(atoms) - 1), label="from")
+        j = data.draw(st.integers(0, len(atoms) - 1), label="to")
+        eps = atoms[i][1] * F(1, data.draw(st.sampled_from([2, 3, 2**70]), label="share"))
+        weights = [p for _, p in atoms]
+        weights[i] -= eps
+        weights[j] += eps
+        atoms = [(nu, w) for (nu, _), w in zip(atoms, weights)]
+    for _ in range(data.draw(st.integers(0, 3), label="splits")):
+        i = data.draw(st.integers(0, len(atoms) - 1), label="split")
+        nu, p = atoms[i]
+        atoms[i] = (nu, p / 3)
+        atoms.append((nu, 2 * p / 3))
+    atoms = data.draw(st.permutations(atoms), label="order")
+    law = OffspringLaw.build(n, atoms)
+    assert law.exchangeable == reference_exchangeable(law)
+
+
+def test_exchangeability_matches_the_counter_reference_on_large_laws():
+    law = OffspringLaw.build(16, moran_atoms(16))
+    assert law.exchangeable and reference_exchangeable(law)
+    atoms = moran_atoms(16)
+    atoms[0], atoms[1] = (atoms[0][0], atoms[0][1] / 2), (atoms[1][0], atoms[1][1] * F(3, 2))
+    law = OffspringLaw.build(16, atoms)
+    assert not law.exchangeable and not reference_exchangeable(law)
+    assert HUGE_LAW.exchangeable and reference_exchangeable(HUGE_LAW)
+
+
 def test_reference_laws_have_the_intended_denominators():
     assert {p.denominator for _, p in MIXED_LAW.support} == {81, 162, 324}
     assert MIXED_LAW.exchangeable and HUGE_LAW.exchangeable
     assert common_denominator(HUGE_LAW) > 2**63
     # a Monte Carlo draw below it takes getrandbits(k) with k > 64
     assert common_denominator(HUGE_LAW).bit_length() > 64
+    assert common_denominator(GIANT_LAW).bit_length() > 32 * 227
 
 
 @pytest.mark.parametrize("name, t", KERNEL_CASES)
@@ -582,8 +652,6 @@ def test_partial_states_past_64_flattened_bits():
 
 
 def test_atom_tables_use_the_narrowest_mask_dtype():
-    import numpy as np
-
     for law, dtype in ((wright_fisher_law(4), np.uint8), (MORAN9, np.uint16)):
         nu = cannings._children_array(law)
         fwd, anc = cannings._atom_tables(nu)
@@ -709,3 +777,109 @@ def test_rejection_loop_equals_randrange(total):
             while r >= total:
                 r = rng.getrandbits(k)
             assert r == ref.randrange(total)
+
+
+# ---------------------------------------------------------------------------
+# The replica word source against CPython's own generators
+# ---------------------------------------------------------------------------
+
+
+def cpython_words(s, count):
+    rng = random.Random(s)
+    return [rng.getrandbits(32) for _ in range(count)]
+
+
+# keys of one word (0, -1, 2^32 - 1), two (2^32), three past 64 bits, the
+# longest key run in numpy (623 words) and one run in CPython (624 words)
+WORD_SEEDS = {"0": 0, "-1": -1, "2^32-1": 2**32 - 1, "2^32": 2**32, "2^64+3": 2**64 + 3,
+              "2^19904": 2**(32 * 622), "2^19936-1": 2**(32 * 623) - 1, "2^19936": 2**(32 * 623)}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_SEEDS))
+@pytest.mark.parametrize("depth", [1, 2, 3, 227])
+def test_word_source_equals_cpython(name, depth):
+    s = WORD_SEEDS[name]
+    words = cannings._ReplicaWords(range(s, s + 3), depth)
+    for lane in range(3):
+        assert words.table[:depth, lane].tolist() == cpython_words(s + lane, depth)
+
+
+@pytest.mark.parametrize("first, count", [(-3, 7), (2**32 - 2, 5), (2**63 - 3, 3), (-(2**63) + 1, 3),
+                                          (2**63 - 2, 4), (2**64 - 2, 5), (-(2**64) - 2, 5)])
+def test_word_source_lanes_cross_key_lengths(first, count):
+    # one block whose seeds change key length part way, cross zero, or end
+    # at either side of the int64 range
+    words = cannings._ReplicaWords(range(first, first + count), 5)
+    for lane in range(count):
+        assert words.table[:5, lane].tolist() == cpython_words(first + lane, 5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(first=st.integers(-2**80, 2**80), count=st.integers(1, 9), depth=st.integers(1, 227))
+def test_word_source_equals_cpython_on_any_seeds(first, count, depth):
+    words = cannings._ReplicaWords(range(first, first + count), depth)
+    for lane in range(count):
+        assert words.table[:depth, lane].tolist() == cpython_words(first + lane, depth)
+
+
+@pytest.mark.parametrize("k", [1, 9, 31, 32, 33, 63, 64, 66, 96, 100])
+@pytest.mark.parametrize("depth", [4, 227])
+def test_word_source_draws_equal_getrandbits(k, depth):
+    # k > 32 takes ceil(k/32) words per draw; past the table a lane continues
+    # in CPython, so 150 draws cross it at every k; lanes 2 and 3 have keys
+    # of 624 words and take every word from CPython
+    seeds = range(2**(32 * 623) - 2, 2**(32 * 623) + 2)
+    words = cannings._ReplicaWords(seeds, depth)
+    rngs = [random.Random(s) for s in seeds]
+    dtype = np.uint32 if k <= 32 else np.uint64 if k <= 64 else object
+    for _ in range(150):
+        lanes = np.array([3, 0, 2])
+        got = words.getrandbits(lanes, k, dtype)
+        assert got.tolist() == [rngs[lane].getrandbits(k) for lane in lanes.tolist()]
+
+
+@pytest.mark.parametrize("law, steps", [(wright_fisher_law(2), 300), (GIANT_LAW, 3)],
+                         ids=["wf2-300", "giant-3"])
+def test_monte_carlo_past_the_first_twist(law, steps):
+    # 300 draws need more than the 227 words of the first twist, and a draw
+    # of 228 words fits no table: the lanes continue in, or run in, CPython
+    got = monte_carlo_duality(law, 0b01, 0b10, steps=steps, reps=3, seed=5)
+    assert got == reference_monte_carlo(law, 0b01, 0b10, steps, 3, 5)
+
+
+@pytest.mark.parametrize("name", ["wf4", "huge3"])
+def test_monte_carlo_continues_in_cpython_past_tiny_tables(monkeypatch, name):
+    # one draw's words per lane and two lanes per block: every draw past the
+    # first continues the lanes in their own random.Random
+    monkeypatch.setattr(cannings, "_table_depth", lambda steps, den, k: -(-k // 32))
+    monkeypatch.setattr(cannings, "_TABLE_WORDS", 1)
+    law = REFERENCE_LAWS[name]
+    for steps in range(13):
+        for seed in (0, -7):
+            got = monte_carlo_duality(law, 0b011, 0b101, steps=steps, reps=3, seed=seed)
+            assert got == reference_monte_carlo(law, 0b011, 0b101, steps, 3, seed)
+
+
+def test_monte_carlo_memory_and_cpython_generators_stay_small(monkeypatch):
+    # the lanes run in blocks of a table of about 1 MiB, so the traced peak
+    # stays under 2 MiB at 5,000 and at 100,000 replicas; fewer than 1% of
+    # the lanes build a random.Random of their own
+    built = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, s):
+            built.append(s)
+            super().__init__(s)
+
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    law = wright_fisher_law(4)
+    for reps in (5000, 100_000):
+        built.clear()
+        tracemalloc.start()
+        try:
+            monte_carlo_duality(law, 0b111, 0b11, steps=5, reps=reps, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert len(built) < 2 * reps // 100

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 
 import pytest
 
@@ -14,6 +15,15 @@ def test_version_matches_pyproject():
     with open(path, "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert moebius_dual.__version__ == project["version"]
+
+
+def test_numpy_floor_covers_the_calls_made():
+    # np.bitwise_count, which the coarse-graining and Monte Carlo code call, came with
+    # numpy 2.0; read with a regex, since tomllib needs Python 3.11
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    with open(path) as fh:
+        floor = re.search(r'"numpy>=(\d+)\.(\d+)', fh.read())
+    assert floor and (int(floor[1]), int(floor[2])) >= (2, 0)
 
 
 def _source_trees():
