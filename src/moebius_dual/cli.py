@@ -57,7 +57,7 @@ def _max_states() -> int:
     try:
         cap = int(raw)
     except ValueError as exc:
-        raise MoebiusDualError(f"MOEBIUS_DUAL_MAX_STATES={raw!r} is not an integer") from exc
+        raise InvalidParameter(f"MOEBIUS_DUAL_MAX_STATES={raw!r} is not an integer") from exc
     if cap < 1:
         raise InvalidParameter(f"MOEBIUS_DUAL_MAX_STATES must be >= 1, got {cap}")
     return cap
@@ -89,7 +89,7 @@ def _emit(args, payload, *, matrix=None, labels=None):
         text = json.dumps(payload, indent=2, default=str) + "\n"
     elif args.format == "csv":
         if matrix is None:
-            raise MoebiusDualError("csv output is only available for matrix commands")
+            raise InvalidParameter("--format csv is only available for matrix commands")
         text = matrix.to_csv(row_labels=labels, col_labels=labels)
     else:  # pretty
         text = _pretty(payload)
@@ -160,8 +160,9 @@ def cmd_duality(args) -> int:
     lat = subset_lattice(args.n)
     p = _load_kernel(args.kernel)
     if p.matrix.shape != (len(lat.poset), len(lat.poset)):
-        raise MoebiusDualError(
-            f"kernel is {p.matrix.rows}x{p.matrix.cols}, lattice has {len(lat.poset)} states"
+        raise InvalidParameter(
+            f"--kernel is {p.matrix.rows}x{p.matrix.cols}, but the lattice of --n {args.n} has "
+            f"{len(lat.poset)} states"
         )
     variant = DualityVariant(args.variant)
     cert = positivity_certificate(p, lat.pair, variant)

@@ -307,7 +307,7 @@ def representing_measure(g, zp: ZetaPair) -> RepresentingMeasure:
 def invariant_distribution(p: Kernel):
     """Exact invariant distribution of a stochastic irreducible kernel."""
     if not p.is_stochastic:
-        raise ValueError("invariant distribution needs a stochastic kernel")
+        raise InvalidParameter("invariant distribution: p must be a stochastic kernel")
     n = p.matrix.rows
     if not _is_irreducible(p.matrix):
         raise NotIrreducible("support digraph is not strongly connected")

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidSkeleton, NotComparable, _check_range
+from .errors import InvalidParameter, InvalidSkeleton, NotComparable, _check_range
 from .poset import FinitePoset, ZetaPair, _poset_from_matrix, moebius_matrix
 
 __all__ = [
@@ -80,7 +80,7 @@ class SubsetLattice:
         m = 0
         for i in items:
             if not 1 <= i <= self.ground_size:
-                raise ValueError(f"element {i} outside ground set")
+                raise InvalidParameter(f"subset mask: items must lie in 1..{self.ground_size}, got {i}")
             m |= 1 << (i - 1)
         return m
 
@@ -122,7 +122,7 @@ class Partition:
         seen = -1
         for v in self.rgs:
             if v > seen + 1 or v < 0:
-                raise ValueError(f"not a restricted-growth string: {self.rgs}")
+                raise InvalidParameter(f"partition: rgs must be a restricted-growth string, got {self.rgs}")
             seen = max(seen, v)
 
     @classmethod
@@ -132,9 +132,9 @@ class Partition:
         if n is None:
             n = len(ground)
         if ground != set(range(1, n + 1)) or sum(len(a) for a in atoms) != n:
-            raise ValueError("atoms must be disjoint, nonempty and cover {1..n}")
+            raise InvalidParameter(f"partition: atoms must be disjoint, nonempty and cover {{1..{n}}}")
         if any(not a for a in atoms):
-            raise ValueError("empty atom")
+            raise InvalidParameter("partition: atoms must be nonempty, got an empty atom")
         owner = {}
         for a in atoms:
             for i in a:
@@ -188,7 +188,7 @@ class Partition:
     def refines(self, other: "Partition") -> bool:
         """True iff every atom of self is contained in an atom of other."""
         if self.n != other.n:
-            raise ValueError("ground sets differ")
+            raise InvalidParameter(f"refines: other must be a partition of {self.n} elements, got {other.n}")
         block_of = {}
         for a, b in zip(self.rgs, other.rgs):
             if a in block_of:

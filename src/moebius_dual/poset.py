@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import PartialOrderViolation, SizeOverflow
+from .errors import InvalidParameter, PartialOrderViolation, SizeOverflow
 from .rational import _INT64_MAX, RationalMatrix, _require_equal
 
 __all__ = [
@@ -164,7 +164,7 @@ def build_poset(labels: Sequence, leq: Callable, *, validate: bool | None = None
 def _poset_from_matrix(labels: tuple, m: np.ndarray, validate: bool | None) -> FinitePoset:
     """The poset of ``build_poset`` from its bool order matrix over ``labels``."""
     if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
+        raise InvalidParameter("poset: labels must be distinct")
     n = len(labels)
     if validate is None:
         validate = n <= DEFAULT_VALIDATION_BOUND

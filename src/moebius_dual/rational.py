@@ -131,7 +131,7 @@ class RationalMatrix:
         else:
             rows = [list(r) for r in data]
             if not rows or any(len(r) != len(rows[0]) for r in rows):
-                raise ValueError("ragged or empty matrix data")
+                raise InvalidParameter("matrix data: rows must be nonempty and of one length")
             num, den = _from_values([v for r in rows for v in r], (len(rows), len(rows[0])))
         self._set(num, den)
 
@@ -270,7 +270,7 @@ class RationalMatrix:
 
     def power(self, n: int) -> "RationalMatrix":
         if self.rows != self.cols or n < 0:
-            raise ValueError("power requires a square matrix and n >= 0")
+            raise InvalidParameter(f"power: needs a square matrix and n >= 0, got shape {self.shape} and n = {n}")
         out = RationalMatrix.identity(self.rows)
         for _ in range(n):
             out = out @ self

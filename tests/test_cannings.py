@@ -8,7 +8,8 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -151,21 +152,164 @@ def test_law_build_checks_survive_optimized_mode():
         "    OffspringLaw.build(2, [((0b11, 0b01), 1/2)])\n"
         "except InvalidOffspringLaw as exc:\n"
         "    print('rejected:', exc)\n"
-        # the estimator's cover check, on a law built past OffspringLaw.build
-        "from moebius_dual import monte_carlo_duality\n"
-        "from moebius_dual.errors import VerificationFailure\n"
-        "orphan = OffspringLaw(ground_size=2, support=(((0b01, 0), 1),), exchangeable=True)\n"
+        # a law constructed directly, past OffspringLaw.build, is checked the same way
         "try:\n"
-        "    monte_carlo_duality(orphan, 0b10, 0b10, steps=2, reps=5, seed=0)\n"
-        "except VerificationFailure as exc:\n"
-        "    print('refused:', exc.identity, exc.witness)\n"
+        "    OffspringLaw(ground_size=2, children=[(0b01, 0)], den=1, weights=[1])\n"
+        "except InvalidOffspringLaw as exc:\n"
+        "    print('refused:', exc)\n"
     )
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout.startswith("rejected: atom 0: children sets overlap")
-    assert out.stdout.splitlines()[1] == "refused: the children of the ancestors of J cover J ((1, 0), 2)"
+    assert out.stdout.splitlines()[1] == "refused: atom 0: children 1 are not the population"
+
+
+def reference_build(n, atoms):
+    """OffspringLaw.build as one Python loop per atom: the atoms, their common
+    denominator, the integer weights and the Counter exchangeability test."""
+    full = (1 << n) - 1
+    support = []
+    for k, (nu, p) in enumerate(atoms):
+        nu = tuple(nu)
+        p = F(p)
+        if len(nu) != n:
+            raise InvalidOffspringLaw(f"atom {k}: {len(nu)} children sets for N = {n}")
+        union, overlap = 0, 0
+        for m in nu:
+            overlap |= union & m
+            union |= m
+        if overlap:
+            raise InvalidOffspringLaw(f"atom {k}: children sets overlap in {overlap:b}")
+        if union != full:
+            raise InvalidOffspringLaw(f"atom {k}: children {union:b} are not the population")
+        if p <= 0:
+            raise InvalidOffspringLaw(f"atom {k}: probability {p} is not positive")
+        support.append((nu, p))
+    den = math.lcm(*(p.denominator for _, p in support))
+    weights = [p.numerator * (den // p.denominator) for _, p in support]
+    if sum(weights) != den:
+        raise InvalidOffspringLaw(f"total probability is {F(sum(weights), den)}, not 1")
+    law = SimpleNamespace(ground_size=n, support=tuple(support))
+    return tuple(support), den, weights, reference_exchangeable(law)
+
+
+def built(make):
+    """What ``make`` returns, as (support, den, weights, exchangeable), or
+    the type and message of what it raises."""
+    try:
+        law = make()
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(law, tuple):
+        return law
+    assert law.weights.dtype == (np.int64 if law.den < 2**63 else object)
+    return law.support, law.den, law.weights.tolist(), law.exchangeable
+
+
+MALFORMATIONS = ["length", "overlap", "orphan", "outside", "negative", "wide", "nonpositive",
+                 "total", "repeat"]
+
+
+@st.composite
+def atom_lists(draw):
+    """(N, atoms): indexed partitions, random or from a reference law, with
+    probabilities over small denominators or past 2**63, then up to two
+    malformations."""
+    if draw(st.booleans(), label="reference"):
+        law = REFERENCE_LAWS[draw(st.sampled_from(["wf2", "wf3", "moran3", "mixed3", "huge3", "moran9"]))]
+        n, atoms = law.ground_size, [[list(nu), p] for nu, p in law.support]
+    else:
+        n = draw(st.sampled_from([1, 2, 3, 4, 9, 16]), label="N")
+        atoms = []
+        for _ in range(draw(st.integers(1, 5), label="atoms")):
+            nu = [0] * n
+            for child, parent in enumerate(draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))):
+                nu[parent] |= 1 << child
+            atoms.append([nu, 1])
+        total = 0
+        for atom in atoms:
+            atom[1] = draw(st.integers(1, 5))
+            total += atom[1]
+        for atom in atoms:
+            atom[1] = F(atom[1], total)
+        if len(atoms) > 1 and draw(st.booleans(), label="huge"):
+            eps = F(1, draw(st.sampled_from([2**64 + 13, 3**41])))
+            atoms[0][1] += eps
+            atoms[1][1] -= eps
+    for defect in draw(st.lists(st.sampled_from(MALFORMATIONS), max_size=2), label="defects"):
+        atom = atoms[draw(st.integers(0, len(atoms) - 1))]
+        nu = atom[0]
+        r = draw(st.integers(0, max(len(nu) - 1, 0)))  # a mask of the atom, if it has one
+        if defect == "length":
+            nu.append(0) if not nu or draw(st.booleans()) else nu.pop()
+        elif defect == "overlap" and nu:
+            nu[r] |= 1 << draw(st.integers(0, n - 1))
+        elif defect == "orphan":
+            child = ~(1 << draw(st.integers(0, n - 1)))
+            atom[0] = [m & child for m in nu]
+        elif defect == "outside" and nu:
+            nu[r] |= 1 << draw(st.integers(n, n + 3))
+        elif defect == "negative" and nu:
+            nu[r] = draw(st.sampled_from([-1, ~nu[r], -(1 << n)]))
+        elif defect == "wide" and nu:
+            nu[r] |= 1 << draw(st.sampled_from([64, 65, 70, 200]))
+        elif defect == "nonpositive":
+            atom[1] = draw(st.sampled_from([F(0), -atom[1]]))
+        elif defect == "total":
+            atom[1] *= draw(st.sampled_from([2, F(1, 2)]))
+        elif defect == "repeat":
+            atoms.append([list(nu), atom[1] / 3])
+            atom[1] *= F(2, 3)
+    return n, [(tuple(nu), p) for nu, p in atoms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=atom_lists())
+def test_build_matches_the_per_atom_reference(case):
+    n, atoms = case
+    want = built(lambda: reference_build(n, atoms))
+    assert built(lambda: OffspringLaw.build(n, atoms)) == want
+    # the same atoms as an int64 array, wherever they fit one
+    if all(len(nu) == n and all(-2**63 <= m < 2**63 for m in nu) for nu, _ in atoms):
+        den = math.lcm(*(F(p).denominator for _, p in atoms))
+        weights = [F(p).numerator * (den // F(p).denominator) for _, p in atoms]
+        children = np.array([nu for nu, _ in atoms], dtype=np.int64).reshape(len(atoms), n)
+        assert built(lambda: OffspringLaw(n, children, den, weights)) == want
+
+
+def test_direct_construction_checks_its_own_fields():
+    # weights over a common multiple keep the least denominator, so the law
+    # draws as the one built from its probabilities
+    law = OffspringLaw(2, [(3, 0), (0, 3)], 6, [3, 3])
+    assert (law.den, law.weights.tolist()) == (2, [1, 1])
+    with pytest.raises(InvalidOffspringLaw, match="denominator 0 is not positive"):
+        OffspringLaw(2, [(3, 0)], 0, [0])
+    with pytest.raises(InvalidOffspringLaw, match="1 weights for 2 atoms"):
+        OffspringLaw(2, [(3, 0), (0, 3)], 1, [1])
+    with pytest.raises(SizeOverflow):
+        OffspringLaw.build(65, [])
+
+
+def wright_fisher_atoms(n):
+    """The Wright-Fisher law's atoms as the loop over parent choices."""
+    atoms = []
+    for choice in product(range(n), repeat=n):
+        nu = [0] * n
+        for child, parent in enumerate(choice):
+            nu[parent] |= 1 << child
+        atoms.append((tuple(nu), F(1, n ** n)))
+    return atoms
+
+
+def test_model_laws_list_their_atoms_in_loop_order():
+    # the Monte Carlo locates a draw by cumulative weight, so the atom order
+    # is part of every simulate result
+    for n in range(1, 7):
+        assert wright_fisher_law(n).support == tuple(wright_fisher_atoms(n))
+    for n in range(2, 9):
+        assert moran_law(n).support == tuple(moran_atoms(n))
 
 
 def test_moran_atom_shape():
@@ -653,7 +797,7 @@ def test_partial_states_past_64_flattened_bits():
 
 def test_atom_tables_use_the_narrowest_mask_dtype():
     for law, dtype in ((wright_fisher_law(4), np.uint8), (MORAN9, np.uint16)):
-        nu = cannings._children_array(law)
+        nu = law.children
         fwd, anc = cannings._atom_tables(nu)
         assert nu.dtype == fwd.dtype == anc.dtype == dtype
         assert fwd.shape == anc.shape == (len(law.support), 1 << law.ground_size)
@@ -662,15 +806,18 @@ def test_atom_tables_use_the_narrowest_mask_dtype():
             assert anc[a].tolist() == [_ancestors(nu, j) for j in range(1 << law.ground_size)]
 
 
-def test_atom_tables_check_the_cover():
-    # built past OffspringLaw.build: child 2 has no parent, so nothing covers it
-    orphan = OffspringLaw(ground_size=2, support=(((0b01, 0), F(1)),), exchangeable=True)
-    for run in (lambda: cannings._atom_tables(cannings._children_array(orphan)),
-                lambda: monte_carlo_duality(orphan, 0b10, 0b10, steps=1, reps=1, seed=0)):
-        with pytest.raises(VerificationFailure) as exc:
-            run()
-        assert exc.value.identity == "the children of the ancestors of J cover J"
-        assert exc.value.witness == ((0b01, 0), 0b10)
+def test_direct_construction_refuses_an_orphan():
+    # child 2 has no parent, so the children of no set of parents cover it;
+    # the law is refused before any table or estimator could see it
+    with pytest.raises(InvalidOffspringLaw, match="atom 0: children 1 are not the population"):
+        OffspringLaw(ground_size=2, children=[(0b01, 0)], den=1, weights=[1])
+    # neither atoms nor exchangeability can be passed in unchecked
+    for fields in ({"support": (((0b01, 0), F(1)),)}, {"exchangeable": True}):
+        with pytest.raises(TypeError):
+            OffspringLaw(ground_size=2, children=[(0b11, 0)], den=1, weights=[1], **fields)
+    law = wright_fisher_law(2)
+    with pytest.raises(InvalidOffspringLaw, match="atom 1: children 1 are not the population"):
+        dataclasses.replace(law, children=np.array([[3, 0], [1, 0], [2, 1], [0, 3]]))
 
 
 @pytest.mark.parametrize("name, t", [("wf3", 1), ("mixed3", 2), ("huge3", 1), ("wf4", 2)])

@@ -237,6 +237,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         (["duality", "--n", "0", "--kernel",
           kernel_file(tmp_path, "bool-shape", {"rows": True, "cols": True, "entries": [["1"]]})],
          "matrix JSON rows must be 1"),
+        (["duality", "--n", "2", "--kernel", negative_kernel(tmp_path)],
+         "--kernel is 2x2, but the lattice of --n 2 has 4 states"),
+        (["cannings", "--model", "wf", "--N", "2", "--format", "csv"], "--format csv"),
         # the duality command has only the subset lattice, so it takes no --poset
         (["duality", "--poset", "subsets", "--n", "1", "--kernel", negative_kernel(tmp_path)],
          "--poset"),
