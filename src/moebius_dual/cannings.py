@@ -37,7 +37,7 @@ from .errors import (
     _require,
 )
 from .lattices import _flatten, _subset_order
-from .poset import ZetaPair, _poset_from_matrix, moebius_matrix
+from .poset import MAX_STATES, ZetaPair, _library_pair
 from .rational import _INT64_MAX, RationalMatrix, _bound, _require_equal
 
 __all__ = [
@@ -429,7 +429,7 @@ def _partial_states(n: int, t: int):
     return states
 
 
-def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> MultiAllelicKernels:
+def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) -> MultiAllelicKernels:
     """Exact forward and backward kernels for T >= 1 allele types, with the
     transpose-zeta duality Z' Q' = P Z' verified entry by entry by
     componentwise inclusion-exclusion.  T = 1 is the haploid model."""
@@ -440,15 +440,13 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = 4096) -> Multi
         raise SizeOverflow(f"(T+1)^N = {(t + 1) ** n} partial states, cap {cap}")
     states = _partial_states(n, t)
     # componentwise inclusion is inclusion of the flattened masks
-    order = _subset_order([_flatten(s, n) for s in states])
-    poset = _poset_from_matrix(tuple(states), order, validate=None)
-    pair = moebius_matrix(poset, verify=len(states) <= 256)
+    pair = _library_pair(tuple(states), _subset_order([_flatten(s, n) for s in states]))
     covering = tuple(
-        i for i, s in enumerate(poset.elements)
+        i for i, s in enumerate(pair.poset.elements)
         if sum(m.bit_count() for m in s) == n
     )
 
-    den, p_num, q_num = _kernel_counts(law, poset.elements, t)
+    den, p_num, q_num = _kernel_counts(law, pair.poset.elements, t)
     p_ext = RationalMatrix._wrap(p_num, den)
     q = RationalMatrix._wrap(q_num, den)
     p_ext_k = Kernel.of(p_ext)

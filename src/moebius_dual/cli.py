@@ -22,6 +22,7 @@ from .cannings import (
     wright_fisher_law,
 )
 from .coarse_graining import (
+    MAX_ENUMERATION_GROUND,
     coarse_partition_matrices,
     coarse_set_matrices,
     coarse_set_matrices_enumerated,
@@ -34,9 +35,8 @@ from .duality import (
 )
 from .errors import InvalidParameter, MoebiusDualError, SizeOverflow, VerificationFailure, _require
 from .lattices import bell_number, partition_lattice, partition_moebius_closed_form, subset_lattice
+from .poset import MAX_STATES
 from .rational import RationalMatrix, format_fraction
-
-DEFAULT_MAX_STATES = 4096
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -53,7 +53,7 @@ _DECIMAL_EXPONENT = 14_284
 def _max_states() -> int:
     raw = os.environ.get("MOEBIUS_DUAL_MAX_STATES")
     if raw is None:
-        return DEFAULT_MAX_STATES
+        return MAX_STATES
     try:
         cap = int(raw)
     except ValueError as exc:
@@ -190,7 +190,7 @@ def cmd_coarsen(args) -> int:
             "zeta_transpose": _matrix_doc(cm.zeta_transpose),
             "moebius_transpose": _matrix_doc(cm.moebius_transpose),
         }
-        if args.n <= 12:
+        if args.n <= MAX_ENUMERATION_GROUND:
             _require(cm == coarse_set_matrices_enumerated(args.n), ENUMERATION, args.n)
             report["enumeration_agrees"] = True
         _emit(args, report, matrix=cm.zeta, labels=labels)

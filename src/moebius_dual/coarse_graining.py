@@ -26,7 +26,7 @@ from .lattices import (
     skeleton,
     skeletons_of,
 )
-from .poset import ZetaPair
+from .poset import _SELF_CHECK_STATES, ZetaPair
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -41,7 +41,10 @@ __all__ = [
     "coarse_set_matrices_enumerated",
     "coarse_partition_matrices",
     "coarse_duality_pipeline",
+    "MAX_ENUMERATION_GROUND",
 ]
+
+MAX_ENUMERATION_GROUND = 12
 
 
 @dataclass(frozen=True)
@@ -197,10 +200,10 @@ def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
     For each cardinality class the class sums of Z, Z^{-1}, Z', (Z')^{-1}
     rows at a representative J are counted over every subset, by the
     cardinality of its supersets and subsets of J.  Representative
-    independence is verified over all representatives up to N=8 and over
-    two extreme representatives beyond.
+    independence is verified over all representatives while 2^N is within
+    the self-check size (up to N = 8), and over two extreme ones beyond.
     """
-    _check_range("enumeration route", "N", n, 0, 12)
+    _check_range("enumeration route", "N", n, 0, MAX_ENUMERATION_GROUND)
     size = n + 1
     masks = np.arange(1 << n)
     cards = np.bitwise_count(masks)
@@ -208,7 +211,7 @@ def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
 
     rows = []
     for j in range(size):
-        if n <= 8:
+        if 1 << n <= _SELF_CHECK_STATES:
             reps = masks[cards == j]
         else:
             lo = (1 << j) - 1  # first j ground elements

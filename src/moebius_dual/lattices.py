@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, InvalidSkeleton, NotComparable, _check_range
-from .poset import FinitePoset, ZetaPair, _poset_from_matrix, moebius_matrix
+from .poset import FinitePoset, ZetaPair, _library_pair
 
 __all__ = [
     "SubsetLattice",
@@ -90,7 +90,8 @@ class SubsetLattice:
 
 
 def subset_lattice(n: int) -> SubsetLattice:
-    """Subset lattice of {1..n}, with the closed-form mu verified by type.
+    """Subset lattice of {1..n}; its order and Z M = I are self-checked up to
+    256 states (n <= 8).
 
     It is also the T-fold product of the subset lattice of {1..N}, with the
     componentwise order, for n = N*T: a product of Boolean lattices is
@@ -99,8 +100,7 @@ def subset_lattice(n: int) -> SubsetLattice:
     """
     _check_range("subset lattice", "N", n, 0, MAX_SUBSET_GROUND)
     masks = tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
-    poset = _poset_from_matrix(masks, _subset_order(masks), validate=n <= 8)
-    return SubsetLattice(ground_size=n, pair=moebius_matrix(poset, verify=n <= 8))
+    return SubsetLattice(ground_size=n, pair=_library_pair(masks, _subset_order(masks)))
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +260,7 @@ def partition_lattice(n: int) -> PartitionLattice:
     _check_range("partition lattice", "n", n, 1, MAX_PARTITION_GROUND)
     parts = enumerate_partitions(n)
     pairs = _pair_masks(np.array([p.rgs for p in parts]))
-    poset = _poset_from_matrix(tuple(parts), _subset_order(pairs.tolist()), validate=n <= 5)
-    return PartitionLattice(ground_size=n, pair=moebius_matrix(poset, verify=n <= 6))
+    return PartitionLattice(ground_size=n, pair=_library_pair(tuple(parts), _subset_order(pairs.tolist())))
 
 
 def partition_moebius_closed_form(alpha: Partition, beta: Partition) -> int:

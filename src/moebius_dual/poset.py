@@ -33,12 +33,12 @@ __all__ = [
     "zeta_matrix",
     "moebius_matrix",
     "product_poset",
-    "DEFAULT_VALIDATION_BOUND",
-    "DEFAULT_PRODUCT_CAP",
+    "MAX_STATES",
 ]
 
-DEFAULT_VALIDATION_BOUND = 512
-DEFAULT_PRODUCT_CAP = 4096
+MAX_STATES = 4096  # default state cap; ``cap=`` and MOEBIUS_DUAL_MAX_STATES override it
+_SELF_CHECK_STATES = 256  # the library self-checks what it builds up to this many states
+_BLOCK_BYTES = 1 << 20  # packed row bytes per block of the transitivity test
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,30 @@ class ZetaPair:
 
 
 def _validate_order(labels, m: np.ndarray) -> None:
+    """Raise PartialOrderViolation at the first failing axiom, in the order
+    reflexivity, antisymmetry, transitivity, with its first row-major witness."""
     n = len(labels)
-    for i in range(n):
-        if not m[i, i]:
-            raise PartialOrderViolation("reflexivity", (labels[i],))
-    both = m & m.T
-    ii, jj = np.nonzero(both)
-    for i, j in zip(ii.tolist(), jj.tolist()):
-        if i != j:
-            raise PartialOrderViolation("antisymmetry", (labels[i], labels[j]))
-    # i<=j and j<=k but not i<=k, found via one boolean matrix product
-    reach = (m.astype(np.int64) @ m.astype(np.int64)) > 0
-    bad = reach & ~m
-    if bad.any():
-        i, k = next(zip(*(x.tolist() for x in np.nonzero(bad))))
-        j = next(j for j in range(n) if m[i, j] and m[j, k])
-        raise PartialOrderViolation("transitivity", (labels[i], labels[j], labels[k]))
+    diag = np.diagonal(m)
+    if not diag.all():
+        raise PartialOrderViolation("reflexivity", (labels[int(np.argmin(diag))],))
+    ii, jj = np.divmod(np.flatnonzero(m), n)  # the pairs i <= j, row-major
+    both = m[jj, ii] & (ii != jj)
+    if both.any():
+        k = int(np.argmax(both))
+        raise PartialOrderViolation("antisymmetry", (labels[ii[k]], labels[jj[k]]))
+    # transitive iff up(j) is a subset of up(i) for every pair i <= j: the rows
+    # packed into bytes, compared over bounded blocks of pairs
+    up = np.packbits(m, axis=1)
+    step = max(1, _BLOCK_BYTES // max(up.shape[1], 1))
+    for s in range(0, len(ii), step):
+        bad = np.take(up, jj[s:s + step], axis=0) & ~np.take(up, ii[s:s + step], axis=0)
+        if bad.any():
+            # pairs run row-major: the first row i with a violation, its first
+            # k out of reach, then the first j in between
+            i = int(ii[s + int(np.argmax(bad.any(axis=1)))])
+            k = int(np.argmax(m[m[i]].any(axis=0) & ~m[i]))
+            j = int(np.argmax(m[i] & m[:, k]))
+            raise PartialOrderViolation("transitivity", (labels[i], labels[j], labels[k]))
 
 
 def _stable_toposort(m: np.ndarray):
@@ -145,29 +153,32 @@ def _stable_toposort(m: np.ndarray):
     return order
 
 
-def build_poset(labels: Sequence, leq: Callable, *, validate: bool | None = None) -> FinitePoset:
+def build_poset(labels: Sequence, leq: Callable) -> FinitePoset:
     """Build a poset with a canonical linear extension as index order.
 
     The index order is Kahn's topological sort that always takes, among the
     elements whose predecessors are all placed, the one earliest in the
     input; so input already in a linear extension keeps its order.  For
     a < b < c and an incomparable d, input [a, b, c, d] gives (a, b, c, d)
-    and [d, c, b, a] gives (d, a, b, c).  Validation of the partial-order
-    axioms is on by default for up to ``DEFAULT_VALIDATION_BOUND`` elements.
+    and [d, c, b, a] gives (d, a, b, c).  The labels must be distinct and
+    hashable, and the partial-order axioms are validated at every size.
     """
     labels = tuple(labels)
     n = len(labels)
     m = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool).reshape(n, n)
-    return _poset_from_matrix(labels, m, validate)
+    return _poset_from_matrix(labels, m, validate=True)
 
 
-def _poset_from_matrix(labels: tuple, m: np.ndarray, validate: bool | None) -> FinitePoset:
+def _poset_from_matrix(labels: tuple, m: np.ndarray, *, validate: bool) -> FinitePoset:
     """The poset of ``build_poset`` from its bool order matrix over ``labels``."""
-    if len(set(labels)) != len(labels):
+    seen = set()
+    for lab in labels:
+        try:
+            seen.add(lab)
+        except TypeError:
+            raise InvalidParameter(f"poset: labels must be hashable, got {lab!r}") from None
+    if len(seen) != len(labels):
         raise InvalidParameter("poset: labels must be distinct")
-    n = len(labels)
-    if validate is None:
-        validate = n <= DEFAULT_VALIDATION_BOUND
     if validate:
         _validate_order(labels, m)
     # Kahn's sort returns input already in a linear extension unchanged
@@ -175,9 +186,6 @@ def _poset_from_matrix(labels: tuple, m: np.ndarray, validate: bool | None) -> F
         order = _stable_toposort(m)
         labels = tuple(labels[i] for i in order)
         m = m[np.ix_(order, order)]
-        if np.tril(m, -1).any():
-            # cannot happen for a valid partial order; guards unvalidated input
-            raise PartialOrderViolation("linear-extension", ())
     index = {lab: i for i, lab in enumerate(labels)}
     return FinitePoset(elements=labels, matrix=m, index=index)
 
@@ -220,15 +228,22 @@ def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
     return ZetaPair(poset=p, zeta=z, moebius=moeb, mu=mu)
 
 
+def _library_pair(labels: tuple, m: np.ndarray) -> ZetaPair:
+    """The zeta pair of an order the library built, with its axioms and Z M = I
+    checked up to ``_SELF_CHECK_STATES`` states."""
+    checked = len(labels) <= _SELF_CHECK_STATES
+    return moebius_matrix(_poset_from_matrix(labels, m, validate=checked), verify=checked)
+
+
 def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:
     """Cartesian product with the componentwise order."""
     size = len(p1) * len(p2)
-    if size > DEFAULT_PRODUCT_CAP:
-        raise SizeOverflow(f"product has {size} elements, cap {DEFAULT_PRODUCT_CAP}")
+    if size > MAX_STATES:
+        raise SizeOverflow(f"product has {size} elements, cap {MAX_STATES}")
     labels = [(a, b) for a in p1.elements for b in p2.elements]
 
     def leq(x, y):
         return p1.leq(x[0], y[0]) and p2.leq(x[1], y[1])
 
-    return build_poset(labels, leq, validate=False)
+    return build_poset(labels, leq)
 

@@ -194,9 +194,6 @@ class RationalMatrix:
     def row(self, i):
         return _fractions(self._num[i, :].tolist(), self._den)
 
-    def col(self, j):
-        return _fractions(self._num[:, j].tolist(), self._den)
-
     def array(self) -> np.ndarray:
         """Writable object array of the entries as Fractions."""
         return np.array(_fractions(self._num.ravel().tolist(), self._den),

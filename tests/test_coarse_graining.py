@@ -261,7 +261,7 @@ def test_coarse_partition_matrices_values():
 def test_coarse_partition_matches_full_lattice_coarsening():
     for n in range(1, 6):
         parts = enumerate_partitions(n)
-        poset = build_poset(parts, lambda a, b: a.refines(b), validate=False)
+        poset = build_poset(parts, lambda a, b: a.refines(b))
         zp = moebius_matrix(poset)
         rel = skeleton_relation(poset.elements)
         skels, z, mo = coarse_partition_matrices(n)

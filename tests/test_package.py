@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import re
 
@@ -100,6 +101,27 @@ def test_library_raises_only_typed_errors():
         in ("ValueError", "MoebiusDualError")
     ]
     assert found == []
+
+
+def test_size_rules_are_the_constants_of_poset():
+    # one state cap and one self-check size, both in poset.py: no other module
+    # spells out 256, 512 or 4096, and a caller's order has no validate switch
+    found = sorted(
+        (name, node.value)
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value in (256, 512, 4096)
+    )
+    assert found == [("poset.py", 256), ("poset.py", 4096)]
+    poset_tree = dict(_source_trees())["poset.py"]
+    constants = {
+        target.id: node.value.value
+        for node in poset_tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+        for target in node.targets
+    }
+    assert constants["MAX_STATES"] == 4096 and constants["_SELF_CHECK_STATES"] == 256
+    assert list(inspect.signature(moebius_dual.build_poset).parameters) == ["labels", "leq"]
 
 
 def test_offspring_laws_are_read_through_their_fields():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,17 @@ from hypothesis import strategies as st
 from moebius_dual import (
     RationalMatrix,
     build_poset,
+    coarse_set_matrices_enumerated,
     moebius_matrix,
+    moran_law,
+    multiallelic_kernels,
+    partition_lattice,
     product_poset,
+    subset_lattice,
     zeta_matrix,
 )
-from moebius_dual.errors import PartialOrderViolation, SizeOverflow
+from moebius_dual import coarse_graining, poset
+from moebius_dual.errors import InvalidParameter, PartialOrderViolation, SizeOverflow
 
 
 def chain(n):
@@ -35,6 +42,149 @@ def test_validation_witnesses():
         build_poset([0, 1, 2], lambda a, b: a == b or (a, b) in rel)
     assert e.value.axiom == "transitivity"
     assert e.value.witness == (0, 1, 2)
+
+
+def dense_validate_order(labels, m):
+    """The order validation the packed one replaced: one int64 product m @ m."""
+    n = len(labels)
+    for i in range(n):
+        if not m[i, i]:
+            raise PartialOrderViolation("reflexivity", (labels[i],))
+    both = m & m.T
+    ii, jj = np.nonzero(both)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        if i != j:
+            raise PartialOrderViolation("antisymmetry", (labels[i], labels[j]))
+    # i<=j and j<=k but not i<=k, found via one boolean matrix product
+    reach = (m.astype(np.int64) @ m.astype(np.int64)) > 0
+    bad = reach & ~m
+    if bad.any():
+        i, k = next(zip(*(x.tolist() for x in np.nonzero(bad))))
+        j = next(j for j in range(n) if m[i, j] and m[j, k])
+        raise PartialOrderViolation("transitivity", (labels[i], labels[j], labels[k]))
+
+
+def validation_outcome(validate, m):
+    labels = [f"x{i}" for i in range(len(m))]
+    try:
+        validate(labels, m)
+    except PartialOrderViolation as exc:
+        return exc.axiom, exc.witness
+    return None
+
+
+@st.composite
+def relations(draw):
+    """The componentwise order of up to 150 random grid points, which crosses
+    the 8- and 64-bit row widths, with up to three reflexivity, antisymmetry
+    or transitivity defects."""
+    n = draw(st.integers(0, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p = rng.integers(0, draw(st.integers(2, 8)), size=(n, 1, 2))
+    eye = np.eye(n, dtype=bool)
+    # equal points are incomparable, so that the order is antisymmetric
+    m = (p <= p.transpose(1, 0, 2)).all(axis=2) & ((p != p.transpose(1, 0, 2)).any(axis=2) | eye)
+    for kind in draw(st.lists(st.sampled_from("ratt"), max_size=3 if n else 0)):
+        i, j = rng.integers(0, n, 2)
+        if kind == "r":
+            m[i, i] = False
+        elif kind == "a":
+            m[i, j] = m[j, i] = True
+        else:  # drop a comparable or add an incomparable pair, which breaks transitivity or not
+            pairs = np.argwhere(m ^ eye if i % 2 else ~(m | m.T))
+            if len(pairs):
+                i, j = pairs[j % len(pairs)]
+                m[i, j] = not m[i, j]
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+def test_packed_validation_matches_the_dense_reference(m):
+    assert validation_outcome(poset._validate_order, m) == validation_outcome(dense_validate_order, m)
+
+
+def test_packed_validation_finds_a_violation_in_a_later_pair_block(monkeypatch):
+    # 100 elements pack into 13 bytes per row, so each block holds three pairs;
+    # the missing pair lies past the first 64 columns
+    monkeypatch.setattr(poset, "_BLOCK_BYTES", 3 * 13)
+    m = np.triu(np.ones((100, 100), dtype=bool))
+    m[70, 90] = False
+    assert validation_outcome(poset._validate_order, m) == ("transitivity", ("x70", "x71", "x90"))
+    assert validation_outcome(dense_validate_order, m) == ("transitivity", ("x70", "x71", "x90"))
+
+
+def test_caller_orders_are_validated_at_every_size():
+    # 600 elements, past the old 512-element validation bound
+    with pytest.raises(PartialOrderViolation) as e:
+        build_poset(range(600), lambda a, b: b - a in (0, 1))
+    assert (e.value.axiom, e.value.witness) == ("transitivity", (0, 1, 2))
+    with pytest.raises(PartialOrderViolation) as e:
+        build_poset(range(600), lambda a, b: a <= b or (a, b) == (599, 0))
+    assert (e.value.axiom, e.value.witness) == ("antisymmetry", (0, 599))
+
+
+def test_unhashable_labels_are_a_typed_error():
+    with pytest.raises(InvalidParameter, match=r"hashable, got \[2\]"):
+        build_poset([(1,), [2], [3]], lambda a, b: a == b)
+    # an exception of the caller's leq propagates unchanged
+    with pytest.raises(ZeroDivisionError):
+        build_poset([0, 1, 2], lambda a, b: b % a == 0)
+
+
+@pytest.fixture
+def self_checks(monkeypatch):
+    """Counts the order validations and the Z M = I checks of the poset layer."""
+    counts = Counter()
+    validate, require_equal = poset._validate_order, poset._require_equal
+
+    def counted_validate(labels, m):
+        counts["order"] += 1
+        validate(labels, m)
+
+    def counted_require_equal(a, b, identity):
+        counts[identity] += 1
+        require_equal(a, b, identity)
+
+    monkeypatch.setattr(poset, "_validate_order", counted_validate)
+    monkeypatch.setattr(poset, "_require_equal", counted_require_equal)
+    return counts
+
+
+@pytest.mark.parametrize("build, states", [
+    (lambda: subset_lattice(8), 256),
+    (lambda: subset_lattice(9), 512),
+    (lambda: partition_lattice(6), 203),
+    (lambda: partition_lattice(7), 877),
+    (lambda: multiallelic_kernels(moran_law(4), 3), 256),
+    (lambda: multiallelic_kernels(moran_law(3), 6), 343),
+], ids=["subsets-8", "subsets-9", "partitions-6", "partitions-7", "T3-N4", "T6-N3"])
+def test_library_orders_are_self_checked_up_to_256_states(self_checks, build, states):
+    assert len(build().pair.poset) == states
+    assert self_checks == (Counter({"order": 1, "Z M = I": 1}) if states <= 256 else Counter())
+
+
+def test_enumeration_compares_every_representative_up_to_256_subsets(monkeypatch):
+    reps = []
+    class_counts = coarse_graining._class_counts
+
+    def counted(hits, classes, size):
+        reps.append(len(hits))
+        return class_counts(hits, classes, size)
+
+    monkeypatch.setattr(coarse_graining, "_class_counts", counted)
+    coarse_set_matrices_enumerated(8)
+    assert sum(reps) == 2 * 2 ** 8  # every subset, once for up-sets and once for down-sets
+    reps.clear()
+    coarse_set_matrices_enumerated(9)
+    assert max(reps) == 2 and sum(reps) == 2 * (2 * 10 - 2)  # one for the empty and for the full set
+
+
+def test_caller_and_product_orders_are_always_validated(self_checks):
+    build_poset(range(600), lambda a, b: a <= b)
+    assert self_checks["order"] == 1
+    product_poset(chain(20), chain(30))  # 600 elements
+    assert self_checks["order"] == 4
 
 
 def test_index_order_is_stable_linear_extension():
