@@ -9,6 +9,7 @@ overrides the default cap on constructed state-space sizes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -378,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(0), required=True)
     p.add_argument("--emit", choices=("zeta", "moebius"), default="zeta")
     common(p)
-    p.set_defaults(fn=cmd_lattice)
 
     p = sub.add_parser("duality", help="positivity certificate for a kernel")
     p.add_argument("--n", type=_at_least(0), required=True)
@@ -389,20 +389,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--kernel", required=True, help="JSON file with p/q entries")
     common(p)
-    p.set_defaults(fn=cmd_duality)
 
     p = sub.add_parser("coarsen", help="coarse zeta/Moebius matrices")
     p.add_argument("family", choices=("sets", "partitions"))
     p.add_argument("--n", type=_at_least(0), required=True)
     common(p)
-    p.set_defaults(fn=cmd_coarsen)
 
     p = sub.add_parser("cannings", help="population model kernels and verification")
     p.add_argument("--model", choices=("wf", "moran"), required=True)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--T", type=int, default=1, help="1 = haploid, >= 2 = multi-allelic")
     common(p)
-    p.set_defaults(fn=cmd_cannings)
 
     p = sub.add_parser("simulate", help="Monte Carlo duality estimates")
     p.add_argument("--model", choices=("wf", "moran"), default="wf")
@@ -415,24 +412,30 @@ def build_parser() -> argparse.ArgumentParser:
         "--dual-start", type=_at_least(0), required=True, help="backward start cardinality"
     )
     common(p)
-    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify-all", help="run the full verification suite")
     p.add_argument("--max-n", type=_at_least(0), default=4)
     common(p)
-    p.set_defaults(fn=cmd_verify_all)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built by the first ``main`` call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command; callable repeatedly in one process, with one parser."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
+    # looked up per call, so that a wrapped or patched cmd_* is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return command(args)
     except SizeOverflow as exc:
         print(json.dumps({"error": "size-cap", "detail": str(exc)}), file=sys.stderr)
         return EXIT_SIZE

@@ -38,7 +38,7 @@ __all__ = [
 
 MAX_STATES = 4096  # default state cap; ``cap=`` and MOEBIUS_DUAL_MAX_STATES override it
 _SELF_CHECK_STATES = 256  # the library self-checks what it builds up to this many states
-_BLOCK_BYTES = 1 << 20  # packed row bytes per block of the transitivity test
+_BLOCK_BYTES = 1 << 20  # packed row bytes per block of the order validation
 
 
 @dataclass(frozen=True)
@@ -100,31 +100,48 @@ class ZetaPair:
         return self.moebius.T
 
 
+def _row_blocks(weights: np.ndarray, limit: int):
+    """Consecutive row ranges (r0, r1) whose weights add up to at most
+    ``limit``; a row that alone weighs more is a block of its own."""
+    ends = np.cumsum(weights)
+    r0, done = 0, 0
+    while r0 < len(ends):
+        r1 = max(r0 + 1, int(np.searchsorted(ends, done + limit, side="right")))
+        yield r0, r1
+        r0, done = r1, int(ends[r1 - 1])
+
+
 def _validate_order(labels, m: np.ndarray) -> None:
     """Raise PartialOrderViolation at the first failing axiom, in the order
-    reflexivity, antisymmetry, transitivity, with its first row-major witness."""
+    reflexivity, antisymmetry, transitivity, with its first row-major witness.
+    The comparable pairs are taken over blocks of rows, in row order, so that
+    their index arrays stay bounded."""
     n = len(labels)
     diag = np.diagonal(m)
     if not diag.all():
         raise PartialOrderViolation("reflexivity", (labels[int(np.argmin(diag))],))
-    ii, jj = np.divmod(np.flatnonzero(m), n)  # the pairs i <= j, row-major
-    both = m[jj, ii] & (ii != jj)
-    if both.any():
-        k = int(np.argmax(both))
-        raise PartialOrderViolation("antisymmetry", (labels[ii[k]], labels[jj[k]]))
     # transitive iff up(j) is a subset of up(i) for every pair i <= j: the rows
-    # packed into bytes, compared over bounded blocks of pairs
+    # packed into bytes, compared over blocks of pairs of bounded bytes
     up = np.packbits(m, axis=1)
-    step = max(1, _BLOCK_BYTES // max(up.shape[1], 1))
-    for s in range(0, len(ii), step):
-        bad = np.take(up, jj[s:s + step], axis=0) & ~np.take(up, ii[s:s + step], axis=0)
-        if bad.any():
-            # pairs run row-major: the first row i with a violation, its first
-            # k out of reach, then the first j in between
-            i = int(ii[s + int(np.argmax(bad.any(axis=1)))])
-            k = int(np.argmax(m[m[i]].any(axis=0) & ~m[i]))
-            j = int(np.argmax(m[i] & m[:, k]))
-            raise PartialOrderViolation("transitivity", (labels[i], labels[j], labels[k]))
+    limit = max(1, _BLOCK_BYTES // max(up.shape[1], 1))
+    intransitive = None  # the first row i with a pair i <= j, up(j) not in up(i)
+    for r0, r1 in _row_blocks(m.sum(axis=1), limit):
+        ii, jj = np.divmod(np.flatnonzero(m[r0:r1]), n)  # the pairs i <= j, row-major
+        ii += r0
+        both = m[jj, ii] & (ii != jj)
+        if both.any():
+            k = int(np.argmax(both))
+            raise PartialOrderViolation("antisymmetry", (labels[ii[k]], labels[jj[k]]))
+        if intransitive is None:
+            bad = np.take(up, jj, axis=0) & ~np.take(up, ii, axis=0)
+            if bad.any():
+                intransitive = int(ii[int(np.argmax(bad.any(axis=1)))])
+    if intransitive is not None:
+        # its first k out of reach, then the first j in between
+        i = intransitive
+        k = int(np.argmax(m[m[i]].any(axis=0) & ~m[i]))
+        j = int(np.argmax(m[i] & m[:, k]))
+        raise PartialOrderViolation("transitivity", (labels[i], labels[j], labels[k]))
 
 
 def _stable_toposort(m: np.ndarray):

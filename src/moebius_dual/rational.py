@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import re
 from fractions import Fraction
 from numbers import Rational
 
@@ -26,18 +27,40 @@ __all__ = ["RationalMatrix", "parse_fraction", "format_fraction"]
 _INT64_MAX = 2**63 - 1
 
 
+# an entry string once stripped: Fraction's string grammar without its decimal
+# and exponent forms
+_ENTRY = re.compile(r"([-+]?\d+(?:_\d+)*)(?:/(\d+(?:_\d+)*))?")
+
+
+def _parse_entry(s: str):
+    """The integer pair (p, q) of an entry string, q > 0, not reduced."""
+    s = s.strip()
+    if "." in s or "e" in s or "E" in s:
+        raise NonRationalEntry(f"decimal notation {s!r} rejected; use \"p/q\"")
+    m = _ENTRY.fullmatch(s)
+    try:
+        if m and (q := int(m[2] or 1)):
+            return int(m[1]), q
+    except ValueError:  # past int()'s limit of 4,300 decimal digits
+        pass
+    raise NonRationalEntry(f"cannot parse rational {s!r}")
+
+
 def parse_fraction(s):
-    """Parse a ``"p/q"`` or ``"p"`` string into a Fraction."""
+    """Parse a ``"p/q"`` or ``"p"`` string into a Fraction.
+
+    The accepted grammar, once surrounding whitespace is stripped: an
+    optional sign, then digits, then optionally ``/`` and digits, with no
+    space around the slash.  Digits are any Unicode decimal digits, with
+    single underscores between them as in PEP 515.  A string holding ``.``,
+    ``e`` or ``E`` is rejected as decimal notation; any other string outside
+    the grammar, a zero denominator or a number past Python's limit of 4,300
+    decimal digits is rejected as unparsable.  Both raise NonRationalEntry.
+    """
     if isinstance(s, Rational):
         return Fraction(s)
     if isinstance(s, str):
-        s = s.strip()
-        if "." in s or "e" in s or "E" in s:
-            raise NonRationalEntry(f"decimal notation {s!r} rejected; use \"p/q\"")
-        try:
-            return Fraction(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise NonRationalEntry(f"cannot parse rational {s!r}") from exc
+        return Fraction(*_parse_entry(s))
     raise NonRationalEntry(f"not an exact rational: {s!r}")
 
 
@@ -51,25 +74,27 @@ def format_fraction(x: Fraction) -> str:
     return _format(*Fraction(x).as_integer_ratio())
 
 
-def _coerce(value):
-    """The input gate: an exact rational as an int or a Fraction."""
+def _ratio(value):
+    """The input gate: an exact rational as integers (p, q), q > 0."""
     if isinstance(value, (bool, float)):  # checked before int, of which bool is a subclass
         raise NonRationalEntry(f"{type(value).__name__} entry {value!r} rejected; "
                                "supply exact rationals")
     if isinstance(value, (int, Fraction)):
-        return value
+        return value.as_integer_ratio()
     if isinstance(value, str):
-        return parse_fraction(value)
+        return _parse_entry(value)
+    if isinstance(value, np.integer):
+        return int(value), 1
     if isinstance(value, Rational):
-        return int(value) if isinstance(value, np.integer) else Fraction(value)
+        return Fraction(value).as_integer_ratio()
     raise NonRationalEntry(f"not an exact rational: {value!r}")
 
 
 def _from_values(values, shape):
     """Numerator array and common denominator of a flat list of entries."""
-    vals = [v if type(v) is int else _coerce(v) for v in values]
-    den = math.lcm(*[v.denominator for v in vals])
-    nums = [v.numerator * (den // v.denominator) for v in vals]
+    pairs = [(v, 1) if type(v) is int else _ratio(v) for v in values]
+    den = math.lcm(*[q for _, q in pairs])
+    nums = [p * (den // q) for p, q in pairs]
     bound = max(map(abs, nums), default=0)
     return np.array(nums, dtype=np.int64 if bound <= _INT64_MAX else object).reshape(shape), den
 
@@ -241,7 +266,7 @@ class RationalMatrix:
         return self + other.scale(-1)
 
     def scale(self, c) -> "RationalMatrix":
-        p, q = _coerce(c).as_integer_ratio()
+        p, q = _ratio(c)
         return RationalMatrix._wrap(_ints(self._num, _bound(self._num) * max(1, abs(p))) * p,
                                     self._den * q)
 

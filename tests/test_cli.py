@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from moebius_dual import RationalMatrix
+from moebius_dual import RationalMatrix, cli
 from moebius_dual.cli import main
 
 
@@ -130,8 +130,6 @@ def test_verify_all_passes(capsys):
 
 
 def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
-    import moebius_dual.cli as cli
-
     def refuse(n):
         raise AssertionError(f"subset_lattice({n}) built past the cap")
 
@@ -150,8 +148,6 @@ def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
     ["verify-all", "--max-n"],
 ])
 def test_huge_subset_counts_exit_on_the_cap(command, capsys, monkeypatch):
-    import moebius_dual.cli as cli
-
     def refuse(n):
         raise AssertionError(f"subset_lattice({n}) built past the cap")
 
@@ -170,8 +166,6 @@ def test_huge_subset_counts_exit_on_the_cap(command, capsys, monkeypatch):
 
 
 def test_huge_partition_counts_exit_on_the_bell_bound(capsys, monkeypatch):
-    import moebius_dual.cli as cli
-
     def refuse(n):
         raise AssertionError(f"partition_lattice({n}) built past the cap")
 
@@ -249,6 +243,46 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert code == 2, argv
         assert out == "" and "Traceback" not in err and "size-cap" not in err
         assert name in err, argv
+
+
+def test_main_builds_one_parser_per_process(capsys, monkeypatch):
+    built = []
+
+    def counted():
+        built.append(1)
+        return build_parser()
+
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        outputs = [run(["lattice", "subsets", "--n", "2"], capsys) for _ in range(3)]
+        run(["coarsen", "sets", "--n", "2"], capsys)
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+    assert outputs[0][0] == 0 and outputs[1:] == outputs[:-1]
+
+
+def test_main_runs_the_command_bound_when_it_is_called(capsys, monkeypatch):
+    # a parser kept from an earlier call must not keep the cmd_* it saw then
+    assert run(["coarsen", "sets", "--n", "2"], capsys)[0] == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_coarsen", lambda args: seen.append(args.n) or 0)
+    assert run(["coarsen", "sets", "--n", "3"], capsys) == (0, "", "")
+    assert seen == [3]
+
+
+def test_failed_parse_and_help_leave_the_parser_reusable(capsys):
+    missing = ["duality", "--n", "2", "--kernel"]
+    first = run(["lattice", "subsets", "--n", "2"], capsys)
+    bad = run(missing, capsys)
+    helped = run(["duality", "--help"], capsys)
+    assert bad[0] == 2 and "--kernel" in bad[2]
+    assert helped[0] == 0 and "--variant" in helped[1]
+    assert run(["lattice", "subsets", "--n", "2"], capsys) == first
+    assert run(missing, capsys) == bad
+    assert run(["duality", "--help"], capsys) == helped
 
 
 def kernel_file(tmp_path, name, doc):

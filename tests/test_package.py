@@ -2,6 +2,8 @@ import ast
 import inspect
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -138,6 +140,52 @@ def test_offspring_laws_are_read_through_their_fields():
                for field in ("id", "attr", "name"))
     ]
     assert found == []
+
+
+def _calls_in(tree, function):
+    """Names called inside the top-level function ``function`` of a module."""
+    body = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return {node.func.id for node in ast.walk(body)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+
+
+def test_cli_dispatches_on_the_command_name():
+    # a parser reused across main calls must not hold the cmd_* functions it
+    # saw when it was built, so no subparser binds one as a default
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(dict(_source_trees())["cli.py"])
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "set_defaults" and any(k.arg == "fn" for k in node.keywords)
+    ]
+    assert found == []
+
+
+def test_entry_strings_become_integer_pairs_without_fraction():
+    tree = dict(_source_trees())["rational.py"]
+    for function in ("_from_values", "_parse_entry"):
+        assert "Fraction" not in _calls_in(tree, function), function
+    assert "_parse_entry" in _calls_in(tree, "_ratio")
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "import moebius_dual.cli\n"
+        "print(len(built))\n"
+        "moebius_dual.cli.main(['--help'])\n"
+        "print(len(built))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(SOURCE_DIR, os.pardir),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.split("\n")
+    assert lines[0] == "0" and int(lines[-2]) > 0
 
 
 # Every identity name the library checks.  Dropping or renaming a check must

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -99,19 +100,66 @@ def relations(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(relations())
-def test_packed_validation_matches_the_dense_reference(m):
-    assert validation_outcome(poset._validate_order, m) == validation_outcome(dense_validate_order, m)
+@given(relations(), st.integers(1, 64))
+def test_packed_validation_matches_the_dense_reference(m, block_bytes):
+    expected = validation_outcome(dense_validate_order, m)
+    assert validation_outcome(poset._validate_order, m) == expected
+    # again over blocks of a few rows each, so that most violations lie in a later block
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset, "_BLOCK_BYTES", block_bytes)
+        assert validation_outcome(poset._validate_order, m) == expected
 
 
 def test_packed_validation_finds_a_violation_in_a_later_pair_block(monkeypatch):
-    # 100 elements pack into 13 bytes per row, so each block holds three pairs;
-    # the missing pair lies past the first 64 columns
+    # 100 elements pack into 13 bytes per row, so a block holds at most three
+    # pairs, and each row of the chain is a block of its own; the missing pair
+    # lies past the first 64 columns
     monkeypatch.setattr(poset, "_BLOCK_BYTES", 3 * 13)
     m = np.triu(np.ones((100, 100), dtype=bool))
     m[70, 90] = False
     assert validation_outcome(poset._validate_order, m) == ("transitivity", ("x70", "x71", "x90"))
     assert validation_outcome(dense_validate_order, m) == ("transitivity", ("x70", "x71", "x90"))
+
+
+def test_antisymmetry_in_a_later_block_precedes_an_earlier_intransitive_row(monkeypatch):
+    monkeypatch.setattr(poset, "_BLOCK_BYTES", 13)  # 100 elements: one row per block
+    m = np.triu(np.ones((100, 100), dtype=bool))
+    m[10, 20] = False
+    m[95, 80] = True
+    assert validation_outcome(poset._validate_order, m) == ("antisymmetry", ("x80", "x95"))
+    m[95, 80] = False
+    assert validation_outcome(poset._validate_order, m) == ("transitivity", ("x10", "x11", "x20"))
+
+
+def test_small_orders_are_validated_in_one_block(monkeypatch):
+    blocks = []
+
+    def recorded(weights, limit):
+        found = list(row_blocks(weights, limit))
+        blocks.append(found)
+        return found
+
+    row_blocks = poset._row_blocks
+    monkeypatch.setattr(poset, "_row_blocks", recorded)
+    for n in (30, 72):
+        divisibility(n)
+        chain(n)
+    subset_lattice(8)  # the largest library order that is validated
+    assert blocks == [[(0, n)] for n in (30, 30, 72, 72, 256)]
+
+
+def test_validation_memory_is_bounded_by_blocks_of_rows():
+    # a 4,096-element chain has 8.4 million comparable pairs, whose int64
+    # index arrays alone would take 192 MB at once
+    m = np.triu(np.ones((4096, 4096), dtype=bool))
+    labels = tuple(range(4096))
+    tracemalloc.start()
+    try:
+        poset._validate_order(labels, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
 
 
 def test_caller_orders_are_validated_at_every_size():

@@ -1,14 +1,17 @@
+import json
 import math
 import operator
 import re
 from fractions import Fraction
+from numbers import Rational
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebius_dual import RationalMatrix, format_fraction, parse_fraction
+from moebius_dual import RationalMatrix, format_fraction, parse_fraction, rational
 from moebius_dual.errors import InvalidParameter, NonRationalEntry, SingularMatrix
 
 
@@ -104,6 +107,56 @@ def test_csv_roundtrip():
     assert RationalMatrix.from_csv(a.to_csv()) == a
     labelled = a.to_csv(row_labels=["r0", "r1"], col_labels=["c0", "c1"])
     assert RationalMatrix.from_csv(labelled, has_labels=True) == a
+
+
+def fraction_gate(s):
+    """The string gate as it was before entries were parsed without Fraction:
+    the same checks around Fraction's own string parser."""
+    if isinstance(s, Rational):
+        return Fraction(s)
+    if isinstance(s, str):
+        s = s.strip()
+        if "." in s or "e" in s or "E" in s:
+            raise NonRationalEntry(f"decimal notation {s!r} rejected; use \"p/q\"")
+        try:
+            return Fraction(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise NonRationalEntry(f"cannot parse rational {s!r}") from exc
+    raise NonRationalEntry(f"not an exact rational: {s!r}")
+
+
+def outcome(build):
+    try:
+        return "value", build()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_parsed_as_fraction_parses(s):
+    assert outcome(lambda: parse_fraction(s)) == outcome(lambda: fraction_gate(s))
+    # each matrix entry point against itself with Fraction's parser as the gate
+    builds = (lambda: RationalMatrix([[s, "1/3"]]),
+              lambda: RationalMatrix.from_json(json.dumps({"entries": [[s]]})),
+              lambda: RationalMatrix.from_csv(f"1/3,{s}\n"))
+    found = [outcome(build) for build in builds]
+    with mock.patch.object(rational, "_parse_entry",
+                           lambda t: fraction_gate(t).as_integer_ratio()):
+        assert found == [outcome(build) for build in builds]
+
+
+@pytest.mark.parametrize("s", [
+    "3/-4", "3 /4", "3/ 4", "1/0", "0/0", "1_0/2_0", "1__0", "_1", "1_", "1/_2", "+", "-", "",
+    " \t", "-0/5", "+7", "2/4", " -\u0661\u0662/\u0663\t", "1.5", "1e3", "1E3", "nan", "inf",
+    "9" * 5000, "9" * 4300, "-" + "9" * 4300, "1/" + "9" * 4301, "1_" * 4300 + "1",
+], ids=lambda s: s if len(s) < 20 else f"{len(s)} characters")
+def test_entry_strings_parse_as_fraction_parses_them(s):
+    assert_parsed_as_fraction_parses(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789\u0661\u0662+-/_.eE \t", max_size=12))
+def test_any_entry_string_parses_as_fraction_parses_it(s):
+    assert_parsed_as_fraction_parses(s)
 
 
 small_fractions = st.fractions(
