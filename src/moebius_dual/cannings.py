@@ -21,24 +21,19 @@ from itertools import accumulate, product
 
 import numpy as np
 
-from .coarse_graining import (
-    EquivalenceRelation,
-    CoarseDualityResult,
-    coarse_duality_pipeline,
-)
-from .duality import DualityVariant, Kernel
+from .coarse_graining import EquivalenceRelation, CoarseDualityResult, _coarsen_pair
+from .duality import DualityVariant, Kernel, h_dual
 from .errors import (
     InvalidOffspringLaw,
     InvalidParameter,
     NotExchangeable,
     SizeOverflow,
-    VerificationFailure,
     _check_range,
     _require,
 )
 from .lattices import _flatten, _subset_order
 from .poset import MAX_STATES, ZetaPair, _library_pair
-from .rational import _INT64_MAX, RationalMatrix, _bound, _require_equal
+from .rational import _INT64_MAX, RationalMatrix, _require_equal
 
 __all__ = [
     "OffspringLaw",
@@ -431,8 +426,9 @@ def _partial_states(n: int, t: int):
 
 def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) -> MultiAllelicKernels:
     """Exact forward and backward kernels for T >= 1 allele types, with the
-    transpose-zeta duality Z' Q' = P Z' verified entry by entry by
-    componentwise inclusion-exclusion.  T = 1 is the haploid model."""
+    transpose-zeta duality Z' Q' = P Z' verified: the counted Q must equal
+    h_dual's (M' P Z')', which checks Z' M' = I first, at every size.
+    T = 1 is the haploid model."""
     if t < 1:
         raise InvalidParameter(f"population model: T must be >= 1, got {t}")
     n = law.ground_size
@@ -458,7 +454,10 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) ->
     # forward kernel restricted to covering states is stochastic on them
     p_k = Kernel.of(p_ext[covering, :][:, covering])
     _require(p_k.is_stochastic, "P on covering states stochastic")
-    _verify_multiallelic_duality(pair, p_ext, q)
+    dual = h_dual(p_ext_k, *DualityVariant.ZETA_TRANSPOSE.h_pair(pair))
+    # the witness is the first pair of states (J, K) where Q(J, K) is off
+    _require(q == dual, "Z' Q' = P Z'",
+             lambda: tuple(pair.poset.elements[i] for i in q._first_difference(dual)))
 
     return MultiAllelicKernels(
         law=law,
@@ -472,41 +471,14 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) ->
     )
 
 
-def _verify_multiallelic_duality(pair: ZetaPair, p_ext, q) -> None:
-    """Z' Q' = P Z' entry by entry: each Q(J, K) is the inclusion-exclusion
-    of P over the states above J and below K, with no matrix product.  The
-    coarsener checks the same Q once more against the pipeline's
-    (M' P Z')', whose Z' M' = I h_dual verifies."""
-    poset = pair.poset
-    size = len(poset)
-    # both sides as integer numerators over the one denominator lcm(den P, den Q),
-    # in int64 when no partial sum below can leave it
-    den = math.lcm(p_ext._den, q._den)
-    bound = max(_bound(p_ext._num) * (den // p_ext._den), _bound(q._num) * (den // q._den))
-    dtype = np.int64 if bound * size * size <= _INT64_MAX else object
-    pa = p_ext._num.astype(dtype) * (den // p_ext._den)
-    qa = q._num.astype(dtype) * (den // q._den)
-    signs = np.array([(-1) ** sum(m.bit_count() for m in s) for s in poset.elements])
-    # super_sums[l, j] = (-1)^|L| times the sum of P(L, M) over states M componentwise above J
-    super_sums = np.stack([pa[:, poset.up_idx(j)].sum(axis=1) for j in range(size)], axis=1)
-    super_sums *= signs[:, None]
-    # alternating[j, k] = (-1)^|K| times the sum of super_sums[L, J] over states L below K
-    alternating = np.stack([super_sums[poset.down_idx(k)].sum(axis=0) for k in range(size)],
-                           axis=1)
-    alternating *= signs
-    wrong = np.argwhere(alternating != qa)
-    if len(wrong):
-        j, k = wrong[0].tolist()
-        raise VerificationFailure("Q(J, K) = inclusion-exclusion of P",
-                                  (poset.elements[j], poset.elements[k]))
-
-
 def coarsen_multiallelic(ma: MultiAllelicKernels) -> CoarseDualityResult:
     """Type-count coarse-graining of the multi-allelic dual pair; the classes
     of the result's ``rel`` are the type-count vectors, in coarse index order.
 
-    Verifies the multinomial class sizes, the product-binomial closed form
-    of the transformed coarse H, and the direct forward formula
+    The fine dual is the builder's Q, which the builder has checked against
+    h_dual, so no second dual is formed.  Verifies the multinomial class
+    sizes, the product-binomial closed form of the transformed coarse H,
+    and the direct forward formula
     P(dvec, evec) = prob(type-t parents have e_t children for every t).
     At T = 1 these are the binomial class sizes, the hypergeometric matrix
     and the classical frequency chain; the haploid model further checks the
@@ -520,8 +492,7 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> CoarseDualityResult:
     rel = EquivalenceRelation.from_function(
         poset.elements, lambda s: tuple(m.bit_count() for m in s)
     )
-    res = coarse_duality_pipeline(ma.p_ext, ma.pair, DualityVariant.ZETA_TRANSPOSE, rel)
-    _require_equal(res.q, ma.q.matrix, "pipeline Q = builder Q")
+    res = _coarsen_pair(ma.p_ext, ma.q, *DualityVariant.ZETA_TRANSPOSE.h_pair(ma.pair), rel)
 
     classes = rel.class_labels
     sizes = tuple(_multinomial_class_size(n, evec) for evec in classes)

@@ -220,8 +220,8 @@ def cmd_cannings(args) -> int:
     report = {"model": args.model, "N": args.N, "T": args.T,
               "forward_stochastic": ma.p_ext.is_stochastic}
     if haploid:
-        # the builder has verified the duality by inclusion-exclusion, and the
-        # coarsener has matched its Q to the pipeline's (H^-1 P H)'
+        # the builder has matched its counted Q to h_dual's (M' P Z')', and the
+        # coarsener has coarse-grained that one verified Q
         report["backward_stochastic"] = ma.q.is_stochastic
         report["transpose_zeta_duality"] = True
     else:
@@ -312,7 +312,7 @@ def _verification_suite(max_n: int):
     def _():
         for n in range(2, min(max_n, 4) + 1):
             for law in (wright_fisher_law(n), moran_law(n)):
-                multiallelic_kernels(law, 1)  # verifies Z' Q' = P Z' by inclusion-exclusion
+                multiallelic_kernels(law, 1)  # verifies Z' Q' = P Z' against h_dual
 
     @add(f"coarse Cannings pipeline and hypergeometric forms, N <= {min(max_n, 4)}")
     def _():

@@ -324,17 +324,25 @@ def coarse_duality_pipeline(
 ) -> CoarseDualityResult:
     """Coarse-grain a dual pair and restore stochasticity with class sizes.
 
-    Requires H, H^{-1} and P compatible with the relation.  The coarse dual
-    uses source-column sums; dividing by class sizes on the left and
-    multiplying on the right yields a kernel verified to satisfy the coarse
-    duality and to inherit (sub)stochasticity from the fine dual.
+    Forms the fine dual Q of P with h_dual, which checks H H^{-1} = I, then
+    coarse-grains the pair.  Requires H, H^{-1} and P compatible with the
+    relation.  The coarse dual uses source-column sums; dividing by class
+    sizes on the left and multiplying on the right yields a kernel verified
+    to satisfy the coarse duality and to inherit (sub)stochasticity from the
+    fine dual.
     """
     if tuple(rel.elements) != tuple(zp.poset.elements):
         raise InvalidParameter("coarse_duality_pipeline: rel elements must match the zp poset "
                                "index order")
     h, h_inv = variant.h_pair(zp)
     # h_dual checks H H^-1 = I first, so a wrong H^-1 fails as that identity
-    q = h_dual(p, h, h_inv)
+    return _coarsen_pair(p, Kernel.of(h_dual(p, h, h_inv)), h, h_inv, rel)
+
+
+def _coarsen_pair(p: Kernel, q: Kernel, h: RationalMatrix, h_inv: RationalMatrix,
+                  rel: EquivalenceRelation) -> CoarseDualityResult:
+    """The pipeline after the dual: coarse-grain P and its verified fine dual Q
+    (Q' = H^{-1} P H, with H H^{-1} = I already checked) over ``rel``."""
     named = [("H", h), ("H_inverse", h_inv), ("P", p.matrix)]
     coarse = {}
     for name, mat in named:
@@ -348,7 +356,7 @@ def coarse_duality_pipeline(
                    "coarse H coarse H^-1 = I")
 
     # source-column sums: the row-sum coarsening of the transpose
-    q_res = check_compatibility(q.T, rel)
+    q_res = check_compatibility(q.matrix.T, rel)
     _require(q_res.compatible, "Q' compatible with the relation", q_res.witness)
     q_coarse = q_res.coarse.T
 
@@ -363,15 +371,14 @@ def coarse_duality_pipeline(
                    "coarse H Q' = P H")
     if p.is_stochastic:
         _require(p_coarse.is_stochastic, "P stochastic => coarse P stochastic")
-    q_kernel = Kernel.of(q)
-    if q_kernel.is_stochastic:
+    if q.is_stochastic:
         _require(q_coarse_hh.is_stochastic, "Q stochastic => coarse Q stochastic")
-    elif q_kernel.is_substochastic:
+    elif q.is_substochastic:
         _require(q_coarse_hh.is_substochastic, "Q substochastic => coarse Q substochastic")
 
     return CoarseDualityResult(
         rel=rel,
-        q=q,
+        q=q.matrix,
         p_coarse=p_coarse,
         h_coarse=coarse["H"],
         h_hat=tuple(h_hat),

@@ -19,6 +19,8 @@ cross-checked against exact Gaussian elimination in the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -79,14 +81,35 @@ class FinitePoset:
         return list(zip(ii.tolist(), jj.tolist()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ZetaPair:
-    """A poset together with its zeta matrix, Moebius matrix and mu values."""
+    """A poset together with its zeta matrix, Moebius matrix and mu values.
+
+    ``mu`` is read off ``moebius`` on first use, so it follows the matrix
+    through ``dataclasses.replace``; a ``mu`` dict given to the constructor
+    is taken as it is.
+    """
 
     poset: FinitePoset
     zeta: RationalMatrix
     moebius: RationalMatrix
-    mu: dict  # (label a, label b) with a <= b  ->  int
+
+    def __init__(self, poset: FinitePoset, zeta: RationalMatrix, moebius: RationalMatrix,
+                 mu: dict | None = None):
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "zeta", zeta)
+        object.__setattr__(self, "moebius", moebius)
+        if mu is not None:
+            self.__dict__["mu"] = mu
+
+    @cached_property
+    def mu(self) -> dict:
+        """(label a, label b) with a <= b  ->  mu(a, b), in row-major index order."""
+        ii, jj = np.nonzero(self.poset.matrix)
+        num, den = self.moebius._num[ii, jj].tolist(), self.moebius._den
+        labels = self.poset.elements
+        return {(labels[i], labels[j]): v if den == 1 else Fraction(v, den)
+                for i, j, v in zip(ii.tolist(), jj.tolist(), num)}
 
     def mu_value(self, a, b) -> int:
         return self.mu[(a, b)]
@@ -213,7 +236,8 @@ def zeta_matrix(p: FinitePoset) -> RationalMatrix:
 
 
 def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
-    """Zeta matrix, its exact inverse and the integer mu, via the recursion."""
+    """Zeta matrix and its exact inverse, via the recursion; the pair reads
+    the integer mu off the inverse when it is first asked for."""
     n = len(p)
     z = zeta_matrix(p)
     # (b, c) for every c < b, grouped by b with c ascending: the index order
@@ -238,11 +262,7 @@ def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
     moeb = RationalMatrix._wrap(num, 1)
     if verify:
         _require_equal(z @ moeb, RationalMatrix.identity(n), "Z M = I")
-    ii, jj = np.nonzero(p.matrix)
-    labels = p.elements
-    mu = {(labels[i], labels[j]): v
-          for i, j, v in zip(ii.tolist(), jj.tolist(), num[ii, jj].tolist())}
-    return ZetaPair(poset=p, zeta=z, moebius=moeb, mu=mu)
+    return ZetaPair(poset=p, zeta=z, moebius=moeb)
 
 
 def _library_pair(labels: tuple, m: np.ndarray) -> ZetaPair:

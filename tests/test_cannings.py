@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import pytest
 
 from moebius_dual import (
-    Kernel,
     OffspringLaw,
     RationalMatrix,
     build_poset,
@@ -34,12 +33,8 @@ from moebius_dual import (
     subset_lattice,
     wright_fisher_law,
 )
-from moebius_dual import cannings
-from moebius_dual.cannings import (
-    _block_forward,
-    _partial_states,
-    _verify_multiallelic_duality,
-)
+from moebius_dual import cannings, coarse_graining
+from moebius_dual.cannings import _block_forward, _partial_states
 from moebius_dual.errors import (
     InvalidOffspringLaw,
     InvalidParameter,
@@ -351,30 +346,71 @@ def test_backward_kernel_hand_values():
     assert hap.q.matrix[idx[(0,)], idx[(0,)]] == 1
 
 
-def test_duality_both_routes():
+def test_builder_checks_its_counted_q_against_h_dual(monkeypatch):
+    # the builder forms one dual, h_dual's (M' P Z')', and matches its counted Q to it
+    calls = []
+    h_dual = cannings.h_dual
+    monkeypatch.setattr(cannings, "h_dual", lambda *args: calls.append(1) or h_dual(*args))
     for law in (wright_fisher_law(2), wright_fisher_law(3), moran_law(3), identity_law(3)):
-        hap = haploid(law)
-        _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, hap.q.matrix)
-    # a wrong dual fails the check
-    hap = haploid(wright_fisher_law(3))
-    with pytest.raises(VerificationFailure) as exc:
-        _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix.identity(8))
-    assert exc.value.identity == "Q(J, K) = inclusion-exclusion of P"
+        haploid(law)
+    multiallelic_kernels(MIXED_LAW, 2)
+    assert len(calls) == 5
     ident = haploid(identity_law(2))
     assert ident.p_ext.matrix == RationalMatrix.identity(4)
     assert ident.q.matrix == RationalMatrix.identity(4)
 
 
 @pytest.mark.parametrize("t", [1, 2])
-def test_coarsen_catches_a_builder_q_off_in_one_entry(t):
-    # the pipeline forms its own Q = (H^-1 P H)' and matches the builder's to it
-    ma = multiallelic_kernels(wright_fisher_law(2), t)
-    size = len(ma.pair.poset)
-    bump = RationalMatrix.from_function(size, size, lambda i, j: F(1, 8) if (i, j) == (1, 1) else 0)
-    off = dataclasses.replace(ma, q=Kernel.of(ma.q.matrix + bump))
+def test_builder_rejects_a_counted_q_off_in_one_entry(monkeypatch, t):
+    # one entry of D Q lowered by 1 keeps Q substochastic, so only the duality
+    # check can see it; its witness is the pair of states (J, K) of that entry
+    counts = cannings._kernel_counts
+    off = []
+
+    def lowered(law, states, types):
+        den, p_num, q_num = counts(law, states, types)
+        q_num = q_num.copy()
+        j, k = np.argwhere(q_num > 0)[3].tolist()
+        q_num[j, k] -= 1
+        off.append((states[j], states[k]))
+        return den, p_num, q_num
+
+    monkeypatch.setattr(cannings, "_kernel_counts", lowered)
     with pytest.raises(VerificationFailure) as exc:
-        coarsen_multiallelic(off)
-    assert exc.value.identity == "pipeline Q = builder Q"
+        multiallelic_kernels(MIXED_LAW, t)
+    assert exc.value.identity == "Z' Q' = P Z'"
+    assert exc.value.witness == off[0]
+
+
+def test_builder_checks_h_h_inverse_past_256_states(monkeypatch):
+    # 343 partial states lie past the library self-check of Z M = I, and a
+    # Moebius matrix off in one entry is still caught, as Z' M' = I in h_dual
+    library_pair = cannings._library_pair
+
+    def broken(labels, m):
+        pair = library_pair(labels, m)
+        num = pair.moebius._num.copy()
+        num[0, -1] += 1
+        return dataclasses.replace(pair, moebius=RationalMatrix(num))
+
+    monkeypatch.setattr(cannings, "_library_pair", broken)
+    with pytest.raises(VerificationFailure) as exc:
+        multiallelic_kernels(moran_law(3), 6)
+    assert exc.value.identity == "H H^-1 = I"
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_coarsen_forms_no_second_dual(monkeypatch, t):
+    # the coarsener coarse-grains the builder's verified Q and never calls h_dual
+    ma = multiallelic_kernels(wright_fisher_law(2), t)
+
+    def no_dual(*args):
+        raise AssertionError("h_dual called by the coarsener")
+
+    monkeypatch.setattr(coarse_graining, "h_dual", no_dual)
+    monkeypatch.setattr(cannings, "h_dual", no_dual)
+    res = coarsen_multiallelic(ma)
+    assert res.q == ma.q.matrix
 
 
 def test_coarsen_haploid_wf2():
@@ -757,20 +793,6 @@ def test_kernel_builders_match_reference_on_a_nonexchangeable_law():
     for t in (1, 2):
         ma = multiallelic_kernels(law, t)
         assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
-
-
-def test_inclusion_exclusion_route_fires_on_its_own(monkeypatch):
-    # with the matrix route switched off, the integer inclusion-exclusion
-    # route alone rejects a Q that differs from the true one in one entry
-    hap = haploid(MIXED_LAW)
-    _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, hap.q.matrix)
-    monkeypatch.setattr(cannings, "_require_equal", lambda a, b, identity: None)
-    rows = [list(r) for r in hap.q.matrix]
-    rows[3][5] += F(1, 7)
-    with pytest.raises(VerificationFailure) as exc:
-        _verify_multiallelic_duality(hap.pair, hap.p_ext.matrix, RationalMatrix(rows))
-    assert exc.value.identity == "Q(J, K) = inclusion-exclusion of P"
-    assert exc.value.witness == (hap.pair.poset.elements[3], hap.pair.poset.elements[5])
 
 
 @pytest.mark.parametrize("t", [1, 2])

@@ -201,12 +201,12 @@ IDENTITIES = [
     "Q substochastic",
     "Q substochastic => coarse Q substochastic",
     "Q' compatible with the relation",
-    "Q(J, K) = inclusion-exclusion of P",
     "Q_h stochastic <=> Q h = h",
     "Q_h substochastic <=> Q h <= h",
     "Wright-Fisher law is exchangeable",
     "Z M = I",
     "Z nu* = g",
+    "Z' Q' = P Z'",
     "class sizes are multinomial",
     "coarse H = product-binomial form",
     "coarse H Q' = P H",
@@ -226,7 +226,6 @@ IDENTITIES = [
     "cone member g >= 0",
     "haploid Q and coarse Q stochastic",
     "partition mu = closed form",
-    "pipeline Q = builder Q",
     "rho > 0",
     "rho P = rho",
     "skeletons of the partitions = skeletons of n",

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -392,6 +393,22 @@ def test_moebius_matches_sum_recursion_on_random_dag_closures(case):
     pos = {lab: n - 1 - i for i, lab in enumerate(labels)}
     p = build_poset(labels, lambda a, b: bool(reach[pos[a], pos[b]]))
     assert_matches_reference(p)
+
+
+def test_mu_is_read_off_the_moebius_matrix_on_first_use():
+    pair = subset_lattice(3).pair
+    assert "mu" not in vars(pair)  # building the lattice built no mu dict
+    labels = pair.poset.elements
+    pairs = pair.poset.comparable_pairs()
+    assert list(pair.mu.items()) == [((labels[i], labels[j]), pair.moebius[i, j]) for i, j in pairs]
+    assert all(type(v) is int for v in pair.mu.values())
+    assert "mu" in vars(pair)
+    # a replaced Moebius matrix brings its own mu; a given mu is kept as it is
+    doubled = dataclasses.replace(pair, moebius=pair.moebius.scale(2))
+    assert list(doubled.mu.items()) == [(k, 2 * v) for k, v in pair.mu.items()]
+    assert doubled.mu_value(0, 0b111) == -2
+    given_mu = {**pair.mu, (0, 0b111): 5}
+    assert dataclasses.replace(pair, mu=given_mu).mu is given_mu
 
 
 def test_moebius_switches_to_python_ints_past_int64():
