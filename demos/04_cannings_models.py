@@ -23,8 +23,8 @@ def main():
     hap = multiallelic_kernels(law, 1)  # one type: states are carrier sets
     print("forward kernel is stochastic:", hap.p_ext.is_stochastic)
     print("backward (ancestral) kernel is stochastic:", hap.q.is_stochastic)
-    print("transpose-zeta duality Z' Q' = P Z' holds (checked entry by entry",
-          "by inclusion-exclusion while building the kernels)")
+    print("transpose-zeta duality Z' Q' = P Z' holds (checked while building",
+          "the kernels: the counted Q equals the dual (M' P Z')')")
 
     print("\n=== Coarse-graining by cardinality ===")
     mc = coarsen_multiallelic(hap)

@@ -22,7 +22,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from .coarse_graining import EquivalenceRelation, CoarseDualityResult, _coarsen_pair
-from .duality import DualityVariant, Kernel, h_dual
+from .duality import DualityVariant, Kernel, _pair_dual
 from .errors import (
     InvalidOffspringLaw,
     InvalidParameter,
@@ -31,8 +31,8 @@ from .errors import (
     _check_range,
     _require,
 )
-from .lattices import _flatten, _subset_order
-from .poset import MAX_STATES, ZetaPair, _library_pair
+from .lattices import _claw, _flatten, _subset_order
+from .poset import MAX_STATES, ZetaPair, _kron_pair, _poset_from_matrix
 from .rational import _INT64_MAX, RationalMatrix, _require_equal
 
 __all__ = [
@@ -341,6 +341,15 @@ def _atom_tables(nu):
     return fwd, anc
 
 
+def _place(n: int, t: int) -> np.ndarray:
+    """place[J] = sum over c in J of (T+1)^c, so that a state's type code
+    (its type assignment read in base T+1) is sum over t of t place[mask_t]."""
+    place = np.zeros(1 << n, dtype=np.int64)
+    for c in range(n):
+        place[1 << c:2 << c] = place[:1 << c] + (t + 1) ** c
+    return place
+
+
 def _kernel_counts(law: OffspringLaw, states, t: int):
     """D P(J, K) and D Q(J, K) on ``states`` (T-tuples of disjoint masks),
     for D the law's common denominator, as exact integer arrays.
@@ -353,9 +362,7 @@ def _kernel_counts(law: OffspringLaw, states, t: int):
     the counts are multiplied by that weight in exact integers.
     """
     n, size, nu, weights = law.ground_size, len(states), law.children, law.weights
-    place = np.zeros(1 << n, dtype=np.int64)  # sum over c in J of (T+1)^c
-    for c in range(n):
-        place[1 << c:2 << c] = place[:1 << c] + (t + 1) ** c
+    place = _place(n, t)
     masks = np.array(states, dtype=np.int64).reshape(size, t)
     types = np.arange(1, t + 1)
     index = np.zeros((t + 1) ** n, dtype=np.int64)
@@ -424,19 +431,31 @@ def _partial_states(n: int, t: int):
     return states
 
 
+def _partial_pair(n: int, t: int) -> ZetaPair:
+    """The zeta pair of the partial states, the N-fold product of the claw
+    (absent below T incomparable types), read off the claw's by
+    ``_kron_pair`` with the type code of a state as its Kronecker index."""
+    states = _partial_states(n, t)
+    # componentwise inclusion is inclusion of the flattened masks
+    poset = _poset_from_matrix(tuple(states), _subset_order([_flatten(s, n) for s in states]),
+                               validate=False)
+    codes = _place(n, t)[np.array(poset.elements, dtype=np.int64).reshape(-1, t)] @ np.arange(1, t + 1)
+    return _kron_pair(poset, (_claw(t),) * n, codes)
+
+
 def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) -> MultiAllelicKernels:
     """Exact forward and backward kernels for T >= 1 allele types, with the
     transpose-zeta duality Z' Q' = P Z' verified: the counted Q must equal
     h_dual's (M' P Z')', which checks Z' M' = I first, at every size.
-    T = 1 is the haploid model."""
+    T = 1 is the haploid model.  The zeta pair is the product pair of
+    ``_partial_pair``, so past the mode-product crossover that check and
+    its products are made factor by factor."""
     if t < 1:
         raise InvalidParameter(f"population model: T must be >= 1, got {t}")
     n = law.ground_size
     if (t + 1) ** n > cap:
         raise SizeOverflow(f"(T+1)^N = {(t + 1) ** n} partial states, cap {cap}")
-    states = _partial_states(n, t)
-    # componentwise inclusion is inclusion of the flattened masks
-    pair = _library_pair(tuple(states), _subset_order([_flatten(s, n) for s in states]))
+    pair = _partial_pair(n, t)
     covering = tuple(
         i for i, s in enumerate(pair.poset.elements)
         if sum(m.bit_count() for m in s) == n
@@ -454,7 +473,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) ->
     # forward kernel restricted to covering states is stochastic on them
     p_k = Kernel.of(p_ext[covering, :][:, covering])
     _require(p_k.is_stochastic, "P on covering states stochastic")
-    dual = h_dual(p_ext_k, *DualityVariant.ZETA_TRANSPOSE.h_pair(pair))
+    dual = _pair_dual(p_ext_k, pair, DualityVariant.ZETA_TRANSPOSE)
     # the witness is the first pair of states (J, K) where Q(J, K) is off
     _require(q == dual, "Z' Q' = P Z'",
              lambda: tuple(pair.poset.elements[i] for i in q._first_difference(dual)))

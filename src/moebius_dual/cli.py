@@ -13,6 +13,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .cannings import (
     coarsen_multiallelic,
@@ -37,7 +38,7 @@ from .duality import (
 from .errors import InvalidParameter, MoebiusDualError, SizeOverflow, VerificationFailure, _require
 from .lattices import bell_number, partition_lattice, partition_moebius_closed_form, subset_lattice
 from .poset import MAX_STATES
-from .rational import RationalMatrix, format_fraction
+from .rational import RationalMatrix, _require_equal, format_fraction
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -84,10 +85,44 @@ def _check_partition_cap(n: int):
         raise SizeOverflow(f"{states} states exceed the cap {cap}")
 
 
+def _dumps(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2, default=str)``, byte for byte, with every
+    leaf encoded by the C encoder: with an indent the stdlib falls back to its
+    pure-Python encoder.  Tuples are lists and keys are coerced as ``json``
+    coerces them."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, dict):
+        items = [f"{_encode_str(_key(k))}: {_dumps(v, depth + 1)}" for k, v in obj.items()]
+        brackets = "{}"
+    elif isinstance(obj, (list, tuple)):
+        if all(type(v) is str for v in obj):
+            items = list(map(_encode_str, obj))
+        else:
+            items = [_dumps(v, depth + 1) for v in obj]
+        brackets = "[]"
+    else:
+        return json.dumps(obj, default=str)
+    if not items:
+        return brackets
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _key(key) -> str:
+    """A dict key as ``json`` writes it: a str as it is; a bool, an int, a
+    float or None as its JSON value."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
 def _emit(args, payload, *, matrix=None, labels=None):
     """Write the payload in the requested format to --output or stdout."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2, default=str) + "\n"
+        text = _dumps(payload) + "\n"
     elif args.format == "csv":
         if matrix is None:
             raise InvalidParameter("--format csv is only available for matrix commands")
@@ -278,7 +313,7 @@ def _verification_suite(max_n: int):
     def _():
         for n in range(max_n + 1):
             pair = subset_lattice(n).pair
-            _require(pair.zeta @ pair.moebius == RationalMatrix.identity(1 << n), "Z M = I", n)
+            _require_equal(pair.zeta @ pair.moebius, RationalMatrix.identity(1 << n), "Z M = I")
 
     @add(f"subset Moebius closed form, N <= {max_n}")
     def _():

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
                      _require)
-from .poset import FinitePoset, ZetaPair
+from .poset import FinitePoset, ZetaPair, _by_modes, _times
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -71,15 +71,20 @@ class DualityVariant(Enum):
     MOEBIUS = "moebius"
     MOEBIUS_TRANSPOSE = "moebius-transpose"
 
+    @property
+    def h_ops(self):
+        """The names of (H, H^{-1}) among the pair's Z, M, Z' and M'."""
+        return {
+            DualityVariant.ZETA: ("Z", "M"),
+            DualityVariant.ZETA_TRANSPOSE: ("Z'", "M'"),
+            DualityVariant.MOEBIUS: ("M", "Z"),
+            DualityVariant.MOEBIUS_TRANSPOSE: ("M'", "Z'"),
+        }[self]
+
     def h_pair(self, zp: ZetaPair):
         """(H, H^{-1}), both read off the zeta pair, whose Z and M invert each other."""
-        z, m = zp.zeta, zp.moebius
-        return {
-            DualityVariant.ZETA: (z, m),
-            DualityVariant.ZETA_TRANSPOSE: (z.T, m.T),
-            DualityVariant.MOEBIUS: (m, z),
-            DualityVariant.MOEBIUS_TRANSPOSE: (m.T, z.T),
-        }[self]
+        h, h_inv = self.h_ops
+        return zp._matrix(h), zp._matrix(h_inv)
 
     # Which margin of P is accumulated (column vectors P(.,d) vs rows P(c,.)),
     # whether the cumulative set is the down-set or the up-set, and whether
@@ -150,10 +155,25 @@ def h_dual(p: Kernel, h: RationalMatrix, h_inv: RationalMatrix) -> RationalMatri
     return (h_inv @ p.matrix @ h).T
 
 
+def _pair_dual(p: Kernel, zp: ZetaPair, variant: DualityVariant) -> RationalMatrix:
+    """``h_dual`` of P for the variant's (H, H^{-1}) read off the pair.  A
+    product pair past the mode-product crossover makes the same check and
+    products with H and H^{-1} applied factor by factor: H H^{-1} = I against
+    the dense H^{-1}, then Q' = H^{-1} (P H)."""
+    h, h_inv = variant.h_ops
+    if not _by_modes(zp):
+        return h_dual(p, zp._matrix(h), zp._matrix(h_inv))
+    if p.matrix.shape != zp.zeta.shape:
+        raise SingularH("H and H^-1 must be square and match P")
+    _require_equal(_times(zp, h, zp._matrix(h_inv)), RationalMatrix.identity(len(zp.poset)),
+                   "H H^-1 = I")
+    return _times(zp, h_inv, _times(zp, h, p.matrix, left=False)).T
+
+
 def _cone_reports(g: RationalMatrix, zp: ZetaPair, transposed: bool):
     """Membership of every column of g in F_+ (images M g) or F'_+ (images M' g),
     decided by one product: the image matrix and one ConeReport per column."""
-    images = (zp.moebius.T if transposed else zp.moebius) @ g
+    images = _times(zp, "M'" if transposed else "M", g)
     negative = images.signs() < 0
     labels = zp.poset.elements
     # a nonnegative Moebius image forces g >= 0 itself; the witness is the
@@ -187,9 +207,9 @@ def _certify(p: Kernel, zp: ZetaPair, variant: DualityVariant, cumulative: bool)
     _require_nonnegative(p)
     margins = p.matrix if variant.uses_columns else p.matrix.T
     if cumulative:
-        margins = margins @ (zp.zeta if variant.cumulative_downward else zp.zeta.T)
+        margins = _times(zp, "Z" if variant.cumulative_downward else "Z'", margins, left=False)
     images, reports = _cone_reports(margins, zp, variant.transposed_cone)
-    q = h_dual(p, *variant.h_pair(zp))
+    q = _pair_dual(p, zp, variant)
     return images, reports, all(r.member for r in reports), q
 
 

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, InvalidSkeleton, NotComparable, _check_range
-from .poset import FinitePoset, ZetaPair, _library_pair
+from .poset import FinitePoset, ZetaPair, _kron_pair, _library_pair, _poset_from_matrix
 
 __all__ = [
     "SubsetLattice",
@@ -89,9 +89,20 @@ class SubsetLattice:
         return "{" + " ".join(items) + "}"
 
 
+@lru_cache(maxsize=None)
+def _claw(t: int) -> FinitePoset:
+    """0 (absent) below t incomparable types 1..t; at t = 1 the two-element
+    chain.  Unvalidated: ``_kron_pair`` validates its factors on every use."""
+    m = np.eye(t + 1, dtype=bool)
+    m[0] = True
+    return _poset_from_matrix(tuple(range(t + 1)), m, validate=False)
+
+
 def subset_lattice(n: int) -> SubsetLattice:
-    """Subset lattice of {1..n}; its order and Z M = I are self-checked up to
-    256 states (n <= 8).
+    """Subset lattice of {1..n}, the n-fold product of the two-element chain
+    0 < 1: ``_kron_pair`` reads its Moebius matrix off the chain's, with the
+    mask of a subset as its Kronecker index, and checks the chain's Z M = I
+    and the order against the Kronecker power at every size.
 
     It is also the T-fold product of the subset lattice of {1..N}, with the
     componentwise order, for n = N*T: a product of Boolean lattices is
@@ -100,7 +111,8 @@ def subset_lattice(n: int) -> SubsetLattice:
     """
     _check_range("subset lattice", "N", n, 0, MAX_SUBSET_GROUND)
     masks = tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
-    return SubsetLattice(ground_size=n, pair=_library_pair(masks, _subset_order(masks)))
+    poset = _poset_from_matrix(masks, _subset_order(masks), validate=False)
+    return SubsetLattice(ground_size=n, pair=_kron_pair(poset, (_claw(1),) * n, poset.elements))
 
 
 # ---------------------------------------------------------------------------

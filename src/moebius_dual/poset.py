@@ -14,19 +14,28 @@ nonzero.  Column b is bounded by the sum of the column maxima below it;
 the columns stay int64 while that bound fits and switch to Python ints
 once it does not, so the values are exact at any size.  The recursion is
 cross-checked against exact Gaussian elimination in the test suite.
+
+A product order (the subset lattices, the Cannings partial states and
+``product_poset``) is instead read off its factors: its Moebius matrix is
+the permuted Kronecker product of the factor inverses (Rota 1964), checked
+through the factors at every size, and a product by Z or M past
+``_MODE_STATES`` states is made one small factor at a time (Yates' fast
+zeta/Moebius transform).  Other library orders (the partition lattices)
+have their axioms and Z M = I checked up to ``_SELF_CHECK_STATES`` states.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameter, PartialOrderViolation, SizeOverflow
-from .rational import _INT64_MAX, RationalMatrix, _require_equal
+from .errors import InvalidParameter, PartialOrderViolation, SizeOverflow, _require
+from .rational import _INT64_MAX, RationalMatrix, _bound, _ints, _require_equal
 
 __all__ = [
     "FinitePoset",
@@ -39,7 +48,8 @@ __all__ = [
 ]
 
 MAX_STATES = 4096  # default state cap; ``cap=`` and MOEBIUS_DUAL_MAX_STATES override it
-_SELF_CHECK_STATES = 256  # the library self-checks what it builds up to this many states
+_SELF_CHECK_STATES = 256  # a library order that is no product is self-checked up to this size
+_MODE_STATES = 64  # past this many states a product pair multiplies by mode products
 _BLOCK_BYTES = 1 << 20  # packed row bytes per block of the order validation
 
 
@@ -49,11 +59,14 @@ class FinitePoset:
 
     ``matrix[i, j]`` is True iff ``elements[i] <= elements[j]``; the index
     order is a linear extension, so the matrix is upper-triangular.
+    ``product_poset`` keeps its two factors in the private ``_factors``,
+    which is no field, so ``dataclasses.replace`` drops it.
     """
 
     elements: tuple
     matrix: np.ndarray
     index: dict = field(compare=False, repr=False)
+    _factors = None
 
     def __post_init__(self):
         self.matrix.setflags(write=False)
@@ -87,12 +100,16 @@ class ZetaPair:
 
     ``mu`` is read off ``moebius`` on first use, so it follows the matrix
     through ``dataclasses.replace``; a ``mu`` dict given to the constructor
-    is taken as it is.
+    is taken as it is.  A pair of a product order (``_kron_pair``) keeps its
+    factor pairs and index permutation in the private ``_kron``, which, like
+    ``mu``, is no field: ``dataclasses.replace`` builds a pair without it, so
+    a replaced Z or M is never paired with stale factors.
     """
 
     poset: FinitePoset
     zeta: RationalMatrix
     moebius: RationalMatrix
+    _kron = None  # (factor pairs, perm), set by _kron_pair
 
     def __init__(self, poset: FinitePoset, zeta: RationalMatrix, moebius: RationalMatrix,
                  mu: dict | None = None):
@@ -113,6 +130,11 @@ class ZetaPair:
 
     def mu_value(self, a, b) -> int:
         return self.mu[(a, b)]
+
+    def _matrix(self, op: str) -> RationalMatrix:
+        """The dense Z, M, Z' or M'."""
+        m = self.zeta if op[0] == "Z" else self.moebius
+        return m.T if op.endswith("'") else m
 
     @property
     def zeta_transpose(self) -> RationalMatrix:
@@ -236,10 +258,21 @@ def zeta_matrix(p: FinitePoset) -> RationalMatrix:
 
 
 def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
-    """Zeta matrix and its exact inverse, via the recursion; the pair reads
-    the integer mu off the inverse when it is first asked for."""
+    """Zeta matrix and its exact inverse; the pair reads the integer mu off
+    the inverse when it is first asked for.  A ``product_poset`` is read off
+    its factors by ``_kron_pair``, with its checks; any other order runs the
+    column recursion, and ``verify`` checks Z M = I."""
+    if p._factors is not None:
+        return _kron_pair(p, *_leaves(p))
+    pair = _moebius_pair(p)
+    if verify:
+        _require_equal(pair.zeta @ pair.moebius, RationalMatrix.identity(len(p)), "Z M = I")
+    return pair
+
+
+def _moebius_pair(p: FinitePoset) -> ZetaPair:
+    """The zeta pair by the column recursion, unchecked."""
     n = len(p)
-    z = zeta_matrix(p)
     # (b, c) for every c < b, grouped by b with c ascending: the index order
     # is a linear extension, so everything below b precedes it
     bs, cs = np.nonzero(p.matrix.T)
@@ -259,17 +292,133 @@ def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
             num[below, b] = col
             colmax[b] = max(1, *map(abs, col.tolist()))
         start = end
-    moeb = RationalMatrix._wrap(num, 1)
-    if verify:
-        _require_equal(z @ moeb, RationalMatrix.identity(n), "Z M = I")
-    return ZetaPair(poset=p, zeta=z, moebius=moeb)
+    return ZetaPair(poset=p, zeta=zeta_matrix(p), moebius=RationalMatrix._wrap(num, 1))
 
 
 def _library_pair(labels: tuple, m: np.ndarray) -> ZetaPair:
-    """The zeta pair of an order the library built, with its axioms and Z M = I
-    checked up to ``_SELF_CHECK_STATES`` states."""
+    """The zeta pair of an order the library built that is no product (the
+    partition lattices), with its axioms and Z M = I checked up to
+    ``_SELF_CHECK_STATES`` states."""
     checked = len(labels) <= _SELF_CHECK_STATES
     return moebius_matrix(_poset_from_matrix(labels, m, validate=checked), verify=checked)
+
+
+def _kron_power(mats, perm) -> np.ndarray:
+    """kron(mats[0], ..., mats[-1])[perm][:, perm] of square integer or bool
+    arrays, in the narrowest of int8, int64 and Python ints that holds every
+    product.  It is folded from the right, so that each step spreads a small
+    factor over the large partial product, whose rows stay contiguous."""
+    if mats and mats[0].dtype != bool:
+        bound = math.prod(_bound(m) for m in mats)
+        dtype = np.int8 if bound <= 127 else np.int64 if bound <= _INT64_MAX else object
+        mats = [m.astype(dtype) for m in mats]
+    out = reduce(lambda acc, m: (m[:, None, :, None] * acc[None, :, None, :]).reshape(
+        len(m) * len(acc), -1), reversed(mats), np.ones((1, 1), dtype=mats[0].dtype if mats else bool))
+    return out.take(perm, axis=0).take(perm, axis=1)
+
+
+def _kron_pair(poset: FinitePoset, factors: tuple, perm) -> ZetaPair:
+    """The zeta pair of a product order, read off its factors.
+
+    ``factors`` are the factor posets, the most significant Kronecker digit
+    first, and element i of ``poset`` is element perm[i] of their product.
+    With P the permutation matrix of ``perm``, Z = P kron(Z_1, ..., Z_k) P',
+    and the Moebius function of a product is the product of the factors'
+    (Rota 1964), so M = P kron(M_1, ..., M_k) P', with no recursion over the
+    whole order.  Two exact checks run at every size, in place of the order
+    axioms and the dense Z M = I:
+
+    - Z_t M_t = I on each factor, whose order axioms are validated too;
+    - the order matrix equals the permuted Kronecker power of the factor
+      orders (``perm`` being a permutation).
+
+    Together they give Z M = I for the whole pair by the mixed-product rule,
+    Z M = P kron(Z_t) P' P kron(M_t) P' = P kron(Z_t M_t) P' = P P' = I, so
+    it is not restated; and a product of partial orders is a partial order.
+    The pair keeps the factor pairs and ``perm`` for ``_mode_product``.
+    """
+    perm = np.asarray(perm, dtype=np.int64)
+    pairs = {}
+    for f in factors:
+        if id(f) not in pairs:
+            _validate_order(f.elements, f.matrix)
+            pairs[id(f)] = fp = _moebius_pair(f)
+            _require_equal(fp.zeta @ fp.moebius, RationalMatrix.identity(len(f)), "Z M = I")
+    fps = tuple(pairs[id(f)] for f in factors)
+    size, labels = math.prod(len(f) for f in factors), poset.elements
+    _require(len(perm) == len(labels) == size and np.array_equal(np.sort(perm), np.arange(size)),
+             "order = permuted Kronecker power", f"perm is no permutation of {size} indices")
+    differ = _kron_power([f.matrix for f in factors], perm) != poset.matrix
+    _require(not differ.any(), "order = permuted Kronecker power",
+             lambda: tuple(labels[i] for i in np.argwhere(differ)[0]))
+    moeb = _kron_power([fp.moebius._num for fp in fps], perm)
+    den = math.prod(fp.moebius._den for fp in fps)
+    pair = ZetaPair(poset, zeta_matrix(poset),
+                    RationalMatrix._wrap(moeb if moeb.dtype == object else moeb.astype(np.int64), den))
+    object.__setattr__(pair, "_kron", (fps, perm))
+    return pair
+
+
+def _leaves(p: FinitePoset):
+    """The factor posets of a ``product_poset``, the most significant first,
+    and the Kronecker index of each element; a poset that is no product is
+    its own one factor."""
+    if p._factors is None:
+        return (p,), np.arange(len(p))
+    p1, p2 = p._factors
+    (f1, k1), (f2, k2) = _leaves(p1), _leaves(p2)
+    a = [p1.index[x] for x, _ in p.elements]
+    b = [p2.index[y] for _, y in p.elements]
+    return f1 + f2, k1[a] * len(p2) + k2[b]
+
+
+def _by_modes(zp: ZetaPair) -> bool:
+    """Whether products by the pair's matrices are made by mode products."""
+    return zp._kron is not None and len(zp.poset) > _MODE_STATES
+
+
+def _times(zp: ZetaPair, op: str, x: RationalMatrix, *, left: bool = True) -> RationalMatrix:
+    """op @ x (``left``) or x @ op, for op one of "Z", "M", "Z'", "M'" of the
+    pair: by mode products when ``_by_modes``, else by the dense matrix."""
+    if _by_modes(zp):
+        return _mode_product(zp, op, x, left=left)
+    a = zp._matrix(op)
+    return a @ x if left else x @ a
+
+
+def _mode_product(zp: ZetaPair, op: str, x: RationalMatrix, *, left: bool = True) -> RationalMatrix:
+    """op @ x (``left``) or x @ op for a product pair, one small product per
+    Kronecker factor (Yates' fast zeta/Moebius transform): the rows of x are
+    put in Kronecker order, and mode t adds a_ij times slice j into slice i
+    of its axis for every nonzero a_ij of the factor.  Per mode the bound of
+    ``rational._product`` (max|a| max|x| times the factor size) decides
+    between int64 and Python ints.  A right product x A is the left product
+    (A' x')', by the transposed factors."""
+    fps, perm = zp._kron
+    if x.shape[0 if left else 1] != len(perm):
+        raise InvalidParameter(f"cannot multiply a {len(perm)}-state pair by shape {x.shape}")
+    flip = op.endswith("'") == left
+    y = (x._num if left else x._num.T)[np.argsort(perm)]
+    size, cols = y.shape
+    bound, den, pre = _bound(y), x._den, 1
+    for fp in fps:
+        a = fp.zeta if op[0] == "Z" else fp.moebius
+        num = a._num.T if flip else a._num
+        s = len(num)
+        bound *= _bound(num) * s
+        y = _ints(y, bound).reshape(pre, s, -1)
+        out = np.zeros(y.shape, dtype=y.dtype)  # calloc'd: its pages are first touched below
+        ii, jj = np.nonzero(num)
+        for i, j, v in zip(ii.tolist(), jj.tolist(), num[ii, jj].tolist()):
+            if v == 1:
+                out[:, i] += y[:, j]
+            elif v == -1:
+                out[:, i] -= y[:, j]
+            else:
+                out[:, i] += v * y[:, j]
+        y, den, pre = out, den * a._den, pre * s
+    y = y.reshape(size, cols)[perm]
+    return RationalMatrix._wrap(y if left else y.T.copy(), den)
 
 
 def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:
@@ -282,5 +431,7 @@ def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:
     def leq(x, y):
         return p1.leq(x[0], y[0]) and p2.leq(x[1], y[1])
 
-    return build_poset(labels, leq)
+    prod = build_poset(labels, leq)
+    object.__setattr__(prod, "_factors", (p1, p2))
+    return prod
 

@@ -33,7 +33,7 @@ from moebius_dual import (
     subset_lattice,
     wright_fisher_law,
 )
-from moebius_dual import cannings, coarse_graining
+from moebius_dual import cannings, coarse_graining, duality, poset, rational
 from moebius_dual.cannings import _block_forward, _partial_states
 from moebius_dual.errors import (
     InvalidOffspringLaw,
@@ -347,10 +347,11 @@ def test_backward_kernel_hand_values():
 
 
 def test_builder_checks_its_counted_q_against_h_dual(monkeypatch):
-    # the builder forms one dual, h_dual's (M' P Z')', and matches its counted Q to it
+    # the builder forms one dual, h_dual's (M' P Z')', and matches its counted Q
+    # to it; below the mode-product crossover its _pair_dual calls h_dual
     calls = []
-    h_dual = cannings.h_dual
-    monkeypatch.setattr(cannings, "h_dual", lambda *args: calls.append(1) or h_dual(*args))
+    h_dual = duality.h_dual
+    monkeypatch.setattr(duality, "h_dual", lambda *args: calls.append(1) or h_dual(*args))
     for law in (wright_fisher_law(2), wright_fisher_law(3), moran_law(3), identity_law(3)):
         haploid(law)
     multiallelic_kernels(MIXED_LAW, 2)
@@ -383,20 +384,41 @@ def test_builder_rejects_a_counted_q_off_in_one_entry(monkeypatch, t):
 
 
 def test_builder_checks_h_h_inverse_past_256_states(monkeypatch):
-    # 343 partial states lie past the library self-check of Z M = I, and a
-    # Moebius matrix off in one entry is still caught, as Z' M' = I in h_dual
-    library_pair = cannings._library_pair
+    # a Moebius matrix off in one entry of a 343-state pair is caught as
+    # Z' M' = I in h_dual: the replaced pair keeps no Kronecker factors, so
+    # it takes the dense path
+    kron_pair = cannings._kron_pair
 
-    def broken(labels, m):
-        pair = library_pair(labels, m)
+    def broken(*args):
+        pair = kron_pair(*args)
         num = pair.moebius._num.copy()
         num[0, -1] += 1
         return dataclasses.replace(pair, moebius=RationalMatrix(num))
 
-    monkeypatch.setattr(cannings, "_library_pair", broken)
+    monkeypatch.setattr(cannings, "_kron_pair", broken)
     with pytest.raises(VerificationFailure) as exc:
         multiallelic_kernels(moran_law(3), 6)
     assert exc.value.identity == "H H^-1 = I"
+
+
+def test_large_builders_make_no_dense_state_products(monkeypatch):
+    # 729 partial states: past the crossover, the builder's H H^-1 = I check
+    # and its dual are mode products by the 3x3 claw, so no dense product has
+    # an inner dimension past the crossover; a fallback to the dense path
+    # (2.3 s) fails at its first product
+    shapes = []
+    product = rational._product
+
+    def recorded(a, b):
+        shapes.append((a.shape, b.shape))
+        if a.shape[1] > poset._MODE_STATES:
+            raise AssertionError(f"dense product {a.shape} @ {b.shape}")
+        return product(a, b)
+
+    monkeypatch.setattr(rational, "_product", recorded)
+    ma = multiallelic_kernels(moran_law(6), 2)
+    assert len(ma.pair.poset) == 729 and poset._by_modes(ma.pair)
+    assert shapes  # the claw's own Z M = I
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -408,7 +430,8 @@ def test_coarsen_forms_no_second_dual(monkeypatch, t):
         raise AssertionError("h_dual called by the coarsener")
 
     monkeypatch.setattr(coarse_graining, "h_dual", no_dual)
-    monkeypatch.setattr(cannings, "h_dual", no_dual)
+    monkeypatch.setattr(duality, "h_dual", no_dual)
+    monkeypatch.setattr(cannings, "_pair_dual", no_dual)
     res = coarsen_multiallelic(ma)
     assert res.q == ma.q.matrix
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moebius_dual import RationalMatrix, cli
 from moebius_dual.cli import main
@@ -374,6 +376,12 @@ GOLDEN = {
         "5891bb5c3485a4f12aed14794a6d6ce08f34d34c50d2c5388986257d74e4bafc",
     "cannings --model moran --N 4 --T 2":
         "57ddcfa9ada3c0f33f0730bab2760f58d8d26bcd589b22365e351aa330a065fb",
+    # recorded before the product orders were read off their Kronecker factors
+    # and multiplied by mode products: 729 and 512 states pin that at scale
+    "cannings --model moran --N 6 --T 2":
+        "88260d82f4f90ed4b5124e5263722c678c334d7f4ec48003fec1112b2f783e4d",
+    "lattice subsets --n 9 --emit moebius":
+        "c38a0ede22217fbc491290d79c9f81fb6fcd93bebfafde9ec5616959cadb0e88",
 }
 
 # a stochastic kernel on the subsets of {1, 2} with four different denominators
@@ -393,12 +401,13 @@ def test_golden_output(command, tmp_path, capsys):
 # sha256 of each demo's stdout, recorded before the product-of-sets lattice
 # and the multi-allelic coarse result were folded into subset_lattice and
 # CoarseDualityResult; 04 re-pinned when its duality line stopped naming a
-# matrix route that the builder no longer runs
+# matrix route that the builder no longer runs, and again when it stopped
+# naming the inclusion-exclusion check that the builder no longer runs
 DEMOS = {
     "01_posets_and_moebius.py": "88dd53b50c146f4cfd5151cba39a7e83ca8baf1b20ebb40115bc62c437cf1e9b",
     "02_duality_cones.py": "2dad3d2d5da6710548bcec3ed486b5258b82ed6e90628c959b57dc39e50939fc",
     "03_coarse_graining.py": "ba477fc24d48e6951b1c6ba0b5751d36988ea8958e9f5cf783f26fe96b6df8e4",
-    "04_cannings_models.py": "014dd9eb8e9aeb7bf435451261c74350d9261f160f248adabed1cd2204ebe907",
+    "04_cannings_models.py": "5028a019d1ec44e9e9c3b4bfac06011df01f57d0987f979026cfdd907c45ff79",
 }
 
 
@@ -407,6 +416,29 @@ def test_demo_output(script, tmp_path):
     done = run_python([os.path.join(ROOT, "demos", script)], tmp_path)
     assert done.returncode == 0, done.stderr.decode()
     assert hashlib.sha256(done.stdout).hexdigest() == DEMOS[script]
+
+
+# JSON documents with every kind of key and leaf that json.dumps coerces:
+# tuples, non-string keys, floats past JSON, escapes and non-ASCII text, and
+# leaves that only default=str can write
+_LEAVES = st.one_of(st.text(), st.integers(-2 ** 70, 2 ** 70), st.floats(), st.booleans(),
+                    st.none(), st.fractions())
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-9, 9), st.floats(width=16), st.booleans(),
+                  st.none())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.lists(st.text(max_size=3), max_size=4), st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=20))
+def test_indented_json_matches_the_stdlib(doc):
+    assert cli._dumps(doc) == json.dumps(doc, indent=2, default=str)
+
+
+def test_indented_json_rejects_keys_as_the_stdlib_does():
+    with pytest.raises(TypeError, match="keys must be str, int, float, bool or None, not tuple"):
+        cli._dumps({(1, 2): 0})
 
 
 def test_output_file(tmp_path, capsys):

@@ -225,6 +225,7 @@ IDENTITIES = [
     "condition (ii) => Q monotone",
     "cone member g >= 0",
     "haploid Q and coarse Q stochastic",
+    "order = permuted Kronecker power",
     "partition mu = closed form",
     "rho > 0",
     "rho P = rho",

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -9,8 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moebius_dual import (
+    DualityVariant,
+    Kernel,
     RationalMatrix,
     build_poset,
+    h_dual,
     coarse_set_matrices_enumerated,
     moebius_matrix,
     moran_law,
@@ -20,8 +26,9 @@ from moebius_dual import (
     subset_lattice,
     zeta_matrix,
 )
-from moebius_dual import coarse_graining, poset
-from moebius_dual.errors import InvalidParameter, PartialOrderViolation, SizeOverflow
+from moebius_dual import cannings, coarse_graining, duality, poset
+from moebius_dual.errors import (InvalidParameter, PartialOrderViolation, SizeOverflow,
+                                 VerificationFailure)
 
 
 def chain(n):
@@ -145,8 +152,8 @@ def test_small_orders_are_validated_in_one_block(monkeypatch):
     for n in (30, 72):
         divisibility(n)
         chain(n)
-    subset_lattice(8)  # the largest library order that is validated
-    assert blocks == [[(0, n)] for n in (30, 30, 72, 72, 256)]
+    partition_lattice(6)  # the largest library order that _validate_order still sees
+    assert blocks == [[(0, n)] for n in (30, 30, 72, 72, 203)]
 
 
 def test_validation_memory_is_bounded_by_blocks_of_rows():
@@ -200,17 +207,20 @@ def self_checks(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("build, states", [
-    (lambda: subset_lattice(8), 256),
-    (lambda: subset_lattice(9), 512),
-    (lambda: partition_lattice(6), 203),
-    (lambda: partition_lattice(7), 877),
-    (lambda: multiallelic_kernels(moran_law(4), 3), 256),
-    (lambda: multiallelic_kernels(moran_law(3), 6), 343),
+@pytest.mark.parametrize("build, states, checked", [
+    (lambda: subset_lattice(8), 256, True),
+    (lambda: subset_lattice(9), 512, True),
+    (lambda: partition_lattice(6), 203, True),
+    (lambda: partition_lattice(7), 877, False),
+    (lambda: multiallelic_kernels(moran_law(4), 3), 256, True),
+    (lambda: multiallelic_kernels(moran_law(3), 6), 343, True),
 ], ids=["subsets-8", "subsets-9", "partitions-6", "partitions-7", "T3-N4", "T6-N3"])
-def test_library_orders_are_self_checked_up_to_256_states(self_checks, build, states):
+def test_library_orders_are_self_checked_up_to_256_states(self_checks, build, states, checked):
+    # a partition lattice has its order and Z M = I checked up to 256 states;
+    # a product order (subsets, Cannings partial states) at every size, on its
+    # one distinct factor, with the order against the factor's Kronecker power
     assert len(build().pair.poset) == states
-    assert self_checks == (Counter({"order": 1, "Z M = I": 1}) if states <= 256 else Counter())
+    assert self_checks == (Counter({"order": 1, "Z M = I": 1}) if checked else Counter())
 
 
 def test_enumeration_compares_every_representative_up_to_256_subsets(monkeypatch):
@@ -431,3 +441,169 @@ def test_up_and_down_sets_follow_the_index_order():
     for i in range(len(p)):
         assert p.up_idx(i) == [j for j in range(len(p)) if p.matrix[i, j]]
         assert p.down_idx(i) == [j for j in range(len(p)) if p.matrix[j, i]]
+
+
+# ---------------------------------------------------------------------------
+# Product pairs: Moebius matrices read off Kronecker factors, mode products
+# ---------------------------------------------------------------------------
+
+
+def stacked_antichains(width, levels):
+    """Every element lies above the whole level below; mu(a, b) is
+    (-1)^d (width - 1)^(d - 1) for b d levels above a."""
+    return build_poset([(lvl, k) for lvl in range(levels) for k in range(width)],
+                       lambda a, b: a == b or a[0] < b[0])
+
+
+@st.composite
+def product_pairs(draw):
+    """The zeta pair of a product order of at most 256 states: a product of
+    two chains, of a divisibility poset and a chain, or of three chains; a
+    subset lattice; or the Cannings partial states (a claw power) at T = 1..3."""
+    kind = draw(st.sampled_from(["chains", "divisors", "three", "subsets", "claws"]))
+    if kind == "chains":
+        a, b = draw(st.integers(1, 16)), draw(st.integers(1, 16))
+        return moebius_matrix(product_poset(chain(a), chain(b)))
+    if kind == "divisors":
+        return moebius_matrix(product_poset(divisibility(draw(st.integers(1, 24))),
+                                            chain(draw(st.integers(1, 10)))))
+    if kind == "three":
+        a, b, c = (draw(st.integers(1, 6)) for _ in range(3))
+        return moebius_matrix(product_poset(chain(a), product_poset(chain(b), chain(c))))
+    if kind == "subsets":
+        return subset_lattice(draw(st.integers(0, 8))).pair
+    t = draw(st.integers(1, 3))
+    return cannings._partial_pair(draw(st.integers(1, {1: 8, 2: 5, 3: 4}[t])), t)
+
+
+def random_matrix(draw, rows, cols, big):
+    """Nonnegative entries over one denominator; ``big`` ones, up to 2^80 in
+    numerator and denominator, make the products leave int64 for Python
+    integers, the others stay in int64."""
+    bits = draw(st.sampled_from([62, 80] if big else [3, 20]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    num = rng.integers(0, 1 << min(bits, 30), (rows, cols)).astype(object) << max(0, bits - 30)
+    return RationalMatrix(num.tolist()).scale(Fraction(1, draw(st.integers(1, 1 << bits))))
+
+
+@settings(max_examples=20, deadline=None)
+@given(product_pairs(), st.data())
+def test_product_pairs_agree_with_the_dense_path(zp, data):
+    n = len(zp.poset)
+    assert zp._kron is not None
+    dense = dataclasses.replace(zp)  # the same matrices with no Kronecker factors
+    assert dense._kron is None
+    # M read off the factors is the column recursion's
+    assert zp.moebius == poset._moebius_pair(zp.poset).moebius
+    # the mode products equal the dense products, below the crossover too
+    x = random_matrix(data.draw, n, data.draw(st.integers(1, 3)), data.draw(st.booleans()))
+    for op in ("Z", "M", "Z'", "M'"):
+        a = zp._matrix(op)
+        assert poset._mode_product(zp, op, x) == a @ x
+        assert poset._mode_product(zp, op, x.T, left=False) == x.T @ a
+    # every variant's dual, cone images and reports, with the mode products
+    # forced at every size; kernels in Python integers on the smaller pairs,
+    # where the dense reference stays quick
+    p = Kernel.of(random_matrix(data.draw, n, n, n <= 32 and data.draw(st.booleans())))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset, "_MODE_STATES", 0)
+        assert poset._by_modes(zp) and not poset._by_modes(dense)
+        cumulative = data.draw(st.booleans())
+        for variant in DualityVariant:
+            assert duality._pair_dual(p, zp, variant) == h_dual(p, *variant.h_pair(zp))
+            if n > 128:  # each report holds its image as n Fractions, slow past here
+                continue
+            # images, verdict and dual, and each report's verdict and witness;
+            # the reports' image tuples are the columns of the images
+            got, want = (duality._certify(p, pair, variant, cumulative) for pair in (zp, dense))
+            assert got[0] == want[0] and got[2:] == want[2:]
+            assert ([(r.member, r.first_negative) for r in got[1]]
+                    == [(r.member, r.first_negative) for r in want[1]])
+
+
+def test_product_pair_past_int64():
+    # mu of the stacked antichains reaches 7^23 > 2^63, so the Kronecker
+    # product and the mode products run in Python integers
+    prod = product_poset(stacked_antichains(8, 25), chain(2))
+    zp = moebius_matrix(prod)
+    assert zp.moebius == poset._moebius_pair(prod).moebius
+    assert zp.moebius._num.dtype == object
+    g = RationalMatrix(np.eye(len(prod), 3, dtype=np.int64))
+    assert poset._mode_product(zp, "M", g) == zp.moebius @ g
+    assert poset._mode_product(zp, "Z'", g.T, left=False) == g.T @ zp.zeta.T
+
+
+def test_product_pairs_check_their_factors_and_order(monkeypatch):
+    prod = product_poset(chain(3), divisibility(6))
+    pair_of = poset._moebius_pair
+
+    def wrong(p):
+        pair = pair_of(p)
+        if len(p) != 3:
+            return pair
+        num = pair.moebius._num.copy()
+        num[0, 2] += 1
+        return dataclasses.replace(pair, moebius=RationalMatrix(num))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(poset, "_moebius_pair", wrong)
+        with pytest.raises(VerificationFailure) as e:
+            moebius_matrix(prod)
+    assert (e.value.identity, e.value.witness) == ("Z M = I", (0, 2))
+    # a product_poset whose order lost one comparable pair
+    broken = poset._poset_from_matrix(prod.elements, prod.matrix.copy(), validate=False)
+    broken.matrix.flags.writeable = True
+    broken.matrix[0, -1] = False
+    with pytest.raises(VerificationFailure) as e:
+        poset._kron_pair(broken, *poset._leaves(prod))
+    assert (e.value.identity, e.value.witness) == (
+        "order = permuted Kronecker power", (prod.elements[0], prod.elements[-1]))
+    with pytest.raises(VerificationFailure, match="no permutation"):
+        poset._kron_pair(prod, poset._leaves(prod)[0], np.zeros(len(prod), dtype=np.int64))
+
+
+def test_replaced_pairs_keep_no_factors():
+    # Z or M replaced through dataclasses.replace is never paired with the
+    # factors of the original, so products use the replaced matrices
+    zp = subset_lattice(7).pair
+    assert poset._by_modes(zp)
+    wrong = dataclasses.replace(zp, moebius=zp.moebius.scale(2))
+    assert wrong._kron is None and not poset._by_modes(wrong)
+    g = RationalMatrix([[1]] * 128)
+    assert duality._cone_reports(g, wrong, False)[0] == zp.moebius.scale(2) @ g
+
+
+def test_product_checks_survive_optimized_mode():
+    # subset_lattice(9) has 512 states; a wrong entry of its chain factor's M
+    # or one flipped entry of its order fails under python -O as well
+    code = (
+        "import dataclasses\n"
+        "from moebius_dual import RationalMatrix, lattices, poset, subset_lattice\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "pair_of, order_of = poset._moebius_pair, lattices._subset_order\n"
+        "def wrong_factor(p):\n"
+        "    pair = pair_of(p)\n"
+        "    num = pair.moebius._num.copy()\n"
+        "    num[0, 1] = 0\n"
+        "    return dataclasses.replace(pair, moebius=RationalMatrix(num))\n"
+        "def flipped_order(masks):\n"
+        "    m = order_of(masks)\n"
+        "    m[0, len(masks) - 1] = False\n"
+        "    return m\n"
+        "for module, name, fake in ((poset, '_moebius_pair', wrong_factor),\n"
+        "                           (lattices, '_subset_order', flipped_order)):\n"
+        "    real = getattr(module, name)\n"
+        "    setattr(module, name, fake)\n"
+        "    try:\n"
+        "        subset_lattice(9)\n"
+        "        print('accepted')\n"
+        "    except VerificationFailure as exc:\n"
+        "        print(exc)\n"
+        "    setattr(module, name, real)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["Z M = I fails at (0, 1)",
+                                       "order = permuted Kronecker power fails at (0, 511)"]
