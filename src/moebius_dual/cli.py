@@ -93,13 +93,11 @@ def _dumps(obj, depth: int = 0) -> str:
     if isinstance(obj, str):
         return _encode_str(obj)
     if isinstance(obj, dict):
-        items = [f"{_encode_str(_key(k))}: {_dumps(v, depth + 1)}" for k, v in obj.items()]
+        items = [f"{_encode_str(_key(k))}: {_encode_str(v) if type(v) is str else _dumps(v, depth + 1)}"
+                 for k, v in obj.items()]
         brackets = "{}"
     elif isinstance(obj, (list, tuple)):
-        if all(type(v) is str for v in obj):
-            items = list(map(_encode_str, obj))
-        else:
-            items = [_dumps(v, depth + 1) for v in obj]
+        items = [_encode_str(v) if type(v) is str else _dumps(v, depth + 1) for v in obj]
         brackets = "[]"
     else:
         return json.dumps(obj, default=str)

@@ -313,7 +313,7 @@ def _kron_power(mats, perm) -> np.ndarray:
         dtype = np.int8 if bound <= 127 else np.int64 if bound <= _INT64_MAX else object
         mats = [m.astype(dtype) for m in mats]
     out = reduce(lambda acc, m: (m[:, None, :, None] * acc[None, :, None, :]).reshape(
-        len(m) * len(acc), -1), reversed(mats), np.ones((1, 1), dtype=mats[0].dtype if mats else bool))
+        (len(m) * len(acc),) * 2), reversed(mats), np.ones((1, 1), dtype=mats[0].dtype if mats else bool))
     return out.take(perm, axis=0).take(perm, axis=1)
 
 
@@ -348,9 +348,9 @@ def _kron_pair(poset: FinitePoset, factors: tuple, perm) -> ZetaPair:
     size, labels = math.prod(len(f) for f in factors), poset.elements
     _require(len(perm) == len(labels) == size and np.array_equal(np.sort(perm), np.arange(size)),
              "order = permuted Kronecker power", f"perm is no permutation of {size} indices")
-    differ = _kron_power([f.matrix for f in factors], perm) != poset.matrix
-    _require(not differ.any(), "order = permuted Kronecker power",
-             lambda: tuple(labels[i] for i in np.argwhere(differ)[0]))
+    orders = [f.matrix for f in factors]
+    _require(np.array_equal(_kron_power(orders, perm), poset.matrix), "order = permuted Kronecker power",
+             lambda: tuple(labels[i] for i in np.argwhere(_kron_power(orders, perm) != poset.matrix)[0]))
     moeb = _kron_power([fp.moebius._num for fp in fps], perm)
     den = math.prod(fp.moebius._den for fp in fps)
     pair = ZetaPair(poset, zeta_matrix(poset),

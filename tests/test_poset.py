@@ -533,6 +533,11 @@ def test_product_pair_past_int64():
     assert poset._mode_product(zp, "Z'", g.T, left=False) == g.T @ zp.zeta.T
 
 
+def test_product_with_an_empty_factor_is_empty():
+    zp = moebius_matrix(product_poset(chain(0), chain(3)))
+    assert len(zp.poset) == 0 and zp.moebius.shape == (0, 0) and zp._kron is not None
+
+
 def test_product_pairs_check_their_factors_and_order(monkeypatch):
     prod = product_poset(chain(3), divisibility(6))
     pair_of = poset._moebius_pair
