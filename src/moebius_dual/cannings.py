@@ -22,7 +22,7 @@ from itertools import accumulate, product
 import numpy as np
 
 from .coarse_graining import EquivalenceRelation, CoarseDualityResult, _coarsen_pair
-from .duality import DualityVariant, Kernel, _pair_dual
+from .duality import DualityVariant, Kernel, h_dual
 from .errors import (
     InvalidOffspringLaw,
     InvalidParameter,
@@ -449,7 +449,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) ->
     h_dual's (M' P Z')', which checks Z' M' = I first, at every size.
     T = 1 is the haploid model.  The zeta pair is the product pair of
     ``_partial_pair``, so past the mode-product crossover that check and
-    its products are made factor by factor."""
+    its products are made factor by factor by ``@``."""
     if t < 1:
         raise InvalidParameter(f"population model: T must be >= 1, got {t}")
     n = law.ground_size
@@ -473,7 +473,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) ->
     # forward kernel restricted to covering states is stochastic on them
     p_k = Kernel.of(p_ext[covering, :][:, covering])
     _require(p_k.is_stochastic, "P on covering states stochastic")
-    dual = _pair_dual(p_ext_k, pair, DualityVariant.ZETA_TRANSPOSE)
+    dual = h_dual(p_ext_k, *DualityVariant.ZETA_TRANSPOSE.h_pair(pair))
     # the witness is the first pair of states (J, K) where Q(J, K) is off
     _require(q == dual, "Z' Q' = P Z'",
              lambda: tuple(pair.poset.elements[i] for i in q._first_difference(dual)))

@@ -119,8 +119,9 @@ def check_compatibility(h: RationalMatrix, rel: EquivalenceRelation) -> CoarseRe
 
     Compatible iff that sum is the same for every representative a of a~,
     that is iff H V = V H-tilde for the 0/1 fine-to-class indicator V, with
-    H-tilde the rows of H V at each class's first member.  Every
-    representative is checked, not just a sampled pair.
+    H-tilde the rows of H V at each class's first member; V H-tilde is the
+    row of H-tilde of each element's class.  Every representative is
+    checked, not just a sampled pair.
     """
     n = len(rel.elements)
     if h.shape != (n, n):
@@ -130,7 +131,7 @@ def check_compatibility(h: RationalMatrix, rel: EquivalenceRelation) -> CoarseRe
     firsts = [rel.class_of.index(k) for k in range(rel.num_classes)]
     hv = h @ v
     coarse = hv[firsts, :]
-    lumped = v @ coarse
+    lumped = coarse[list(rel.class_of), :]
     if hv == lumped:
         return CoarseResult(compatible=True, coarse=coarse, witness=None)
     # the first differing (row, class) in row-major order: that row against

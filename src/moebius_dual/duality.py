@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
                      _require)
-from .poset import FinitePoset, ZetaPair, _by_modes, _times
+from .poset import FinitePoset, ZetaPair
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -71,20 +71,13 @@ class DualityVariant(Enum):
     MOEBIUS = "moebius"
     MOEBIUS_TRANSPOSE = "moebius-transpose"
 
-    @property
-    def h_ops(self):
-        """The names of (H, H^{-1}) among the pair's Z, M, Z' and M'."""
-        return {
-            DualityVariant.ZETA: ("Z", "M"),
-            DualityVariant.ZETA_TRANSPOSE: ("Z'", "M'"),
-            DualityVariant.MOEBIUS: ("M", "Z"),
-            DualityVariant.MOEBIUS_TRANSPOSE: ("M'", "Z'"),
-        }[self]
-
     def h_pair(self, zp: ZetaPair):
-        """(H, H^{-1}), both read off the zeta pair, whose Z and M invert each other."""
-        h, h_inv = self.h_ops
-        return zp._matrix(h), zp._matrix(h_inv)
+        """(H, H^{-1}), both read off the zeta pair, whose Z and M invert each
+        other: (Z, M), (Z', M'), (M, Z) or (M', Z')."""
+        z, m = zp.zeta, zp.moebius
+        if self in (DualityVariant.ZETA_TRANSPOSE, DualityVariant.MOEBIUS_TRANSPOSE):
+            z, m = z.T, m.T
+        return (z, m) if self in (DualityVariant.ZETA, DualityVariant.ZETA_TRANSPOSE) else (m, z)
 
     # Which margin of P is accumulated (column vectors P(.,d) vs rows P(c,.)),
     # whether the cumulative set is the down-set or the up-set, and whether
@@ -148,32 +141,18 @@ class CertificateReport:
 def h_dual(p: Kernel, h: RationalMatrix, h_inv: RationalMatrix) -> RationalMatrix:
     """Q with Q' = H^{-1} P H for the given H and its inverse.  Only H H^{-1} = I
     is verified: given it, the defining identity H Q' = P H follows by exact
-    associativity, H (H^{-1} P H) = (H H^{-1}) P H, so it is not restated."""
+    associativity, H (H^{-1} P H) = (H H^{-1}) P H, so it is not restated.
+    An H read off a large product pair makes its products factor by factor."""
     if h.rows != h.cols or h.rows != p.matrix.rows or h_inv.shape != h.shape:
         raise SingularH("H and H^-1 must be square and match P")
     _require_equal(h @ h_inv, RationalMatrix.identity(h.rows), "H H^-1 = I")
     return (h_inv @ p.matrix @ h).T
 
 
-def _pair_dual(p: Kernel, zp: ZetaPair, variant: DualityVariant) -> RationalMatrix:
-    """``h_dual`` of P for the variant's (H, H^{-1}) read off the pair.  A
-    product pair past the mode-product crossover makes the same check and
-    products with H and H^{-1} applied factor by factor: H H^{-1} = I against
-    the dense H^{-1}, then Q' = H^{-1} (P H)."""
-    h, h_inv = variant.h_ops
-    if not _by_modes(zp):
-        return h_dual(p, zp._matrix(h), zp._matrix(h_inv))
-    if p.matrix.shape != zp.zeta.shape:
-        raise SingularH("H and H^-1 must be square and match P")
-    _require_equal(_times(zp, h, zp._matrix(h_inv)), RationalMatrix.identity(len(zp.poset)),
-                   "H H^-1 = I")
-    return _times(zp, h_inv, _times(zp, h, p.matrix, left=False)).T
-
-
 def _cone_reports(g: RationalMatrix, zp: ZetaPair, transposed: bool):
     """Membership of every column of g in F_+ (images M g) or F'_+ (images M' g),
     decided by one product: the image matrix and one ConeReport per column."""
-    images = _times(zp, "M'" if transposed else "M", g)
+    images = (zp.moebius_transpose if transposed else zp.moebius) @ g
     negative = images.signs() < 0
     labels = zp.poset.elements
     # a nonnegative Moebius image forces g >= 0 itself; the witness is the
@@ -207,9 +186,9 @@ def _certify(p: Kernel, zp: ZetaPair, variant: DualityVariant, cumulative: bool)
     _require_nonnegative(p)
     margins = p.matrix if variant.uses_columns else p.matrix.T
     if cumulative:
-        margins = _times(zp, "Z" if variant.cumulative_downward else "Z'", margins, left=False)
+        margins = margins @ (zp.zeta if variant.cumulative_downward else zp.zeta_transpose)
     images, reports = _cone_reports(margins, zp, variant.transposed_cone)
-    q = _pair_dual(p, zp, variant)
+    q = h_dual(p, *variant.h_pair(zp))
     return images, reports, all(r.member for r in reports), q
 
 

@@ -18,10 +18,12 @@ cross-checked against exact Gaussian elimination in the test suite.
 A product order (the subset lattices, the Cannings partial states and
 ``product_poset``) is instead read off its factors: its Moebius matrix is
 the permuted Kronecker product of the factor inverses (Rota 1964), checked
-through the factors at every size, and a product by Z or M past
+through the factors at every size.  Its Z and M are ``_KronMatrix``, a
+``RationalMatrix`` that keeps its factors: ``@`` by one of them past
 ``_MODE_STATES`` states is made one small factor at a time (Yates' fast
-zeta/Moebius transform).  Other library orders (the partition lattices)
-have their axioms and Z M = I checked up to ``_SELF_CHECK_STATES`` states.
+zeta/Moebius transform), so every caller multiplies the same way.  Other
+library orders (the partition lattices) have their axioms and Z M = I
+checked up to ``_SELF_CHECK_STATES`` states.
 """
 
 from __future__ import annotations
@@ -100,16 +102,14 @@ class ZetaPair:
 
     ``mu`` is read off ``moebius`` on first use, so it follows the matrix
     through ``dataclasses.replace``; a ``mu`` dict given to the constructor
-    is taken as it is.  A pair of a product order (``_kron_pair``) keeps its
-    factor pairs and index permutation in the private ``_kron``, which, like
-    ``mu``, is no field: ``dataclasses.replace`` builds a pair without it, so
-    a replaced Z or M is never paired with stale factors.
+    is taken as it is.  The Z and M of a product order (``_kron_pair``) each
+    keep their own Kronecker factors, so a Z or M replaced through
+    ``dataclasses.replace`` is never paired with stale factors.
     """
 
     poset: FinitePoset
     zeta: RationalMatrix
     moebius: RationalMatrix
-    _kron = None  # (factor pairs, perm), set by _kron_pair
 
     def __init__(self, poset: FinitePoset, zeta: RationalMatrix, moebius: RationalMatrix,
                  mu: dict | None = None):
@@ -130,11 +130,6 @@ class ZetaPair:
 
     def mu_value(self, a, b) -> int:
         return self.mu[(a, b)]
-
-    def _matrix(self, op: str) -> RationalMatrix:
-        """The dense Z, M, Z' or M'."""
-        m = self.zeta if op[0] == "Z" else self.moebius
-        return m.T if op.endswith("'") else m
 
     @property
     def zeta_transpose(self) -> RationalMatrix:
@@ -257,16 +252,20 @@ def zeta_matrix(p: FinitePoset) -> RationalMatrix:
     return RationalMatrix(p.matrix)
 
 
-def moebius_matrix(p: FinitePoset, *, verify: bool = True) -> ZetaPair:
+def moebius_matrix(p: FinitePoset) -> ZetaPair:
     """Zeta matrix and its exact inverse; the pair reads the integer mu off
     the inverse when it is first asked for.  A ``product_poset`` is read off
     its factors by ``_kron_pair``, with its checks; any other order runs the
-    column recursion, and ``verify`` checks Z M = I."""
+    column recursion, and Z M = I is checked."""
     if p._factors is not None:
         return _kron_pair(p, *_leaves(p))
+    return _checked_pair(p)
+
+
+def _checked_pair(p: FinitePoset) -> ZetaPair:
+    """The zeta pair by the column recursion, with Z M = I checked."""
     pair = _moebius_pair(p)
-    if verify:
-        _require_equal(pair.zeta @ pair.moebius, RationalMatrix.identity(len(p)), "Z M = I")
+    _require_equal(pair.zeta @ pair.moebius, RationalMatrix.identity(len(p)), "Z M = I")
     return pair
 
 
@@ -300,7 +299,8 @@ def _library_pair(labels: tuple, m: np.ndarray) -> ZetaPair:
     partition lattices), with its axioms and Z M = I checked up to
     ``_SELF_CHECK_STATES`` states."""
     checked = len(labels) <= _SELF_CHECK_STATES
-    return moebius_matrix(_poset_from_matrix(labels, m, validate=checked), verify=checked)
+    p = _poset_from_matrix(labels, m, validate=checked)
+    return _checked_pair(p) if checked else _moebius_pair(p)
 
 
 def _kron_power(mats, perm) -> np.ndarray:
@@ -335,15 +335,14 @@ def _kron_pair(poset: FinitePoset, factors: tuple, perm) -> ZetaPair:
     Together they give Z M = I for the whole pair by the mixed-product rule,
     Z M = P kron(Z_t) P' P kron(M_t) P' = P kron(Z_t M_t) P' = P P' = I, so
     it is not restated; and a product of partial orders is a partial order.
-    The pair keeps the factor pairs and ``perm`` for ``_mode_product``.
+    Z and M are ``_KronMatrix``, which keep the factor matrices and ``perm``.
     """
     perm = np.asarray(perm, dtype=np.int64)
     pairs = {}
     for f in factors:
         if id(f) not in pairs:
             _validate_order(f.elements, f.matrix)
-            pairs[id(f)] = fp = _moebius_pair(f)
-            _require_equal(fp.zeta @ fp.moebius, RationalMatrix.identity(len(f)), "Z M = I")
+            pairs[id(f)] = _checked_pair(f)
     fps = tuple(pairs[id(f)] for f in factors)
     size, labels = math.prod(len(f) for f in factors), poset.elements
     _require(len(perm) == len(labels) == size and np.array_equal(np.sort(perm), np.arange(size)),
@@ -351,12 +350,11 @@ def _kron_pair(poset: FinitePoset, factors: tuple, perm) -> ZetaPair:
     orders = [f.matrix for f in factors]
     _require(np.array_equal(_kron_power(orders, perm), poset.matrix), "order = permuted Kronecker power",
              lambda: tuple(labels[i] for i in np.argwhere(_kron_power(orders, perm) != poset.matrix)[0]))
+    # Z and M are integer matrices: the factors' mu are the column recursion's integers
     moeb = _kron_power([fp.moebius._num for fp in fps], perm)
-    den = math.prod(fp.moebius._den for fp in fps)
-    pair = ZetaPair(poset, zeta_matrix(poset),
-                    RationalMatrix._wrap(moeb if moeb.dtype == object else moeb.astype(np.int64), den))
-    object.__setattr__(pair, "_kron", (fps, perm))
-    return pair
+    m = RationalMatrix._wrap(moeb if moeb.dtype == object else moeb.astype(np.int64), 1)
+    return ZetaPair(poset, _KronMatrix(zeta_matrix(poset)._num, tuple(fp.zeta._num for fp in fps), perm),
+                    _KronMatrix(m._num, tuple(fp.moebius._num for fp in fps), perm))
 
 
 def _leaves(p: FinitePoset):
@@ -372,53 +370,66 @@ def _leaves(p: FinitePoset):
     return f1 + f2, k1[a] * len(p2) + k2[b]
 
 
-def _by_modes(zp: ZetaPair) -> bool:
-    """Whether products by the pair's matrices are made by mode products."""
-    return zp._kron is not None and len(zp.poset) > _MODE_STATES
+class _KronMatrix(RationalMatrix):
+    """The Z or M of a product order: the integer matrix A = P kron(A_1, ...,
+    A_k) P', or its transpose when ``_flip``, which also keeps its integer
+    factors A_t and the index permutation ``_perm`` of P.  Past
+    ``_MODE_STATES`` states ``A @ x`` and ``x @ A`` are made by
+    ``_mode_product``, below it by the dense numerators.  ``.T`` flips the
+    flag and shares the numerators as a read-only view."""
+
+    __slots__ = ("_factors", "_perm", "_flip")
+
+    def __init__(self, num, factors: tuple, perm, flip: bool = False):
+        # num is the dense matrix, already read-only and in its narrowest dtype
+        self._num, self._den = num, 1
+        self._factors, self._perm, self._flip = factors, perm, flip
+
+    @property
+    def T(self) -> "_KronMatrix":
+        return _KronMatrix(self._num.T, self._factors, self._perm, not self._flip)
+
+    def __matmul__(self, other: RationalMatrix) -> RationalMatrix:
+        if len(self._perm) <= _MODE_STATES or other.rows != self.cols:
+            return super().__matmul__(other)
+        return RationalMatrix._wrap(_mode_product(self._factors, self._perm, self._flip, other._num),
+                                    other._den)
+
+    def __rmatmul__(self, other: RationalMatrix) -> RationalMatrix:
+        if len(self._perm) <= _MODE_STATES or other.cols != self.rows:
+            return RationalMatrix.__matmul__(other, self)
+        # x A = (A' x')'
+        num = _mode_product(self._factors, self._perm, not self._flip, other._num.T)
+        return RationalMatrix._wrap(num.T.copy(), other._den)
 
 
-def _times(zp: ZetaPair, op: str, x: RationalMatrix, *, left: bool = True) -> RationalMatrix:
-    """op @ x (``left``) or x @ op, for op one of "Z", "M", "Z'", "M'" of the
-    pair: by mode products when ``_by_modes``, else by the dense matrix."""
-    if _by_modes(zp):
-        return _mode_product(zp, op, x, left=left)
-    a = zp._matrix(op)
-    return a @ x if left else x @ a
-
-
-def _mode_product(zp: ZetaPair, op: str, x: RationalMatrix, *, left: bool = True) -> RationalMatrix:
-    """op @ x (``left``) or x @ op for a product pair, one small product per
-    Kronecker factor (Yates' fast zeta/Moebius transform): the rows of x are
-    put in Kronecker order, and mode t adds a_ij times slice j into slice i
-    of its axis for every nonzero a_ij of the factor.  Per mode the bound of
-    ``rational._product`` (max|a| max|x| times the factor size) decides
-    between int64 and Python ints.  A right product x A is the left product
-    (A' x')', by the transposed factors."""
-    fps, perm = zp._kron
-    if x.shape[0 if left else 1] != len(perm):
-        raise InvalidParameter(f"cannot multiply a {len(perm)}-state pair by shape {x.shape}")
-    flip = op.endswith("'") == left
-    y = (x._num if left else x._num.T)[np.argsort(perm)]
+def _mode_product(factors: tuple, perm, flip: bool, y):
+    """A y for integer arrays y and A = P kron(A_1, ..., A_k) P' of the
+    factors (A' when ``flip``), one small product per Kronecker factor
+    (Yates' fast zeta/Moebius transform): the rows of y are put in
+    Kronecker order, and mode t adds a_ij times slice j into slice i of its
+    axis for every nonzero a_ij of the factor.  Per mode the bound of
+    ``rational._product`` (max|a| max|y| times the factor size) decides
+    between int64 and Python ints."""
+    y = y[np.argsort(perm)]
     size, cols = y.shape
-    bound, den, pre = _bound(y), x._den, 1
-    for fp in fps:
-        a = fp.zeta if op[0] == "Z" else fp.moebius
-        num = a._num.T if flip else a._num
-        s = len(num)
-        bound *= _bound(num) * s
+    bound, pre = _bound(y), 1
+    for a in factors:
+        a = a.T if flip else a
+        s = len(a)
+        bound *= _bound(a) * s
         y = _ints(y, bound).reshape(pre, s, -1)
         out = np.zeros(y.shape, dtype=y.dtype)  # calloc'd: its pages are first touched below
-        ii, jj = np.nonzero(num)
-        for i, j, v in zip(ii.tolist(), jj.tolist(), num[ii, jj].tolist()):
+        ii, jj = np.nonzero(a)
+        for i, j, v in zip(ii.tolist(), jj.tolist(), a[ii, jj].tolist()):
             if v == 1:
                 out[:, i] += y[:, j]
             elif v == -1:
                 out[:, i] -= y[:, j]
             else:
                 out[:, i] += v * y[:, j]
-        y, den, pre = out, den * a._den, pre * s
-    y = y.reshape(size, cols)[perm]
-    return RationalMatrix._wrap(y if left else y.T.copy(), den)
+        y, pre = out, pre * s
+    return y.reshape(size, cols)[perm]
 
 
 def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:

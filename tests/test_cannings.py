@@ -348,10 +348,10 @@ def test_backward_kernel_hand_values():
 
 def test_builder_checks_its_counted_q_against_h_dual(monkeypatch):
     # the builder forms one dual, h_dual's (M' P Z')', and matches its counted Q
-    # to it; below the mode-product crossover its _pair_dual calls h_dual
+    # to it
     calls = []
-    h_dual = duality.h_dual
-    monkeypatch.setattr(duality, "h_dual", lambda *args: calls.append(1) or h_dual(*args))
+    h_dual = cannings.h_dual
+    monkeypatch.setattr(cannings, "h_dual", lambda *args: calls.append(1) or h_dual(*args))
     for law in (wright_fisher_law(2), wright_fisher_law(3), moran_law(3), identity_law(3)):
         haploid(law)
     multiallelic_kernels(MIXED_LAW, 2)
@@ -385,8 +385,8 @@ def test_builder_rejects_a_counted_q_off_in_one_entry(monkeypatch, t):
 
 def test_builder_checks_h_h_inverse_past_256_states(monkeypatch):
     # a Moebius matrix off in one entry of a 343-state pair is caught as
-    # Z' M' = I in h_dual: the replaced pair keeps no Kronecker factors, so
-    # it takes the dense path
+    # Z' M' = I in h_dual: the replaced M keeps no Kronecker factors, so
+    # the check multiplies Z', by its factors, with the wrong dense M'
     kron_pair = cannings._kron_pair
 
     def broken(*args):
@@ -417,7 +417,8 @@ def test_large_builders_make_no_dense_state_products(monkeypatch):
 
     monkeypatch.setattr(rational, "_product", recorded)
     ma = multiallelic_kernels(moran_law(6), 2)
-    assert len(ma.pair.poset) == 729 and poset._by_modes(ma.pair)
+    assert len(ma.pair.poset) == 729 > poset._MODE_STATES
+    assert isinstance(ma.pair.zeta, poset._KronMatrix) and isinstance(ma.pair.moebius, poset._KronMatrix)
     assert shapes  # the claw's own Z M = I
 
 
@@ -431,9 +432,27 @@ def test_coarsen_forms_no_second_dual(monkeypatch, t):
 
     monkeypatch.setattr(coarse_graining, "h_dual", no_dual)
     monkeypatch.setattr(duality, "h_dual", no_dual)
-    monkeypatch.setattr(cannings, "_pair_dual", no_dual)
+    monkeypatch.setattr(cannings, "h_dual", no_dual)
     res = coarsen_multiallelic(ma)
     assert res.q == ma.q.matrix
+
+
+def test_pipeline_on_a_product_pair_past_the_crossover(monkeypatch):
+    # the haploid Moran(7) model has 128 states: the pipeline's h_dual and
+    # compatibility checks multiply by the pair's Kronecker factors, and give
+    # what the dense copy of the pair and the builder's coarsener give
+    ma = haploid(moran_law(7))
+    assert len(ma.pair.poset) == 128 > poset._MODE_STATES
+    want = coarsen_multiallelic(ma)
+    variant = duality.DualityVariant.ZETA_TRANSPOSE
+    dense = dataclasses.replace(ma.pair, zeta=RationalMatrix(ma.pair.zeta),
+                                moebius=RationalMatrix(ma.pair.moebius))
+    slow = coarse_graining.coarse_duality_pipeline(ma.p_ext, dense, variant, want.rel)
+    calls, mode_product = [], poset._mode_product
+    monkeypatch.setattr(poset, "_mode_product", lambda *args: calls.append(1) or mode_product(*args))
+    fast = coarse_graining.coarse_duality_pipeline(ma.p_ext, ma.pair, variant, want.rel)
+    assert calls
+    assert fast == slow == want
 
 
 def test_coarsen_haploid_wf2():

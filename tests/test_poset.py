@@ -490,27 +490,31 @@ def random_matrix(draw, rows, cols, big):
 @given(product_pairs(), st.data())
 def test_product_pairs_agree_with_the_dense_path(zp, data):
     n = len(zp.poset)
-    assert zp._kron is not None
-    dense = dataclasses.replace(zp)  # the same matrices with no Kronecker factors
-    assert dense._kron is None
+    assert isinstance(zp.zeta, poset._KronMatrix) and isinstance(zp.moebius, poset._KronMatrix)
+    # the same matrices with no Kronecker factors
+    dense = dataclasses.replace(zp, zeta=RationalMatrix(zp.zeta), moebius=RationalMatrix(zp.moebius))
+    assert type(dense.zeta) is type(dense.moebius) is RationalMatrix
     # M read off the factors is the column recursion's
     assert zp.moebius == poset._moebius_pair(zp.poset).moebius
-    # the mode products equal the dense products, below the crossover too
     x = random_matrix(data.draw, n, data.draw(st.integers(1, 3)), data.draw(st.booleans()))
-    for op in ("Z", "M", "Z'", "M'"):
-        a = zp._matrix(op)
-        assert poset._mode_product(zp, op, x) == a @ x
-        assert poset._mode_product(zp, op, x.T, left=False) == x.T @ a
-    # every variant's dual, cone images and reports, with the mode products
-    # forced at every size; kernels in Python integers on the smaller pairs,
-    # where the dense reference stays quick
+    # kernels in Python integers on the smaller pairs, where the dense
+    # reference stays quick
     p = Kernel.of(random_matrix(data.draw, n, n, n <= 32 and data.draw(st.booleans())))
     with pytest.MonkeyPatch.context() as patch:
+        # mode products forced at every size, and counted
         patch.setattr(poset, "_MODE_STATES", 0)
-        assert poset._by_modes(zp) and not poset._by_modes(dense)
+        calls, mode_product = [], poset._mode_product
+        patch.setattr(poset, "_mode_product", lambda *args: calls.append(1) or mode_product(*args))
+        # Z, M, Z' and M' times x and x' times each equal the dense products
+        for a, b in ((zp.zeta, dense.zeta), (zp.moebius, dense.moebius)):
+            for fast, slow in ((a, b), (a.T, b.T)):
+                assert fast @ x == slow @ x
+                assert x.T @ fast == x.T @ slow
+        assert len(calls) == 8
+        # every variant's dual, cone images and reports
         cumulative = data.draw(st.booleans())
         for variant in DualityVariant:
-            assert duality._pair_dual(p, zp, variant) == h_dual(p, *variant.h_pair(zp))
+            assert h_dual(p, *variant.h_pair(zp)) == h_dual(p, *variant.h_pair(dense))
             if n > 128:  # each report holds its image as n Fractions, slow past here
                 continue
             # images, verdict and dual, and each report's verdict and witness;
@@ -529,13 +533,16 @@ def test_product_pair_past_int64():
     assert zp.moebius == poset._moebius_pair(prod).moebius
     assert zp.moebius._num.dtype == object
     g = RationalMatrix(np.eye(len(prod), 3, dtype=np.int64))
-    assert poset._mode_product(zp, "M", g) == zp.moebius @ g
-    assert poset._mode_product(zp, "Z'", g.T, left=False) == g.T @ zp.zeta.T
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset, "_MODE_STATES", 0)
+        assert zp.moebius @ g == RationalMatrix(zp.moebius) @ g
+        assert g.T @ zp.zeta.T == g.T @ RationalMatrix(zp.zeta).T
 
 
 def test_product_with_an_empty_factor_is_empty():
     zp = moebius_matrix(product_poset(chain(0), chain(3)))
-    assert len(zp.poset) == 0 and zp.moebius.shape == (0, 0) and zp._kron is not None
+    assert len(zp.poset) == 0 and zp.moebius.shape == (0, 0)
+    assert isinstance(zp.moebius, poset._KronMatrix)
 
 
 def test_product_pairs_check_their_factors_and_order(monkeypatch):
@@ -569,11 +576,13 @@ def test_product_pairs_check_their_factors_and_order(monkeypatch):
 
 def test_replaced_pairs_keep_no_factors():
     # Z or M replaced through dataclasses.replace is never paired with the
-    # factors of the original, so products use the replaced matrices
+    # factors of the original, so products use the replaced matrices; an
+    # unreplaced Z or M keeps its own
     zp = subset_lattice(7).pair
-    assert poset._by_modes(zp)
+    assert len(zp.poset) > poset._MODE_STATES
+    assert dataclasses.replace(zp).moebius is zp.moebius
     wrong = dataclasses.replace(zp, moebius=zp.moebius.scale(2))
-    assert wrong._kron is None and not poset._by_modes(wrong)
+    assert type(wrong.moebius) is RationalMatrix and wrong.zeta is zp.zeta
     g = RationalMatrix([[1]] * 128)
     assert duality._cone_reports(g, wrong, False)[0] == zp.moebius.scale(2) @ g
 
