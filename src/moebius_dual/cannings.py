@@ -27,12 +27,11 @@ from .errors import (
     InvalidOffspringLaw,
     InvalidParameter,
     NotExchangeable,
-    SizeOverflow,
     _check_range,
     _require,
 )
 from .lattices import _claw, _flatten, _subset_order
-from .poset import MAX_STATES, ZetaPair, _kron_pair, _poset_from_matrix
+from .poset import ZetaPair, _check_states, _kron_pair, _poset_from_matrix
 from .rational import _INT64_MAX, RationalMatrix, _require_equal
 
 __all__ = [
@@ -443,18 +442,18 @@ def _partial_pair(n: int, t: int) -> ZetaPair:
     return _kron_pair(poset, (_claw(t),) * n, codes)
 
 
-def multiallelic_kernels(law: OffspringLaw, t: int, *, cap: int = MAX_STATES) -> MultiAllelicKernels:
+def multiallelic_kernels(law: OffspringLaw, t: int) -> MultiAllelicKernels:
     """Exact forward and backward kernels for T >= 1 allele types, with the
     transpose-zeta duality Z' Q' = P Z' verified: the counted Q must equal
     h_dual's (M' P Z')', which checks Z' M' = I first, at every size.
     T = 1 is the haploid model.  The zeta pair is the product pair of
     ``_partial_pair``, so past the mode-product crossover that check and
-    its products are made factor by factor by ``@``."""
+    its products are made factor by factor by ``@``.  The (T+1)^N partial
+    states are checked against the state cap first."""
     if t < 1:
         raise InvalidParameter(f"population model: T must be >= 1, got {t}")
     n = law.ground_size
-    if (t + 1) ** n > cap:
-        raise SizeOverflow(f"(T+1)^N = {(t + 1) ** n} partial states, cap {cap}")
+    _check_states((t + 1) ** n)
     pair = _partial_pair(n, t)
     covering = tuple(
         i for i, s in enumerate(pair.poset.elements)

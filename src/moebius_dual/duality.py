@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
                      _require)
-from .poset import FinitePoset, ZetaPair
+from .poset import _BLOCK_BYTES, FinitePoset, ZetaPair, _row_blocks
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -235,15 +235,20 @@ def strong_condition_check(
     _, reports, holds, q = _certify(p, zp, variant, cumulative=False)
     if holds:
         _require(q.is_nonnegative(), "condition (ii) => Q >= 0")
-        # for i <= j, row j of Q ("in-a") or of Q' ("in-b") minus row i has the stated sign
-        qa = q if variant.monotonicity.endswith("-a") else q.T
-        sign = 1 if variant.monotonicity.startswith("increasing") else -1
-        # the order is upper-triangular: pairs (i, j > i) come in comparable_pairs order
-        for i, row in enumerate(zp.poset.matrix):
-            above = np.flatnonzero(row[i + 1:]) + i + 1
-            bad = ((qa[above] - qa[np.full(len(above), i)]).signs() * sign < 0).any(axis=1)
+        # for i < j, row j of Q ("-a") or Q' ("-b") is >= row i ("increasing-") or <=;
+        # Q has one positive denominator, so its numerators are compared with <
+        # (no overflow), over bounded blocks of pairs in row-major order
+        num = q._num if variant.monotonicity.endswith("-a") else q._num.T
+        strict = np.triu(zp.poset.matrix, 1)  # the order is upper-triangular
+        n = len(strict)
+        for r0, r1 in _row_blocks(strict.sum(axis=1), max(1, _BLOCK_BYTES // max(n, 1))):
+            ii, jj = np.divmod(np.flatnonzero(strict[r0:r1]), n)
+            ii += r0
+            lo, hi = (jj, ii) if variant.monotonicity.startswith("increasing") else (ii, jj)
+            bad = (num[lo] < num[hi]).any(axis=1)
             if bad.any():
-                pair = (zp.poset.elements[i], zp.poset.elements[above[np.argmax(bad)]])
+                k = int(np.argmax(bad))
+                pair = (zp.poset.elements[ii[k]], zp.poset.elements[jj[k]])
                 raise VerificationFailure("condition (ii) => Q monotone", pair)
     return StrongConditionReport(
         variant=variant, condition_holds=holds, per_index=reports, q=q, monotone=True

@@ -15,8 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidSkeleton, NotComparable, _check_range
-from .poset import FinitePoset, ZetaPair, _kron_pair, _library_pair, _poset_from_matrix
+from .errors import InvalidParameter, InvalidSkeleton, NotComparable
+from .poset import FinitePoset, ZetaPair, _check_states, _kron_pair, _library_pair, _poset_from_matrix
 
 __all__ = [
     "SubsetLattice",
@@ -29,12 +29,7 @@ __all__ = [
     "skeleton",
     "skeletons_of",
     "bell_number",
-    "MAX_SUBSET_GROUND",
-    "MAX_PARTITION_GROUND",
 ]
-
-MAX_SUBSET_GROUND = 20
-MAX_PARTITION_GROUND = 8
 
 
 def _flatten(masks, width: int) -> int:
@@ -107,9 +102,11 @@ def subset_lattice(n: int) -> SubsetLattice:
     It is also the T-fold product of the subset lattice of {1..N}, with the
     componentwise order, for n = N*T: a product of Boolean lattices is
     Boolean (Rota 1964), and ``_flatten`` is the isomorphism, putting the
-    t-th N-bit block of a mask at bits t*N..t*N+N-1.
+    t-th N-bit block of a mask at bits t*N..t*N+N-1.  The state cap is checked first.
     """
-    _check_range("subset lattice", "N", n, 0, MAX_SUBSET_GROUND)
+    if n < 0:
+        raise InvalidParameter(f"subset lattice: N must be >= 0, got {n}")
+    _check_states(power=n)
     masks = tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
     poset = _poset_from_matrix(masks, _subset_order(masks), validate=False)
     return SubsetLattice(ground_size=n, pair=_kron_pair(poset, (_claw(1),) * n, poset.elements))
@@ -269,7 +266,12 @@ def _pair_masks(rgs: np.ndarray) -> np.ndarray:
 
 
 def partition_lattice(n: int) -> PartitionLattice:
-    _check_range("partition lattice", "n", n, 1, MAX_PARTITION_GROUND)
+    """All partitions of {1..n}, capped on Bell(n) >= 2^(n-1) first, so that a
+    huge n computes no huge Bell number, then on the exact Bell(n)."""
+    if n < 1:
+        raise InvalidParameter(f"partition lattice: n must be >= 1, got {n}")
+    _check_states(power=n - 1, shown=f"Bell({n}) >= 2^{n - 1}")
+    _check_states(bell_number(n))
     parts = enumerate_partitions(n)
     pairs = _pair_masks(np.array([p.rgs for p in parts]))
     return PartitionLattice(ground_size=n, pair=_library_pair(tuple(parts), _subset_order(pairs.tolist())))

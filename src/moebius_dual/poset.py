@@ -24,11 +24,15 @@ through the factors at every size.  Its Z and M are ``_KronMatrix``, a
 zeta/Moebius transform), so every caller multiplies the same way.  Other
 library orders (the partition lattices) have their axioms and Z M = I
 checked up to ``_SELF_CHECK_STATES`` states.
+
+Every state space the library builds passes ``_check_states``, the one
+state cap, before it is built.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -49,10 +53,36 @@ __all__ = [
     "MAX_STATES",
 ]
 
-MAX_STATES = 4096  # default state cap; ``cap=`` and MOEBIUS_DUAL_MAX_STATES override it
+MAX_STATES = 4096  # default state cap; MOEBIUS_DUAL_MAX_STATES overrides it
 _SELF_CHECK_STATES = 256  # a library order that is no product is self-checked up to this size
 _MODE_STATES = 64  # past this many states a product pair multiplies by mode products
-_BLOCK_BYTES = 1 << 20  # packed row bytes per block of the order validation
+_BLOCK_BYTES = 1 << 20  # packed row bytes (or entries) per block of a blocked pair scan
+_DECIMAL_EXPONENT = 14_284  # the largest n whose 2**n str() writes (4,300 digits by default)
+
+
+def _check_states(states: int | None = None, *, power: int | None = None, shown: str | None = None):
+    """The one state gate, called before a state space is built: raise
+    SizeOverflow when ``states`` states, or at least 2**``power``, exceed the
+    cap, MOEBIUS_DUAL_MAX_STATES or else MAX_STATES.  A power is decided on
+    bit lengths, so that a huge one forms no huge integer; a count past
+    2^``_DECIMAL_EXPONENT`` is written as a power of two, and ``shown``
+    replaces the count."""
+    raw = os.environ.get("MOEBIUS_DUAL_MAX_STATES")
+    try:
+        cap = MAX_STATES if raw is None else int(raw)
+    except ValueError as exc:
+        raise InvalidParameter(f"MOEBIUS_DUAL_MAX_STATES={raw!r} is not an integer") from exc
+    if cap < 1:
+        raise InvalidParameter(f"MOEBIUS_DUAL_MAX_STATES must be >= 1, got {cap}")
+    if power is not None:
+        if power < cap.bit_length():  # exactly when 2**power <= cap
+            return
+        states = 1 << power if power <= _DECIMAL_EXPONENT else f"2^{power}"
+    elif states <= cap:
+        return
+    elif states.bit_length() > _DECIMAL_EXPONENT:  # a count str() may not write
+        states = f">= 2^{states.bit_length() - 1}"
+    raise SizeOverflow(f"{shown or states} states exceed the cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -434,9 +464,7 @@ def _mode_product(factors: tuple, perm, flip: bool, y):
 
 def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:
     """Cartesian product with the componentwise order."""
-    size = len(p1) * len(p2)
-    if size > MAX_STATES:
-        raise SizeOverflow(f"product has {size} elements, cap {MAX_STATES}")
+    _check_states(len(p1) * len(p2))
     labels = [(a, b) for a in p1.elements for b in p2.elements]
 
     def leq(x, y):

@@ -100,8 +100,9 @@ def _from_values(values, shape):
 
 
 def _bound(num) -> int:
-    """max(1, largest |entry|) of an integer array."""
-    return int(np.abs(num).max(initial=1))
+    """max(1, largest |entry|) of an integer array, with no |num| temporary;
+    the extremes are Python ints, since negating the int64 minimum overflows."""
+    return max(1, int(num.max()), -int(num.min())) if num.size else 1
 
 
 def _ints(num, bound: int):

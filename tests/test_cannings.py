@@ -520,9 +520,20 @@ def test_multiallelic_defect_values():
     assert ident.p_ext.matrix == RationalMatrix.identity(9)
 
 
-def test_multiallelic_cap():
-    with pytest.raises(SizeOverflow):
+def test_multiallelic_cap(monkeypatch):
+    law = wright_fisher_law(3)
+    monkeypatch.setattr(cannings, "_partial_pair", lambda n, t: pytest.fail("built past the cap"))
+    with pytest.raises(SizeOverflow, match="^6561 states exceed the cap 4096$"):
         multiallelic_kernels(wright_fisher_law(4), 8)
+    # a count too long for str() is written as a power of two: (10^1500 + 1)^3
+    with pytest.raises(SizeOverflow, match=r"^>= 2\^14948 states exceed the cap 4096$"):
+        multiallelic_kernels(law, 10**1500)
+    monkeypatch.undo()
+    # the library itself honours the environment's cap: (T+1)^3 = 8 builds, 27 does not
+    monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "8")
+    assert len(multiallelic_kernels(law, 1).pair.poset) == 8
+    with pytest.raises(SizeOverflow, match="^27 states exceed the cap 8$"):
+        multiallelic_kernels(law, 2)
 
 
 def test_coarsen_multiallelic_wf2_t2():

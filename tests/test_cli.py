@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from moebius_dual import RationalMatrix, cli
+from moebius_dual import RationalMatrix, cli, lattices
 from moebius_dual.cli import main
 
 
@@ -131,11 +131,15 @@ def test_verify_all_passes(capsys):
     assert all(c["ok"] for c in doc["checks"])
 
 
-def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"subset_lattice({n}) built past the cap")
+def _refuse(what):
+    def refuse(*args):
+        raise AssertionError(f"{what} allocated past the cap")
 
-    monkeypatch.setattr(cli, "subset_lattice", refuse)
+    return refuse
+
+
+def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
+    monkeypatch.setattr(lattices, "_subset_order", _refuse("subset order"))
     monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "8")
     for max_n, states in (("4", 16), ("13", 8192)):
         code, out, err = run(["verify-all", "--max-n", max_n], capsys)
@@ -150,10 +154,7 @@ def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
     ["verify-all", "--max-n"],
 ])
 def test_huge_subset_counts_exit_on_the_cap(command, capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"subset_lattice({n}) built past the cap")
-
-    monkeypatch.setattr(cli, "subset_lattice", refuse)
+    monkeypatch.setattr(lattices, "_subset_order", _refuse("subset order"))
     # 2**14284 is the largest power of two that Python formats by default;
     # past it the count is written as a power, and 2**(10**18) is never built
     for n, states in ((13, "8192"), (14284, str(1 << 14284)), (14285, "2^14285"),
@@ -168,18 +169,15 @@ def test_huge_subset_counts_exit_on_the_cap(command, capsys, monkeypatch):
 
 
 def test_huge_partition_counts_exit_on_the_bell_bound(capsys, monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"partition_lattice({n}) built past the cap")
-
-    exact_bell = cli.bell_number
+    exact_bell = lattices.bell_number
 
     def small_bell(n):
         if n > 64:
             raise AssertionError(f"bell_number({n}) computed past the bound")
         return exact_bell(n)
 
-    monkeypatch.setattr(cli, "partition_lattice", refuse)
-    monkeypatch.setattr(cli, "bell_number", small_bell)
+    monkeypatch.setattr(lattices, "enumerate_partitions", _refuse("partitions"))
+    monkeypatch.setattr(lattices, "bell_number", small_bell)
     # Bell(n) >= 2^(n-1) decides the cap before any Bell number is computed
     for n in (1500, 10**18):
         code, out, err = run(["lattice", "partitions", "--n", str(n)], capsys)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from moebius_dual import lattices
 from moebius_dual import (
     Partition,
     RationalMatrix,
@@ -52,8 +53,38 @@ def test_subset_helpers():
         lat.mask_of([4])
     with pytest.raises(SizeOverflow):
         subset_lattice(25)
-    with pytest.raises(InvalidParameter, match="must be in 0.."):
+    with pytest.raises(InvalidParameter, match="N must be >= 0"):
         subset_lattice(-1)
+
+
+def _refuse(*args):
+    raise AssertionError("allocated past the cap")
+
+
+def test_lattices_raise_on_the_state_cap_before_they_allocate(monkeypatch):
+    monkeypatch.setattr(lattices, "_subset_order", _refuse)
+    monkeypatch.setattr(lattices, "enumerate_partitions", _refuse)
+    monkeypatch.setattr(lattices, "bell_number", lambda n: _refuse() if n > 64 else bell_number(n))
+    for build, n, detail in ((subset_lattice, 13, "8192"), (subset_lattice, 15, "32768"),
+                             (subset_lattice, 10**18, f"2^{10**18}"),
+                             (partition_lattice, 8, "4140"),
+                             (partition_lattice, 10**18, f"Bell({10**18}) >= 2^{10**18 - 1}")):
+        with pytest.raises(SizeOverflow) as e:
+            build(n)
+        assert str(e.value) == f"{detail} states exceed the cap 4096"
+    monkeypatch.undo()
+    assert len(subset_lattice(12).poset) == 4096 and len(partition_lattice(7).poset) == 877
+    # the library itself honours the environment's cap
+    monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "8")
+    assert len(subset_lattice(3).poset) == 8
+    with pytest.raises(SizeOverflow, match="^16 states exceed the cap 8$"):
+        subset_lattice(4)
+    with pytest.raises(SizeOverflow, match="^15 states exceed the cap 8$"):
+        partition_lattice(4)
+    for raw, message in (("0", "must be >= 1, got 0"), ("eight", "'eight' is not an integer")):
+        monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", raw)
+        with pytest.raises(InvalidParameter, match=message):
+            subset_lattice(0)
 
 
 def test_flattening_maps_the_product_of_subset_lattices_onto_subsets():

@@ -124,6 +124,26 @@ def test_size_rules_are_the_constants_of_poset():
     }
     assert constants["MAX_STATES"] == 4096 and constants["_SELF_CHECK_STATES"] == 256
     assert list(inspect.signature(moebius_dual.build_poset).parameters) == ["labels", "leq"]
+    # poset.py alone reads the cap and compares counts with it: no other module
+    # names its variable, the environment or MAX_STATES, and no public
+    # function takes a cap of its own
+    readers = sorted({
+        name
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant) and node.value == "MOEBIUS_DUAL_MAX_STATES")
+        or (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv"))
+        or (isinstance(node, ast.Name) and node.id == "MAX_STATES")
+    })
+    assert readers == ["poset.py"]
+    takes_cap = [
+        f"{name}:{node.name}"
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+        and "cap" in [a.arg for a in node.args.posonlyargs + node.args.args + node.args.kwonlyargs]
+    ]
+    assert takes_cap == []
 
 
 def test_offspring_laws_are_read_through_their_fields():

@@ -321,9 +321,18 @@ def test_product_poset_moebius_factorizes():
                 ) * zp2.mu_value(a2, b2)
 
 
-def test_product_poset_cap():
-    with pytest.raises(SizeOverflow):
-        product_poset(chain(80), chain(80))
+def test_product_poset_cap(monkeypatch):
+    big, small = chain(80), chain(3)
+
+    def refuse(*args):
+        raise AssertionError("product built past the cap")
+
+    monkeypatch.setattr(poset, "build_poset", refuse)
+    with pytest.raises(SizeOverflow, match="^6400 states exceed the cap 4096$"):
+        product_poset(big, big)
+    monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", "8")
+    with pytest.raises(SizeOverflow, match="^9 states exceed the cap 8$"):
+        product_poset(small, small)
 
 
 @settings(max_examples=40, deadline=None)
