@@ -25,8 +25,9 @@ zeta/Moebius transform), so every caller multiplies the same way.  Other
 library orders (the partition lattices) have their axioms and Z M = I
 checked up to ``_SELF_CHECK_STATES`` states.
 
-Every state space the library builds passes ``_check_states``, the one
-state cap, before it is built.
+Every order the library builds (the subset and partition lattices, the
+Cannings partial states and ``product_poset``) passes ``_check_states``,
+the one state cap, before it is built.
 """
 
 from __future__ import annotations

@@ -148,6 +148,17 @@ def test_verify_all_honours_the_state_cap(capsys, monkeypatch):
                                    "detail": f"{states} states exceed the cap 8"}
 
 
+def test_verify_all_exits_on_a_cap_a_later_check_reaches(capsys, monkeypatch):
+    # a cap that admits 2^max_n but not a later check's state space exits 3,
+    # not as a failed identity: WF(2) at T = 2 has 3^2 and partitions of 5 have 52
+    for cap, max_n, states in (("8", "3", 9), ("32", "5", 52)):
+        monkeypatch.setenv("MOEBIUS_DUAL_MAX_STATES", cap)
+        code, out, err = run(["verify-all", "--max-n", max_n], capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": "size-cap",
+                                   "detail": f"{states} states exceed the cap {cap}"}
+
+
 @pytest.mark.parametrize("command", [
     ["lattice", "subsets", "--n"],
     ["duality", "--kernel", "unread.json", "--n"],
