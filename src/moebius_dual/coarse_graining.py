@@ -26,7 +26,7 @@ from .lattices import (
     skeleton,
     skeletons_of,
 )
-from .poset import _SELF_CHECK_STATES, ZetaPair
+from .poset import ZetaPair
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -188,50 +188,39 @@ def coarse_set_matrices(n: int) -> CoarseSetMatrices:
     )
 
 
-def _class_counts(hits: np.ndarray, classes: np.ndarray, size: int) -> np.ndarray:
-    """Per row of the bool matrix ``hits``, the number of its hits in each of
-    ``size`` classes, for ``classes`` the class index of each column."""
-    flat = (np.arange(len(hits))[:, None] * size + classes)[hits]
-    return np.bincount(flat, minlength=len(hits) * size).reshape(len(hits), size)
-
-
 def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
     """The same four matrices by direct counting over all 2^N subsets.
 
-    For each cardinality class the class sums of Z, Z^{-1}, Z', (Z')^{-1}
-    rows at a representative J are counted over every subset, by the
-    cardinality of its supersets and subsets of J.  Representative
-    independence is verified over all representatives while 2^N is within
-    the self-check size (up to N = 8), and over two extreme ones beyond.
+    The class sums of the Z and Z' rows at a subset J count its supersets
+    and its subsets of each cardinality k, and the Z^{-1} and (Z')^{-1} rows
+    carry the sign (-1)^(k-j).  Both are counted for every J at once, by one
+    Yates pass per ground element (Björklund, Husfeldt, Kaski & Koivisto,
+    STOC 2007), and every row is compared with the row of {1..j} at every N.
     """
     _check_range("enumeration route", "N", n, 0, MAX_ENUMERATION_GROUND)
     size = n + 1
     masks = np.arange(1 << n)
-    cards = np.bitwise_count(masks)
+    cards = np.bitwise_count(masks).astype(np.int64)
+    # the supersets and the subsets of J by cardinality start as the indicator
+    # of its own, in the narrowest signed dtype that holds 2^N
+    counts = np.zeros((2, 1 << n, size), dtype=np.min_scalar_type(-(2 << n)))
+    counts[:, masks, cards] = 1
+    for b in range(n):
+        t = counts.reshape(2, -1, 2, (1 << b) * size)  # axis 2 is bit b of J
+        t[0, :, 0] += t[0, :, 1]  # J without b gains the supersets of J + b
+        t[1, :, 1] += t[1, :, 0]  # J with b gains the subsets of J - b
+    bad = (counts != counts.take((1 << cards) - 1, axis=1)).any(axis=(0, 2))
+    _require(not bad.any(), "coarse set rows are representative-free", lambda: int(cards[bad].min()))
+
     ks = np.arange(size)
-
-    rows = []
-    for j in range(size):
-        if 1 << n <= _SELF_CHECK_STATES:
-            reps = masks[cards == j]
-        else:
-            lo = (1 << j) - 1  # first j ground elements
-            hi = lo << (n - j)  # last j ground elements
-            reps = np.array([lo] if lo == hi else [lo, hi])
-        up = _class_counts(reps[:, None] & ~masks == 0, cards, size)
-        down = _class_counts(masks & ~reps[:, None] == 0, cards, size)
-        sign = 1 - 2 * ((ks + j) % 2)  # (-1)^(k-j)
-        cand = np.hstack([up, sign * up, down, sign * down])
-        _require(bool((cand == cand[0]).all()), "coarse set rows are representative-free", j)
-        rows.append(cand[0])
-
-    table = np.array(rows)
+    up, down = counts[:, (1 << ks) - 1].astype(np.int64)  # the rows of {1..j}
+    sign = 1 - 2 * ((ks[:, None] + ks) % 2)  # (-1)^(k-j)
     out = CoarseSetMatrices(
         ground_size=n,
-        zeta=RationalMatrix(table[:, :size]),
-        moebius=RationalMatrix(table[:, size:2 * size]),
-        zeta_transpose=RationalMatrix(table[:, 2 * size:3 * size]),
-        moebius_transpose=RationalMatrix(table[:, 3 * size:]),
+        zeta=RationalMatrix(up),
+        moebius=RationalMatrix(sign * up),
+        zeta_transpose=RationalMatrix(down),
+        moebius_transpose=RationalMatrix(sign * down),
     )
     eye = RationalMatrix.identity(size)
     _require_equal(out.zeta @ out.moebius, eye, "coarse Z M = I")

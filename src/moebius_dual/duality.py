@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
                      _require)
-from .poset import _BLOCK_BYTES, FinitePoset, ZetaPair, _row_blocks
+from .poset import _BLOCK_BYTES, FinitePoset, ZetaPair, _pair_blocks
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -240,10 +240,7 @@ def strong_condition_check(
         # (no overflow), over bounded blocks of pairs in row-major order
         num = q._num if variant.monotonicity.endswith("-a") else q._num.T
         strict = np.triu(zp.poset.matrix, 1)  # the order is upper-triangular
-        n = len(strict)
-        for r0, r1 in _row_blocks(strict.sum(axis=1), max(1, _BLOCK_BYTES // max(n, 1))):
-            ii, jj = np.divmod(np.flatnonzero(strict[r0:r1]), n)
-            ii += r0
+        for ii, jj in _pair_blocks(strict, max(1, _BLOCK_BYTES // max(len(strict), 1))):
             lo, hi = (jj, ii) if variant.monotonicity.startswith("increasing") else (ii, jj)
             bad = (num[lo] < num[hi]).any(axis=1)
             if bad.any():
@@ -283,12 +280,13 @@ def h_transform(q: Kernel, h) -> Kernel:
     """D_h^{-1} Q D_h for strictly positive h.
 
     The result is stochastic exactly when h is a right 1-eigenvector of Q;
-    both sides of that equivalence are checked.
+    both sides of that equivalence are checked.  h passes the rational input
+    gate, so a float or bool entry raises NonRationalEntry.
     """
-    hv = [Fraction(x) for x in h]
+    d = RationalMatrix.diagonal(h)
+    hv = [d[i, i] for i in range(d.rows)]
     if any(x <= 0 for x in hv):
         raise NonpositiveH("h must be strictly positive")
-    d = RationalMatrix.diagonal(hv)
     d_inv = RationalMatrix.diagonal([1 / x for x in hv])
     out = d_inv @ q.matrix @ d
     kernel = Kernel.of(out)

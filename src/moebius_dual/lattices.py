@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import InvalidParameter, InvalidSkeleton, NotComparable
-from .poset import FinitePoset, ZetaPair, _check_states, _kron_pair, _library_pair, _poset_from_matrix
+from .poset import FinitePoset, ZetaPair, _check_states, _checked_pair, _kron_pair, _poset_from_matrix
 
 __all__ = [
     "SubsetLattice",
@@ -48,6 +48,14 @@ def _subset_order(masks) -> np.ndarray:
     """
     a = np.array(masks, dtype=np.min_scalar_type(max(masks, default=0)))
     return (a[:, None] & ~a[None, :]) == 0
+
+
+def _integers(words, what: str, text: str) -> tuple:
+    """The integers spelled by ``words``, read from ``text``, or InvalidParameter naming it."""
+    try:
+        return tuple(int(w) for w in words)
+    except ValueError:
+        raise InvalidParameter(f"{what}: cannot parse {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -85,19 +93,19 @@ class SubsetLattice:
 
 
 @lru_cache(maxsize=None)
-def _claw(t: int) -> FinitePoset:
-    """0 (absent) below t incomparable types 1..t; at t = 1 the two-element
-    chain.  Unvalidated: ``_kron_pair`` validates its factors on every use."""
+def _claw(t: int) -> ZetaPair:
+    """The zeta pair of 0 (absent) below t incomparable types 1..t (at t = 1
+    the chain 0 < 1), validated and checked once, when it is cached."""
     m = np.eye(t + 1, dtype=bool)
     m[0] = True
-    return _poset_from_matrix(tuple(range(t + 1)), m, validate=False)
+    return _checked_pair(_poset_from_matrix(tuple(range(t + 1)), m, validate=True))
 
 
 def subset_lattice(n: int) -> SubsetLattice:
     """Subset lattice of {1..n}, the n-fold product of the two-element chain
-    0 < 1: ``_kron_pair`` reads its Moebius matrix off the chain's, with the
-    mask of a subset as its Kronecker index, and checks the chain's Z M = I
-    and the order against the Kronecker power at every size.
+    0 < 1: ``_kron_pair`` reads its Moebius matrix off the chain's checked
+    pair, with the mask of a subset as its Kronecker index, and checks the
+    order against the Kronecker power at every size.
 
     It is also the T-fold product of the subset lattice of {1..N}, with the
     componentwise order, for n = N*T: a product of Boolean lattices is
@@ -176,9 +184,9 @@ class Partition:
                 if not chunk:
                     continue
                 inner = chunk.strip("{}").replace(",", " ").split()
-                atoms.append({int(x) for x in inner})
+                atoms.append(set(_integers(inner, "partition", text)))
             return cls.from_atoms(atoms)
-        return cls(tuple(int(x) for x in text.replace(",", " ").split()))
+        return cls(_integers(text.replace(",", " ").split(), "partition", text))
 
     @property
     def n(self) -> int:
@@ -274,7 +282,8 @@ def partition_lattice(n: int) -> PartitionLattice:
     _check_states(bell_number(n))
     parts = enumerate_partitions(n)
     pairs = _pair_masks(np.array([p.rgs for p in parts]))
-    return PartitionLattice(ground_size=n, pair=_library_pair(tuple(parts), _subset_order(pairs.tolist())))
+    poset = _poset_from_matrix(tuple(parts), _subset_order(pairs.tolist()), validate=True)
+    return PartitionLattice(ground_size=n, pair=_checked_pair(poset))
 
 
 def partition_moebius_closed_form(alpha: Partition, beta: Partition) -> int:
@@ -318,7 +327,7 @@ class Skeleton:
 
     @classmethod
     def parse(cls, text: str) -> "Skeleton":
-        return cls.of(int(x) for x in text.strip().split("+"))
+        return cls.of(_integers(text.strip().split("+"), "skeleton", text))
 
     @property
     def total(self) -> int:

@@ -21,9 +21,9 @@ the permuted Kronecker product of the factor inverses (Rota 1964), checked
 through the factors at every size.  Its Z and M are ``_KronMatrix``, a
 ``RationalMatrix`` that keeps its factors: ``@`` by one of them past
 ``_MODE_STATES`` states is made one small factor at a time (Yates' fast
-zeta/Moebius transform), so every caller multiplies the same way.  Other
-library orders (the partition lattices) have their axioms and Z M = I
-checked up to ``_SELF_CHECK_STATES`` states.
+zeta/Moebius transform), so every caller multiplies the same way.  Any
+other order has Z M = I checked at every size, summed over the comparable
+pairs of Z only, so that it costs their number times n rather than n^3.
 
 Every order the library builds (the subset and partition lattices, the
 Cannings partial states and ``product_poset``) passes ``_check_states``,
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 MAX_STATES = 4096  # default state cap; MOEBIUS_DUAL_MAX_STATES overrides it
-_SELF_CHECK_STATES = 256  # a library order that is no product is self-checked up to this size
 _MODE_STATES = 64  # past this many states a product pair multiplies by mode products
 _BLOCK_BYTES = 1 << 20  # packed row bytes (or entries) per block of a blocked pair scan
 _DECIMAL_EXPONENT = 14_284  # the largest n whose 2**n str() writes (4,300 digits by default)
@@ -171,14 +170,16 @@ class ZetaPair:
         return self.moebius.T
 
 
-def _row_blocks(weights: np.ndarray, limit: int):
-    """Consecutive row ranges (r0, r1) whose weights add up to at most
-    ``limit``; a row that alone weighs more is a block of its own."""
-    ends = np.cumsum(weights)
+def _pair_blocks(m: np.ndarray, limit: int):
+    """The nonzero entries of the 2-D array ``m`` in row-major order, as index
+    arrays (ii, jj) over blocks of rows that hold at most ``limit`` of them
+    (a row that holds more is a block of its own), so that they stay bounded."""
+    ends = np.count_nonzero(m, axis=1).cumsum()
     r0, done = 0, 0
     while r0 < len(ends):
         r1 = max(r0 + 1, int(np.searchsorted(ends, done + limit, side="right")))
-        yield r0, r1
+        ii, jj = np.nonzero(m[r0:r1])
+        yield ii + r0, jj
         r0, done = r1, int(ends[r1 - 1])
 
 
@@ -187,18 +188,14 @@ def _validate_order(labels, m: np.ndarray) -> None:
     reflexivity, antisymmetry, transitivity, with its first row-major witness.
     The comparable pairs are taken over blocks of rows, in row order, so that
     their index arrays stay bounded."""
-    n = len(labels)
     diag = np.diagonal(m)
     if not diag.all():
         raise PartialOrderViolation("reflexivity", (labels[int(np.argmin(diag))],))
     # transitive iff up(j) is a subset of up(i) for every pair i <= j: the rows
     # packed into bytes, compared over blocks of pairs of bounded bytes
     up = np.packbits(m, axis=1)
-    limit = max(1, _BLOCK_BYTES // max(up.shape[1], 1))
     intransitive = None  # the first row i with a pair i <= j, up(j) not in up(i)
-    for r0, r1 in _row_blocks(m.sum(axis=1), limit):
-        ii, jj = np.divmod(np.flatnonzero(m[r0:r1]), n)  # the pairs i <= j, row-major
-        ii += r0
+    for ii, jj in _pair_blocks(m, max(1, _BLOCK_BYTES // max(up.shape[1], 1))):
         both = m[jj, ii] & (ii != jj)
         if both.any():
             k = int(np.argmax(both))
@@ -286,18 +283,37 @@ def zeta_matrix(p: FinitePoset) -> RationalMatrix:
 def moebius_matrix(p: FinitePoset) -> ZetaPair:
     """Zeta matrix and its exact inverse; the pair reads the integer mu off
     the inverse when it is first asked for.  A ``product_poset`` is read off
-    its factors by ``_kron_pair``, with its checks; any other order runs the
-    column recursion, and Z M = I is checked."""
-    if p._factors is not None:
-        return _kron_pair(p, *_leaves(p))
-    return _checked_pair(p)
+    the checked pair of each distinct leaf factor by ``_kron_pair``; any
+    other order runs the column recursion, and Z M = I is checked."""
+    if p._factors is None:
+        return _checked_pair(p)
+    leaves, perm = _leaves(p)
+    pairs = {id(f): _checked_pair(f) for f in {id(f): f for f in leaves}.values()}  # each leaf once
+    return _kron_pair(p, tuple(pairs[id(f)] for f in leaves), perm)
 
 
 def _checked_pair(p: FinitePoset) -> ZetaPair:
     """The zeta pair by the column recursion, with Z M = I checked."""
     pair = _moebius_pair(p)
-    _require_equal(pair.zeta @ pair.moebius, RationalMatrix.identity(len(p)), "Z M = I")
+    zm = RationalMatrix._wrap(_sparse_product(p.matrix, pair.moebius._num), pair.moebius._den)
+    _require_equal(zm, RationalMatrix.identity(len(p)), "Z M = I")
     return pair
+
+
+def _sparse_product(z: np.ndarray, y) -> np.ndarray:
+    """z y for a bool or integer array z and an integer array y: row i is the
+    sum of z[i, j] y[j] over the nonzero z[i, j], gathered over blocks of
+    about ``_BLOCK_BYTES`` entries; the bound of ``rational._product``
+    decides between int64 and Python ints."""
+    bound = (1 if z.dtype == bool else _bound(z)) * _bound(y) * max(1, z.shape[1])
+    y = _ints(y, bound)
+    out = np.zeros((len(z), y.shape[1]), dtype=y.dtype)
+    for ii, jj in _pair_blocks(z, max(1, _BLOCK_BYTES // max(1, y.shape[1]))):
+        if len(ii):
+            terms = y[jj] if z.dtype == bool else y[jj] * _ints(z[ii, jj], bound)[:, None]
+            rows, starts = np.unique(ii, return_index=True)  # where each row's pairs begin
+            out[rows] = np.add.reduceat(terms, starts, axis=0)
+    return out
 
 
 def _moebius_pair(p: FinitePoset) -> ZetaPair:
@@ -325,15 +341,6 @@ def _moebius_pair(p: FinitePoset) -> ZetaPair:
     return ZetaPair(poset=p, zeta=zeta_matrix(p), moebius=RationalMatrix._wrap(num, 1))
 
 
-def _library_pair(labels: tuple, m: np.ndarray) -> ZetaPair:
-    """The zeta pair of an order the library built that is no product (the
-    partition lattices), with its axioms and Z M = I checked up to
-    ``_SELF_CHECK_STATES`` states."""
-    checked = len(labels) <= _SELF_CHECK_STATES
-    p = _poset_from_matrix(labels, m, validate=checked)
-    return _checked_pair(p) if checked else _moebius_pair(p)
-
-
 def _kron_power(mats, perm) -> np.ndarray:
     """kron(mats[0], ..., mats[-1])[perm][:, perm] of square integer or bool
     arrays, in the narrowest of int8, int64 and Python ints that holds every
@@ -349,43 +356,38 @@ def _kron_power(mats, perm) -> np.ndarray:
 
 
 def _kron_pair(poset: FinitePoset, factors: tuple, perm) -> ZetaPair:
-    """The zeta pair of a product order, read off its factors.
+    """The zeta pair of a product order, read off the checked zeta pairs
+    ``factors`` of its factors, the most significant Kronecker digit first;
+    element i of ``poset`` is element perm[i] of their product.
 
-    ``factors`` are the factor posets, the most significant Kronecker digit
-    first, and element i of ``poset`` is element perm[i] of their product.
     With P the permutation matrix of ``perm``, Z = P kron(Z_1, ..., Z_k) P',
     and the Moebius function of a product is the product of the factors'
     (Rota 1964), so M = P kron(M_1, ..., M_k) P', with no recursion over the
-    whole order.  Two exact checks run at every size, in place of the order
-    axioms and the dense Z M = I:
+    whole order.  One exact check runs at every size: the order matrix equals
+    the permuted Kronecker power of the factor orders (``perm`` being a
+    permutation).  With Z_t M_t = I on each factor, the mixed-product rule
+    gives Z M = P kron(Z_t M_t) P' = I, which is not restated.  The factor
+    orders need no validation here:
 
-    - Z_t M_t = I on each factor, whose order axioms are validated too;
-    - the order matrix equals the permuted Kronecker power of the factor
-      orders (``perm`` being a permutation).
+    - the claws (``lattices._claw``) are validated when they are cached;
+    - ``product_poset`` validates its own order through ``build_poset``, and
+      an order equal to a permuted Kronecker power is a partial order only
+      if each factor of a non-empty product is one.
 
-    Together they give Z M = I for the whole pair by the mixed-product rule,
-    Z M = P kron(Z_t) P' P kron(M_t) P' = P kron(Z_t M_t) P' = P P' = I, so
-    it is not restated; and a product of partial orders is a partial order.
     Z and M are ``_KronMatrix``, which keep the factor matrices and ``perm``.
     """
     perm = np.asarray(perm, dtype=np.int64)
-    pairs = {}
-    for f in factors:
-        if id(f) not in pairs:
-            _validate_order(f.elements, f.matrix)
-            pairs[id(f)] = _checked_pair(f)
-    fps = tuple(pairs[id(f)] for f in factors)
-    size, labels = math.prod(len(f) for f in factors), poset.elements
+    size, labels = math.prod(len(f.poset) for f in factors), poset.elements
     _require(len(perm) == len(labels) == size and np.array_equal(np.sort(perm), np.arange(size)),
              "order = permuted Kronecker power", f"perm is no permutation of {size} indices")
-    orders = [f.matrix for f in factors]
+    orders = [f.poset.matrix for f in factors]
     _require(np.array_equal(_kron_power(orders, perm), poset.matrix), "order = permuted Kronecker power",
              lambda: tuple(labels[i] for i in np.argwhere(_kron_power(orders, perm) != poset.matrix)[0]))
     # Z and M are integer matrices: the factors' mu are the column recursion's integers
-    moeb = _kron_power([fp.moebius._num for fp in fps], perm)
+    moeb = _kron_power([f.moebius._num for f in factors], perm)
     m = RationalMatrix._wrap(moeb if moeb.dtype == object else moeb.astype(np.int64), 1)
-    return ZetaPair(poset, _KronMatrix(zeta_matrix(poset)._num, tuple(fp.zeta._num for fp in fps), perm),
-                    _KronMatrix(m._num, tuple(fp.moebius._num for fp in fps), perm))
+    return ZetaPair(poset, _KronMatrix(zeta_matrix(poset)._num, tuple(f.zeta._num for f in factors), perm),
+                    _KronMatrix(m._num, tuple(f.moebius._num for f in factors), perm))
 
 
 def _leaves(p: FinitePoset):

@@ -406,20 +406,23 @@ def test_large_builders_make_no_dense_state_products(monkeypatch):
     # and its dual are mode products by the 3x3 claw, so no dense product has
     # an inner dimension past the crossover; a fallback to the dense path
     # (2.3 s) fails at its first product
-    shapes = []
+    crossover = poset._MODE_STATES
     product = rational._product
 
     def recorded(a, b):
-        shapes.append((a.shape, b.shape))
-        if a.shape[1] > poset._MODE_STATES:
+        if a.shape[1] > crossover:
             raise AssertionError(f"dense product {a.shape} @ {b.shape}")
         return product(a, b)
 
     monkeypatch.setattr(rational, "_product", recorded)
     ma = multiallelic_kernels(moran_law(6), 2)
-    assert len(ma.pair.poset) == 729 > poset._MODE_STATES
+    assert len(ma.pair.poset) == 729 > crossover
     assert isinstance(ma.pair.zeta, poset._KronMatrix) and isinstance(ma.pair.moebius, poset._KronMatrix)
-    assert shapes  # the claw's own Z M = I
+    # positive control: with the mode products switched off, the same build
+    # reaches the recorder with a dense product past the crossover
+    monkeypatch.setattr(poset, "_MODE_STATES", 729)
+    with pytest.raises(AssertionError, match=r"dense product \(729, 729\)"):
+        multiallelic_kernels(moran_law(6), 2)
 
 
 @pytest.mark.parametrize("t", [1, 2])

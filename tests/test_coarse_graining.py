@@ -2,6 +2,7 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,8 +113,8 @@ def test_compatibility_matches_fraction_reference(case):
 
 
 def test_wrong_moebius_entry_is_caught():
-    # M enters Q directly, so a wrong M must fail H H^-1 = I even where the
-    # Z M = I check of the zeta pair is skipped by size
+    # M enters Q directly, so a wrong M given in a replaced pair, which no
+    # Z M = I check of the zeta pair sees, must fail H H^-1 = I
     lat = subset_lattice(2)
     rel = cardinality_relation(lat)
     p = Kernel.of(RationalMatrix.from_function(4, 4, lambda i, j: F(1, 4)))
@@ -230,6 +231,25 @@ def test_coarse_set_matrices_closed_forms():
         coarse_set_matrices(30)
     with pytest.raises(SizeOverflow):
         coarse_set_matrices_enumerated(13)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_enumeration_catches_a_wrong_count_at_a_middle_representative(monkeypatch, n):
+    # {2..N-1} put in class N-1 miscounts the superset rows of its subsets:
+    # {2} (class 1) gains a superset of size N-1, while {1} and {N}, the first
+    # and last representatives, contain no such subset, and the miscounted
+    # rows of {1..N-1} and {2..N} (class N-1) agree
+    bitwise_count = np.bitwise_count
+    middle = (1 << (n - 1)) - 2
+
+    def miscounted(masks):
+        cards = bitwise_count(masks)
+        return np.where(masks == middle, cards + 1, cards)
+
+    monkeypatch.setattr(np, "bitwise_count", miscounted)
+    with pytest.raises(VerificationFailure) as e:
+        coarse_set_matrices_enumerated(n)
+    assert (e.value.identity, e.value.witness) == ("coarse set rows are representative-free", 1)
 
 
 def test_coarse_set_matches_full_lattice_coarsening():

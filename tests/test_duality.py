@@ -22,8 +22,8 @@ from moebius_dual import (
     subset_lattice,
     support_implication_check,
 )
-from moebius_dual.errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH,
-                                 VerificationFailure)
+from moebius_dual.errors import (InvalidParameter, NonpositiveH, NonRationalEntry, NotIrreducible,
+                                 SingularH, VerificationFailure)
 
 F = Fraction
 
@@ -226,6 +226,15 @@ def test_h_transform():
     assert not out.is_stochastic
     with pytest.raises(NonpositiveH):
         h_transform(q, [1, 0])
+
+
+@pytest.mark.parametrize("h", [[0.5, 1.0], [0.1, 0.1], [True, 1], [1, np.float64(2)]])
+def test_h_transform_reads_h_through_the_rational_gate(h):
+    q = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))
+    with pytest.raises(NonRationalEntry):
+        h_transform(q, h)
+    # exact entries of every accepted kind give the same kernel
+    assert h_transform(q, [1, 2]) == h_transform(q, ["1", F(2)]) == h_transform(q, np.array([1, 2]))
 
 
 def test_invariant_distribution():

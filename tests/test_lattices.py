@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -102,6 +103,17 @@ def test_flattening_maps_the_product_of_subset_lattices_onto_subsets():
                 assert prod.poset.leq(a, b) == flat.poset.leq(fa, fb)
                 if prod.poset.leq(a, b):
                     assert prod.mu_value(a, b) == flat.mu_closed_form(fa, fb)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (Partition.parse, "1,a"),
+    (Partition.parse, "{1 x}{2}"),
+    (Skeleton.parse, ""),
+    (Skeleton.parse, "2+x"),
+], ids=["rgs", "atoms", "empty-skeleton", "skeleton"])
+def test_unparsable_partitions_and_skeletons_are_a_typed_error(parse, text):
+    with pytest.raises(InvalidParameter, match=re.escape(f"cannot parse {text!r}")):
+        parse(text)
 
 
 def test_partition_encoding():

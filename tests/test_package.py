@@ -106,15 +106,16 @@ def test_library_raises_only_typed_errors():
 
 
 def test_size_rules_are_the_constants_of_poset():
-    # one state cap and one self-check size, both in poset.py: no other module
-    # spells out 256, 512 or 4096, and a caller's order has no validate switch
+    # one state cap, in poset.py, and no self-check size: no module spells
+    # out 256 or 512, no other one 4096, and a caller's order has no validate
+    # switch
     found = sorted(
         (name, node.value)
         for name, tree in _source_trees()
         for node in ast.walk(tree)
         if isinstance(node, ast.Constant) and type(node.value) is int and node.value in (256, 512, 4096)
     )
-    assert found == [("poset.py", 256), ("poset.py", 4096)]
+    assert found == [("poset.py", 4096)]
     poset_tree = dict(_source_trees())["poset.py"]
     constants = {
         target.id: node.value.value
@@ -122,7 +123,18 @@ def test_size_rules_are_the_constants_of_poset():
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
         for target in node.targets
     }
-    assert constants["MAX_STATES"] == 4096 and constants["_SELF_CHECK_STATES"] == 256
+    assert constants["MAX_STATES"] == 4096
+    # the one other state count, the mode-product crossover, picks how a
+    # product is made and never whether a check runs
+    state_constants = sorted(
+        f"{name}:{target.id}"
+        for name, tree in _source_trees()
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("_STATES")
+    )
+    assert state_constants == ["poset.py:MAX_STATES", "poset.py:_MODE_STATES"]
     assert list(inspect.signature(moebius_dual.build_poset).parameters) == ["labels", "leq"]
     # poset.py alone reads the cap and compares counts with it: no other module
     # names its variable, the environment or MAX_STATES, and no public

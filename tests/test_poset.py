@@ -26,7 +26,7 @@ from moebius_dual import (
     subset_lattice,
     zeta_matrix,
 )
-from moebius_dual import cannings, coarse_graining, duality, poset
+from moebius_dual import cannings, duality, lattices, poset
 from moebius_dual.errors import (InvalidParameter, PartialOrderViolation, SizeOverflow,
                                  VerificationFailure)
 
@@ -140,20 +140,22 @@ def test_antisymmetry_in_a_later_block_precedes_an_earlier_intransitive_row(monk
 
 
 def test_small_orders_are_validated_in_one_block(monkeypatch):
+    # every blocked pair scan of a small order is one block: the validation of
+    # each order, and the Z M = I of the partition lattice
     blocks = []
 
-    def recorded(weights, limit):
-        found = list(row_blocks(weights, limit))
-        blocks.append(found)
-        return found
+    def recorded(m, limit):
+        found = list(pair_blocks(m, limit))
+        blocks.append((len(m), len(found)))
+        return iter(found)
 
-    row_blocks = poset._row_blocks
-    monkeypatch.setattr(poset, "_row_blocks", recorded)
+    pair_blocks = poset._pair_blocks
+    monkeypatch.setattr(poset, "_pair_blocks", recorded)
     for n in (30, 72):
         divisibility(n)
         chain(n)
-    partition_lattice(6)  # the largest library order that _validate_order still sees
-    assert blocks == [[(0, n)] for n in (30, 30, 72, 72, 203)]
+    partition_lattice(6)
+    assert blocks == [(n, 1) for n in (30, 30, 72, 72, 203, 203)]
 
 
 def test_validation_memory_is_bounded_by_blocks_of_rows():
@@ -207,36 +209,74 @@ def self_checks(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("build, states, checked", [
+@pytest.mark.parametrize("build, states, product", [
     (lambda: subset_lattice(8), 256, True),
     (lambda: subset_lattice(9), 512, True),
-    (lambda: partition_lattice(6), 203, True),
+    (lambda: partition_lattice(6), 203, False),
     (lambda: partition_lattice(7), 877, False),
     (lambda: multiallelic_kernels(moran_law(4), 3), 256, True),
     (lambda: multiallelic_kernels(moran_law(3), 6), 343, True),
 ], ids=["subsets-8", "subsets-9", "partitions-6", "partitions-7", "T3-N4", "T6-N3"])
-def test_library_orders_are_self_checked_up_to_256_states(self_checks, build, states, checked):
-    # a partition lattice has its order and Z M = I checked up to 256 states;
-    # a product order (subsets, Cannings partial states) at every size, on its
-    # one distinct factor, with the order against the factor's Kronecker power
+def test_library_orders_are_self_checked_up_to_256_states(self_checks, build, states, product):
+    # every library order is checked at every size: a partition lattice has its
+    # order validated and Z M = I checked on each build; a product order
+    # (subsets, Cannings partial states) has its one distinct factor, the
+    # claw, validated and checked once, when it is cached, and its order
+    # checked against the claw's Kronecker power on each build
+    lattices._claw.cache_clear()
     assert len(build().pair.poset) == states
-    assert self_checks == (Counter({"order": 1, "Z M = I": 1}) if checked else Counter())
+    assert self_checks == Counter({"order": 1, "Z M = I": 1})
+    self_checks.clear()
+    build()
+    assert self_checks == (Counter() if product else Counter({"order": 1, "Z M = I": 1}))
 
 
 def test_enumeration_compares_every_representative_up_to_256_subsets(monkeypatch):
-    reps = []
-    class_counts = coarse_graining._class_counts
+    # the row of every subset J is compared with the row of {1..|J|}: one
+    # subset put in the wrong cardinality class miscounts the rows of its
+    # subsets and supersets, and is caught wherever it lies
+    bitwise_count = np.bitwise_count
+    for wrong in range(2 ** 8):
+        def miscounted(masks, wrong=wrong):
+            cards = bitwise_count(masks)
+            return np.where(masks == wrong, (cards + 1) % 9, cards)
 
-    def counted(hits, classes, size):
-        reps.append(len(hits))
-        return class_counts(hits, classes, size)
+        monkeypatch.setattr(np, "bitwise_count", miscounted)
+        with pytest.raises(VerificationFailure, match="representative-free"):
+            coarse_set_matrices_enumerated(8)
+    monkeypatch.undo()
+    assert coarse_set_matrices_enumerated(8).zeta[0, 8] == 1
 
-    monkeypatch.setattr(coarse_graining, "_class_counts", counted)
-    coarse_set_matrices_enumerated(8)
-    assert sum(reps) == 2 * 2 ** 8  # every subset, once for up-sets and once for down-sets
-    reps.clear()
-    coarse_set_matrices_enumerated(9)
-    assert max(reps) == 2 and sum(reps) == 2 * (2 * 10 - 2)  # one for the empty and for the full set
+
+@st.composite
+def sparse_products(draw):
+    """A random order or relation with random integer entries on its nonzero
+    pattern, and a random integer matrix; some entries are Python ints past
+    int64, or big enough that the products leave int64."""
+    m = draw(relations())
+    n = len(m)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    bits = draw(st.sampled_from([1, 3, 31, 62, 80]))
+    big = lambda shape: (rng.integers(-(1 << 20), 1 << 20, shape).astype(object)
+                         << max(0, bits - 20))
+    z = m if draw(st.booleans()) else np.where(m, big((n, n)), 0)
+    y = big((n, draw(st.integers(0, 4))))
+    if bits <= 62 or draw(st.booleans()):  # int64 where it fits, else Python ints
+        y = poset._ints(y, poset._bound(y))
+        z = poset._ints(z, poset._bound(z)) if z.dtype != bool else z
+    return z, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_products(), st.integers(1, 64))
+def test_sparse_product_matches_the_dense_product(case, block_entries):
+    z, y = case
+    dense = RationalMatrix(z.astype(np.int64) if z.dtype == bool else z) @ RationalMatrix(y)
+    assert RationalMatrix._wrap(poset._sparse_product(z, y), 1) == dense
+    # again over blocks of a few rows each
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(poset, "_BLOCK_BYTES", block_entries)
+        assert RationalMatrix._wrap(poset._sparse_product(z, y), 1) == dense
 
 
 def test_caller_and_product_orders_are_always_validated(self_checks):
@@ -575,12 +615,14 @@ def test_product_pairs_check_their_factors_and_order(monkeypatch):
     broken = poset._poset_from_matrix(prod.elements, prod.matrix.copy(), validate=False)
     broken.matrix.flags.writeable = True
     broken.matrix[0, -1] = False
+    leaves, perm = poset._leaves(prod)
+    pairs = tuple(poset._checked_pair(f) for f in leaves)
     with pytest.raises(VerificationFailure) as e:
-        poset._kron_pair(broken, *poset._leaves(prod))
+        poset._kron_pair(broken, pairs, perm)
     assert (e.value.identity, e.value.witness) == (
         "order = permuted Kronecker power", (prod.elements[0], prod.elements[-1]))
     with pytest.raises(VerificationFailure, match="no permutation"):
-        poset._kron_pair(prod, poset._leaves(prod)[0], np.zeros(len(prod), dtype=np.int64))
+        poset._kron_pair(prod, pairs, np.zeros(len(prod), dtype=np.int64))
 
 
 def test_replaced_pairs_keep_no_factors():
