@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
                      _require)
-from .poset import _BLOCK_BYTES, FinitePoset, ZetaPair, _pair_blocks
+from .poset import FinitePoset, ZetaPair, _pair_blocks
 from .rational import RationalMatrix, _require_equal
 
 __all__ = [
@@ -240,7 +240,7 @@ def strong_condition_check(
         # (no overflow), over bounded blocks of pairs in row-major order
         num = q._num if variant.monotonicity.endswith("-a") else q._num.T
         strict = np.triu(zp.poset.matrix, 1)  # the order is upper-triangular
-        for ii, jj in _pair_blocks(strict, max(1, _BLOCK_BYTES // max(len(strict), 1))):
+        for ii, jj in _pair_blocks(strict, len(strict)):
             lo, hi = (jj, ii) if variant.monotonicity.startswith("increasing") else (ii, jj)
             bad = (num[lo] < num[hi]).any(axis=1)
             if bad.any():

@@ -170,10 +170,11 @@ class ZetaPair:
         return self.moebius.T
 
 
-def _pair_blocks(m: np.ndarray, limit: int):
-    """The nonzero entries of the 2-D array ``m`` in row-major order, as index
-    arrays (ii, jj) over blocks of rows that hold at most ``limit`` of them
-    (a row that holds more is a block of its own), so that they stay bounded."""
+def _pair_blocks(m: np.ndarray, width: int):
+    """The nonzero entries of ``m`` in row-major order, as index arrays (ii, jj)
+    over blocks of rows that gather at most about ``_BLOCK_BYTES`` at ``width``
+    per entry (a row that gathers more is a block of its own)."""
+    limit = max(1, _BLOCK_BYTES // max(width, 1))
     ends = np.count_nonzero(m, axis=1).cumsum()
     r0, done = 0, 0
     while r0 < len(ends):
@@ -195,7 +196,7 @@ def _validate_order(labels, m: np.ndarray) -> None:
     # packed into bytes, compared over blocks of pairs of bounded bytes
     up = np.packbits(m, axis=1)
     intransitive = None  # the first row i with a pair i <= j, up(j) not in up(i)
-    for ii, jj in _pair_blocks(m, max(1, _BLOCK_BYTES // max(up.shape[1], 1))):
+    for ii, jj in _pair_blocks(m, up.shape[1]):
         both = m[jj, ii] & (ii != jj)
         if both.any():
             k = int(np.argmax(both))
@@ -308,11 +309,10 @@ def _sparse_product(z: np.ndarray, y) -> np.ndarray:
     bound = (1 if z.dtype == bool else _bound(z)) * _bound(y) * max(1, z.shape[1])
     y = _ints(y, bound)
     out = np.zeros((len(z), y.shape[1]), dtype=y.dtype)
-    for ii, jj in _pair_blocks(z, max(1, _BLOCK_BYTES // max(1, y.shape[1]))):
-        if len(ii):
-            terms = y[jj] if z.dtype == bool else y[jj] * _ints(z[ii, jj], bound)[:, None]
-            rows, starts = np.unique(ii, return_index=True)  # where each row's pairs begin
-            out[rows] = np.add.reduceat(terms, starts, axis=0)
+    for ii, jj in _pair_blocks(z, y.shape[1]):
+        terms = y[jj] if z.dtype == bool else y[jj] * _ints(z[ii, jj], bound)[:, None]
+        rows, starts = np.unique(ii, return_index=True)  # where each row's pairs begin
+        out[rows] = np.add.reduceat(terms, starts, axis=0)
     return out
 
 

@@ -144,8 +144,8 @@ def test_small_orders_are_validated_in_one_block(monkeypatch):
     # each order, and the Z M = I of the partition lattice
     blocks = []
 
-    def recorded(m, limit):
-        found = list(pair_blocks(m, limit))
+    def recorded(m, width):
+        found = list(pair_blocks(m, width))
         blocks.append((len(m), len(found)))
         return iter(found)
 
@@ -271,7 +271,8 @@ def sparse_products(draw):
 @given(sparse_products(), st.integers(1, 64))
 def test_sparse_product_matches_the_dense_product(case, block_entries):
     z, y = case
-    dense = RationalMatrix(z.astype(np.int64) if z.dtype == bool else z) @ RationalMatrix(y)
+    dense = (RationalMatrix._wrap(z.astype(object if z.dtype == object else np.int64), 1)
+             @ RationalMatrix._wrap(y.copy(), 1))
     assert RationalMatrix._wrap(poset._sparse_product(z, y), 1) == dense
     # again over blocks of a few rows each
     with pytest.MonkeyPatch.context() as patch:
