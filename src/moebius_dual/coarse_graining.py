@@ -17,15 +17,7 @@ import numpy as np
 
 from .duality import DualityVariant, Kernel, h_dual, h_transform
 from .errors import IncompatibleMatrix, InvalidParameter, _check_range, _require
-from .lattices import (
-    Partition,
-    Skeleton,
-    SubsetLattice,
-    _pair_masks,
-    enumerate_partitions,
-    skeleton,
-    skeletons_of,
-)
+from .lattices import Skeleton, SubsetLattice, _pair_masks, _rgs, skeleton, skeletons_of
 from .poset import ZetaPair
 from .rational import RationalMatrix, _require_equal
 
@@ -228,66 +220,58 @@ def coarse_set_matrices_enumerated(n: int) -> CoarseSetMatrices:
     return out
 
 
-def _skeleton_representative(eta: Skeleton) -> Partition:
-    """Consecutive blocks {1..e1}{e1+1..}... with the given sizes."""
-    atoms, start = [], 1
-    for e in eta.parts:
-        atoms.append(set(range(start, start + e)))
-        start += e
-    return Partition.from_atoms(atoms, eta.total)
-
-
-def _permuted(alpha: Partition, perm) -> Partition:
-    return Partition.from_atoms(
-        [{perm[i] for i in a} for a in alpha.atoms()], alpha.n
-    )
+def _representatives(sizes: np.ndarray) -> np.ndarray:
+    """Two RGS representatives per row of descending atom sizes, as one 2m x n
+    array: the consecutive blocks {1..e1}{e1+1..}..., then their images under
+    the reversal i -> n + 1 - i, relabelled to first-use order."""
+    m, n = sizes.shape
+    first = np.repeat(np.tile(np.arange(n), m), sizes.ravel()).reshape(m, n)
+    # reversed consecutive blocks meet their labels in descending order
+    return np.concatenate([first, first.max(axis=1, keepdims=True) - first[:, ::-1]])
 
 
 def coarse_partition_matrices(n: int):
-    """(coarse zeta, coarse Moebius) on the skeletons of n.
+    """(coarse zeta, coarse Moebius) on the skeletons of n, from the RGS
+    array alone.
 
     zeta(eta, kappa) counts partitions with skeleton kappa coarser than a
     fixed representative of eta; the Moebius row sums the closed-form mu
-    over the same set.  Each row is recomputed from a second, relabelled
-    representative to confirm it does not depend on the choice.
+    over the same set.  The rows of both representatives of every skeleton
+    (``_representatives``) come from one pass over the (representative,
+    coarser partition) pairs, and each skeleton's two rows must agree.
     """
     _check_range("coarse partition matrices", "n", n, 1, 8)
-    parts = enumerate_partitions(n)
-    # skeletons in first-occurrence order, so the rows line up with
-    # skeleton_relation on the full lattice
-    rel = skeleton_relation(parts)
-    skels = list(rel.class_labels)
+    rgs = _rgs(n)
+    # the skeletons are the distinct rows of descending atom sizes (zero-padded
+    # to n, each read as one base-(n + 1) number), numbered in first-occurrence
+    # order so that the rows line up with skeleton_relation on the full lattice
+    sizes = -np.sort(-(rgs[:, :, None] == np.arange(n)).sum(axis=1), axis=1)
+    _, first, skel_of = np.unique(sizes @ (n + 1) ** np.arange(n), return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    shapes, skel_of = sizes[first[order]], np.argsort(order)[skel_of]
+    skels = [Skeleton(tuple(e for e in row if e)) for row in shapes.tolist()]
     _require(set(skels) == set(skeletons_of(n)), "skeletons of the partitions = skeletons of n", n)
     m = len(skels)
-    skel_of = np.array(rel.class_of)
-    rgs = np.array([g.rgs for g in parts])
-    pairs = _pair_masks(rgs)
-    blocks = rgs.max(axis=1) + 1
-    # (c - 1)! for c alpha-atoms in a block of gamma, and 1 for a block with none
+    reps = _representatives(shapes)
+    # the (representative, coarser partition) pairs, and per pair the number
+    # of representative atoms, each named by its first element, in each
+    # block of the coarser partition; the other elements go to a spare bin
+    r, g = np.nonzero((_pair_masks(reps)[:, None] & ~_pair_masks(rgs)) == 0)
+    opens = np.diff(np.maximum.accumulate(reps, axis=1), prepend=-1) > 0
+    bins = np.where(opens[r], np.arange(len(r))[:, None] * n + rgs[g], len(r) * n)
+    counts = np.bincount(bins.ravel(), minlength=len(r) * n + 1)[:-1].reshape(len(r), n)
+    # (c - 1)! for c atoms in a block of gamma, and 1 for a block with none
     weight = np.array([1] + [math.factorial(c - 1) for c in range(1, n + 1)])
-    reversal = {i: n + 1 - i for i in range(1, n + 1)}
-
-    def rows_for(alpha):
-        coarser = np.flatnonzero((_pair_masks(np.array([alpha.rgs])) & ~pairs) == 0)
-        g = rgs[coarser]
-        # the block of gamma holding each alpha-atom, an atom named by its first element
-        firsts = [alpha.rgs.index(a) for a in range(alpha.num_atoms)]
-        counts = np.zeros((len(g), n), dtype=np.int64)
-        np.add.at(counts, (np.arange(len(g))[:, None], g[:, firsts]), 1)
-        sign = 1 - 2 * ((alpha.num_atoms + blocks[coarser]) % 2)
-        mu = sign * weight[counts].prod(axis=1)
-        mo = np.zeros(m, dtype=np.int64)
-        np.add.at(mo, skel_of[coarser], mu)
-        return np.concatenate([np.bincount(skel_of[coarser], minlength=m), mo])
-
-    rows = []
-    for eta in skels:
-        rep = _skeleton_representative(eta)
-        rows.append(rows_for(rep))
-        _require(bool((rows[-1] == rows_for(_permuted(rep, reversal))).all()),
-                 "coarse partition rows are representative-free", eta)
-    table = np.array(rows)
-    z, mo = RationalMatrix(table[:, :m]), RationalMatrix(table[:, m:])
+    sign = 1 - 2 * ((reps.max(axis=1)[r] + rgs.max(axis=1)[g]) % 2)
+    cell = r * m + skel_of[g]
+    mo = np.zeros(2 * m * m, dtype=np.int64)
+    np.add.at(mo, cell, sign * weight[counts].prod(axis=1))
+    table = np.stack([np.bincount(cell, minlength=2 * m * m), mo]).reshape(2, 2 * m, m)
+    bad = (table[:, :m] != table[:, m:]).any(axis=(0, 2))
+    _require(not bad.any(), "coarse partition rows are representative-free",
+             lambda: skels[int(bad.argmax())])
+    z, mo = RationalMatrix(table[0, :m]), RationalMatrix(table[1, :m])
     _require_equal(z @ mo, RationalMatrix.identity(m), "coarse Z M = I")
     return skels, z, mo
 

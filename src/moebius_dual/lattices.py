@@ -234,24 +234,28 @@ class PartitionLattice:
         return self.pair.poset
 
 
+def _rgs(n: int) -> np.ndarray:
+    """All restricted-growth strings of length n as one int8 Bell(n) x n
+    array, in canonical order: atoms descending, then RGS lex.  The strings
+    grow one column at a time, each row taking every label up to one past
+    its largest, and are sorted once."""
+    rgs = np.zeros((1, n), dtype=np.int8)
+    top = np.full(1, -1, dtype=np.int8)  # the largest label of each row
+    for k in range(n):
+        grow = top + 2
+        rows = np.repeat(np.arange(len(rgs)), grow)
+        rgs = rgs[rows]
+        rgs[:, k] = np.arange(len(rows)) - (np.cumsum(grow) - grow)[rows]
+        top = np.maximum(top[rows], rgs[:, k])
+    return rgs[np.lexsort((*rgs.T[::-1], -top))]
+
+
 def enumerate_partitions(n: int):
-    """All partitions of {1..n} in canonical order: atoms descending, RGS lex."""
-    if n == 0:
-        return [Partition(())]
-    out = []
-
-    def grow(rgs, mx):
-        if len(rgs) == n:
-            out.append(Partition(tuple(rgs)))
-            return
-        for v in range(mx + 2):
-            rgs.append(v)
-            grow(rgs, max(mx, v))
-            rgs.pop()
-
-    grow([0], 0)
-    out.sort(key=lambda p: (-p.num_atoms, p.rgs))
-    return out
+    """All partitions of {1..n} in canonical order, atoms descending, RGS
+    lex: the ``Partition`` view of the rows of ``_rgs(n)``."""
+    if n < 0:
+        raise InvalidParameter(f"partitions: n must be >= 0, got {n}")
+    return [Partition(tuple(r)) for r in _rgs(n).tolist()]
 
 
 @lru_cache(maxsize=None)
@@ -266,11 +270,8 @@ def _pair_masks(rgs: np.ndarray) -> np.ndarray:
     (i < j) in one block.  A partition refines another iff its pairs are a
     subset of the other's.  The C(n, 2) bits fit int64 up to n = 11, past
     any partition lattice that fits in memory."""
-    n = rgs.shape[1]
-    out = np.zeros(len(rgs), dtype=np.int64)
-    for k, (i, j) in enumerate((i, j) for j in range(n) for i in range(j)):
-        out |= (rgs[:, i] == rgs[:, j]).astype(np.int64) << k
-    return out
+    j, i = np.tril_indices(rgs.shape[1], -1)  # the pairs (i, j) ordered by j, then i
+    return ((rgs[:, i] == rgs[:, j]) << np.arange(len(i), dtype=np.int64)).sum(axis=1)
 
 
 def partition_lattice(n: int) -> PartitionLattice:
@@ -280,9 +281,9 @@ def partition_lattice(n: int) -> PartitionLattice:
         raise InvalidParameter(f"partition lattice: n must be >= 1, got {n}")
     _check_states(power=n - 1, shown=f"Bell({n}) >= 2^{n - 1}")
     _check_states(bell_number(n))
-    parts = enumerate_partitions(n)
-    pairs = _pair_masks(np.array([p.rgs for p in parts]))
-    poset = _poset_from_matrix(tuple(parts), _subset_order(pairs.tolist()), validate=True)
+    rgs = _rgs(n)
+    parts = tuple(Partition(tuple(r)) for r in rgs.tolist())
+    poset = _poset_from_matrix(parts, _subset_order(_pair_masks(rgs).tolist()), validate=True)
     return PartitionLattice(ground_size=n, pair=_checked_pair(poset))
 
 

@@ -188,6 +188,7 @@ def test_huge_partition_counts_exit_on_the_bell_bound(capsys, monkeypatch):
         return exact_bell(n)
 
     monkeypatch.setattr(lattices, "enumerate_partitions", _refuse("partitions"))
+    monkeypatch.setattr(lattices, "_rgs", _refuse("restricted-growth strings"))
     monkeypatch.setattr(lattices, "bell_number", small_bell)
     # Bell(n) >= 2^(n-1) decides the cap before any Bell number is computed
     for n in (1500, 10**18):
@@ -391,6 +392,14 @@ GOLDEN = {
         "88260d82f4f90ed4b5124e5263722c678c334d7f4ec48003fec1112b2f783e4d",
     "lattice subsets --n 9 --emit moebius":
         "c38a0ede22217fbc491290d79c9f81fb6fcd93bebfafde9ec5616959cadb0e88",
+    # recorded before the partitions became one restricted-growth array and
+    # the coarse partition rows were computed on it
+    "coarsen partitions --n 6":
+        "37f565a37a8e6fd27a72ff9958123dac2c2d851f22f0521cca4f465cbf09ee9c",
+    "coarsen partitions --n 8":
+        "7fc84ee020b9f19ab2a5162c57d71d28663a2a439763e7453c9f878660d5128d",
+    "lattice partitions --n 6 --emit moebius":
+        "d694573916bdedde60cb1d667b0ce03b2d3ec28cbd7ac1df481a3c68fdea6d71",
 }
 
 # a stochastic kernel on the subsets of {1, 2} with four different denominators

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -25,14 +28,17 @@ from moebius_dual import (
     coarse_duality_pipeline,
     positivity_certificate,
 )
-from moebius_dual.coarse_graining import CoarseResult, _permuted, _skeleton_representative
+from moebius_dual import coarse_graining, lattices
+from moebius_dual.coarse_graining import CoarseResult
 from moebius_dual.errors import IncompatibleMatrix, InvalidParameter, SizeOverflow, VerificationFailure
 from moebius_dual.lattices import (
     Partition,
     Skeleton,
+    bell_number,
     enumerate_partitions,
     partition_moebius_closed_form,
     skeleton,
+    skeletons_of,
 )
 
 F = Fraction
@@ -403,11 +409,39 @@ def reference_coarse_set_rows(n):
     return [RationalMatrix([r[t] for r in out]) for t in range(4)]
 
 
+def reference_rgs(n):
+    """All restricted-growth strings of length n by recursion, in canonical
+    order: atoms descending, then RGS lex."""
+    out = []
+
+    def grow(rgs, top):
+        if len(rgs) == n:
+            out.append(tuple(rgs))
+            return
+        for v in range(top + 2):
+            grow(rgs + [v], max(top, v))
+
+    grow([], -1)
+    return sorted(out, key=lambda r: (-len(set(r)), r))
+
+
+def consecutive_blocks(eta):
+    """The partition {1..e1}{e1+1..}... with the atom sizes of ``eta``."""
+    bounds = np.cumsum((0,) + eta.parts)
+    return Partition.from_atoms([range(a + 1, b + 1) for a, b in zip(bounds, bounds[1:])], eta.total)
+
+
+def reversal(alpha):
+    """The image of ``alpha`` under i -> n + 1 - i."""
+    return Partition.from_atoms([{alpha.n + 1 - i for i in a} for a in alpha.atoms()], alpha.n)
+
+
 def reference_coarse_partition_rows(n):
-    parts = enumerate_partitions(n)
+    """The coarse rows from Partition objects alone, at a representative of
+    consecutive blocks and at its reversal, which must agree."""
+    parts = [Partition(r) for r in reference_rgs(n)]
     skels = list(dict.fromkeys(skeleton(g) for g in parts))
     by_skel = [[g for g in parts if skeleton(g) == s] for s in skels]
-    reversal = {i: n + 1 - i for i in range(1, n + 1)}
 
     def rows_for(alpha):
         z = [0] * len(skels)
@@ -421,10 +455,23 @@ def reference_coarse_partition_rows(n):
 
     rows = []
     for eta in skels:
-        rep = _skeleton_representative(eta)
+        rep = consecutive_blocks(eta)
         rows.append(rows_for(rep))
-        assert rows[-1] == rows_for(_permuted(rep, reversal))
+        assert rows[-1] == rows_for(reversal(rep))
     return skels, RationalMatrix([r[0] for r in rows]), RationalMatrix([r[1] for r in rows])
+
+
+def test_rgs_array_matches_the_recursive_reference():
+    for n in range(10):
+        got = lattices._rgs(n)
+        assert got.dtype == np.int8 and got.shape == (bell_number(n), n)
+        assert [tuple(r) for r in got.tolist()] == reference_rgs(n)
+        assert [p.rgs for p in enumerate_partitions(n)] == reference_rgs(n)
+        if n <= 7:
+            # bit k of a pair mask is the k-th pair (i, j), i < j, ordered by j then i
+            pairs = [(i, j) for j in range(n) for i in range(j)]
+            assert lattices._pair_masks(got).tolist() == [
+                sum(1 << k for k, (i, j) in enumerate(pairs) if r[i] == r[j]) for r in got.tolist()]
 
 
 def test_coarse_set_enumeration_matches_loop_reference():
@@ -435,14 +482,56 @@ def test_coarse_set_enumeration_matches_loop_reference():
 
 
 def test_coarse_partition_matrices_match_loop_reference():
-    for n in range(1, 8):
+    for n in range(1, 9):
         assert coarse_partition_matrices(n) == reference_coarse_partition_rows(n)
 
 
-def test_representative_dependence_is_caught(monkeypatch):
-    # a second representative that disagrees with the first fails the check
-    from moebius_dual import coarse_graining
+def test_representatives_are_the_consecutive_blocks_and_their_reversal():
+    for n in range(1, 9):
+        skels = skeletons_of(n)
+        sizes = np.array([s.parts + (0,) * (n - s.part_count) for s in skels])
+        firsts = [consecutive_blocks(s) for s in skels]
+        expected = [p.rgs for p in firsts] + [reversal(p).rgs for p in firsts]
+        assert [tuple(r) for r in coarse_graining._representatives(sizes).tolist()] == expected
 
-    monkeypatch.setattr(coarse_graining, "_permuted", lambda alpha, perm: Partition.singletons(alpha.n))
-    with pytest.raises(VerificationFailure, match="representative-free"):
+
+def _singleton_seconds(sizes, real=coarse_graining._representatives):
+    """``_representatives`` with the singletons as every second representative."""
+    reps = real(sizes)
+    reps[len(sizes):] = np.arange(sizes.shape[1])
+    return reps
+
+
+def test_representative_dependence_is_caught(monkeypatch):
+    # a second representative that disagrees with the first fails the check,
+    # at the first skeleton whose rows differ
+    monkeypatch.setattr(coarse_graining, "_representatives", _singleton_seconds)
+    with pytest.raises(VerificationFailure, match="representative-free") as e:
         coarse_partition_matrices(3)
+    assert e.value.witness == Skeleton((2, 1))
+
+
+def test_representative_dependence_is_caught_in_optimized_mode():
+    # the same wrong second representatives fail under python -O as well
+    code = (
+        "import numpy as np\n"
+        "from moebius_dual import coarse_graining, coarse_partition_matrices\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "real = coarse_graining._representatives\n"
+        "def singleton_seconds(sizes):\n"
+        "    reps = real(sizes)\n"
+        "    reps[len(sizes):] = np.arange(sizes.shape[1])\n"
+        "    return reps\n"
+        "coarse_graining._representatives = singleton_seconds\n"
+        "try:\n"
+        "    coarse_partition_matrices(3)\n"
+        "    print('accepted')\n"
+        "except VerificationFailure as exc:\n"
+        "    print(exc)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines() == [
+        "coarse partition rows are representative-free fails at Skeleton(parts=(2, 1))"]

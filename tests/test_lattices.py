@@ -65,6 +65,7 @@ def _refuse(*args):
 def test_lattices_raise_on_the_state_cap_before_they_allocate(monkeypatch):
     monkeypatch.setattr(lattices, "_subset_order", _refuse)
     monkeypatch.setattr(lattices, "enumerate_partitions", _refuse)
+    monkeypatch.setattr(lattices, "_rgs", _refuse)
     monkeypatch.setattr(lattices, "bell_number", lambda n: _refuse() if n > 64 else bell_number(n))
     for build, n, detail in ((subset_lattice, 13, "8192"), (subset_lattice, 15, "32768"),
                              (subset_lattice, 10**18, f"2^{10**18}"),
@@ -142,6 +143,8 @@ def test_enumeration_counts_are_bell_numbers():
     for n in range(1, 7):
         assert len(enumerate_partitions(n)) == bell_number(n)
     assert [bell_number(k) for k in range(6)] == [1, 1, 2, 5, 15, 52]
+    with pytest.raises(InvalidParameter, match="^partitions: n must be >= 0, got -1$"):
+        enumerate_partitions(-1)
 
 
 def test_partition_lattice_order_and_mu():
