@@ -34,9 +34,15 @@ __all__ = [
     "coarse_partition_matrices",
     "coarse_duality_pipeline",
     "MAX_ENUMERATION_GROUND",
+    "MAX_COARSE_SET_GROUND",
+    "MAX_COARSE_PARTITION_GROUND",
 ]
 
 MAX_ENUMERATION_GROUND = 12
+# the closed forms are only (N + 1)-square: the former subset-lattice ground bound, kept
+MAX_COARSE_SET_GROUND = 20
+# every Bell(n) partition is enumerated (Bell(8) = 4,140): the former partition-lattice bound
+MAX_COARSE_PARTITION_GROUND = 8
 
 
 @dataclass(frozen=True)
@@ -165,7 +171,7 @@ def coarse_set_matrices(n: int) -> CoarseSetMatrices:
     the transposed pair is C(j,k) with sign (-1)^{j-k}.  Note the coarse
     transpose is not the transpose of the coarse matrix.
     """
-    _check_range("coarse set matrices", "N", n, 0, 20)
+    _check_range("coarse set matrices", "N", n, 0, MAX_COARSE_SET_GROUND)
     size = n + 1
 
     def mk(fn):
@@ -240,7 +246,7 @@ def coarse_partition_matrices(n: int):
     (``_representatives``) come from one pass over the (representative,
     coarser partition) pairs, and each skeleton's two rows must agree.
     """
-    _check_range("coarse partition matrices", "n", n, 1, 8)
+    _check_range("coarse partition matrices", "n", n, 1, MAX_COARSE_PARTITION_GROUND)
     rgs = _rgs(n)
     # the skeletons are the distinct rows of descending atom sizes (zero-padded
     # to n, each read as one base-(n + 1) number), numbered in first-occurrence

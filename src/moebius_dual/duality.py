@@ -154,16 +154,20 @@ def _cone_reports(g: RationalMatrix, zp: ZetaPair, transposed: bool):
     decided by one product: the image matrix and one ConeReport per column."""
     images = (zp.moebius_transpose if transposed else zp.moebius) @ g
     negative = images.signs() < 0
+    members = ~negative.any(axis=0)
     labels = zp.poset.elements
     # a nonnegative Moebius image forces g >= 0 itself; the witness is the
     # first negative entry of the first such column
-    g_negative = (g.signs() < 0) & ~negative.any(axis=0)
+    g_negative = (g.signs() < 0) & members
     _require(not g_negative.any(), "cone member g >= 0",
              lambda: labels[np.argwhere(g_negative.T)[0][1]])
+    # iterating the image matrix makes one Fraction per distinct entry, shared
+    # by every column
     reports = tuple(
-        ConeReport(member=not neg.any(), image=tuple(image),
-                   first_negative=labels[np.argmax(neg)] if neg.any() else None)
-        for neg, image in zip(negative.T, images.T)
+        ConeReport(member=member, image=tuple(image),
+                   first_negative=None if member else labels[first])
+        for member, first, image in zip(members.tolist(), negative.argmax(axis=0).tolist(),
+                                        images.T)
     )
     return images, reports
 

@@ -5,7 +5,9 @@ Python ints.  A bound checked before each product, sum or elimination picks
 int64 only when it cannot overflow.  Inverse and nullspace use Bareiss's
 fraction-free elimination (Math. Comp. 22, 1968).  Floats and booleans are
 rejected on input, since every identity here is checked with zero tolerance;
-entries leave as ``fractions.Fraction``.
+entries leave as ``fractions.Fraction``.  At this boundary entries are parsed,
+formatted and made into Fractions once per distinct value, and the results are
+gathered back by C-level maps and takes.
 """
 
 from __future__ import annotations
@@ -91,11 +93,21 @@ def _ratio(value):
 
 
 def _from_values(values, shape):
-    """Numerator array and common denominator of a flat list of entries."""
-    pairs = [(v, 1) if type(v) is int else _ratio(v) for v in values]
+    """Numerator array and common denominator of a flat list of entries.  A
+    list of strings only (the JSON and CSV path) is parsed once per distinct
+    string, in first-occurrence order, so the first bad entry is the one
+    reported.  Any other list passes each entry through the gate: True, 1 and
+    1.0 are equal dict keys, so mixed entries cannot be deduplicated."""
+    if set(map(type, values)) == {str}:
+        distinct = list(dict.fromkeys(values))
+        pairs = list(map(_parse_entry, distinct))
+    else:
+        distinct, pairs = None, [(v, 1) if type(v) is int else _ratio(v) for v in values]
     den = math.lcm(*[q for _, q in pairs])
     nums = [p * (den // q) for p, q in pairs]
     bound = max(map(abs, nums), default=0)
+    if distinct is not None:
+        nums = list(map(dict(zip(distinct, nums)).__getitem__, values))
     return np.array(nums, dtype=np.int64 if bound <= _INT64_MAX else object).reshape(shape), den
 
 
@@ -116,8 +128,19 @@ def _product(a, b):
     return _ints(a, bound) @ _ints(b, bound)
 
 
-def _fractions(nums, den: int):
-    return [Fraction(x, den) for x in nums] if den != 1 else list(map(Fraction, nums))
+def _interned(num, make):
+    """``make(x)`` of every entry x of the integer array ``num``, as an object
+    array of its shape: one call per distinct value, gathered by one take."""
+    values, index = np.unique(num, return_inverse=True)
+    table = np.empty(len(values), dtype=object)
+    table[:] = [make(x) for x in values.tolist()]
+    return table[index.reshape(num.shape)]
+
+
+def _fractions(num, den: int):
+    """The entries of the integer array ``num`` over ``den``, as an object
+    array of Fractions."""
+    return _interned(num, Fraction if den == 1 else lambda x: Fraction(x, den))
 
 
 def _eliminate(a, cols: int):
@@ -214,26 +237,27 @@ class RationalMatrix:
         if isinstance(v, np.ndarray):
             if v.ndim == 2:
                 return RationalMatrix._wrap(v.copy(), self._den)
-            return _fractions(v.tolist(), self._den)
+            return _fractions(v, self._den).tolist()
         return Fraction(int(v), self._den)
 
     def row(self, i):
-        return _fractions(self._num[i, :].tolist(), self._den)
+        return _fractions(self._num[i, :], self._den).tolist()
 
     def array(self) -> np.ndarray:
         """Writable object array of the entries as Fractions."""
-        return np.array(_fractions(self._num.ravel().tolist(), self._den),
-                        dtype=object).reshape(self.shape)
+        return _fractions(self._num, self._den)
 
     def signs(self) -> np.ndarray:
         """Array of the sign (-1, 0 or 1) of each entry; the denominator is positive."""
         return np.sign(self._num).astype(np.int8)
 
     def __iter__(self):
-        return (_fractions(r, self._den) for r in self._num.tolist())
+        return iter(_fractions(self._num, self._den).tolist())
 
     def _strings(self):
-        return [[_format(x, self._den) for x in row] for row in self._num.tolist()]
+        """The rows of entry strings that ``__repr__``, ``to_json``, ``to_csv``
+        and the CLI documents print."""
+        return _interned(self._num, lambda x: _format(x, self._den)).tolist()
 
     def __repr__(self):
         body = "; ".join(" ".join(row) for row in self._strings())
@@ -289,7 +313,7 @@ class RationalMatrix:
         num, den = _from_values(vector, (-1, 1))
         if len(num) != self.cols:
             raise InvalidParameter(f"cannot apply shape {self.shape} to a vector of length {len(num)}")
-        return _fractions(_product(self._num, num).ravel().tolist(), self._den * den)
+        return _fractions(_product(self._num, num).ravel(), self._den * den).tolist()
 
     def power(self, n: int) -> "RationalMatrix":
         if self.rows != self.cols or n < 0:
@@ -337,7 +361,7 @@ class RationalMatrix:
         return Fraction(int(self._num.min()), self._den)
 
     def row_sums(self):
-        return _fractions(self._row_totals().tolist(), self._den)
+        return _fractions(self._row_totals(), self._den).tolist()
 
     def is_stochastic(self) -> bool:
         return self.is_nonnegative() and bool((self._row_totals() == self._den).all())

@@ -16,6 +16,7 @@ from moebius_dual import (
     h_transform,
     invariant_distribution,
     moebius_matrix,
+    partition_lattice,
     positivity_certificate,
     representing_measure,
     strong_condition_check,
@@ -408,3 +409,38 @@ def test_negative_kernel_names_first_negative_entry():
     zp = build_poset(range(3), lambda a, b: a <= b)
     with pytest.raises(InvalidParameter, match=r"entry \(0, 2\) is negative: -1/3"):
         positivity_certificate(p, moebius_matrix(zp), DualityVariant.ZETA)
+
+
+def _fraction_matmul(a, b):
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in zip(*b)] for row in a]
+
+
+def _fraction_rows(m):
+    """The entries of m, one scalar read each."""
+    return [[m[i, j] for j in range(m.cols)] for i in range(m.rows)]
+
+
+@pytest.mark.parametrize("lattice", [subset_lattice(3), partition_lattice(3)],
+                         ids=["subsets3", "partitions3"])
+@pytest.mark.parametrize("variant", list(DualityVariant))
+def test_cone_images_match_plain_fraction_products(lattice, variant):
+    import random
+
+    zp = lattice.pair
+    n = len(zp.poset)
+    z, m = _fraction_rows(zp.zeta), _fraction_rows(zp.moebius)
+    zt, mt = [list(c) for c in zip(*z)], [list(c) for c in zip(*m)]
+    rng = random.Random(n * 10 + list(DualityVariant).index(variant))
+    weights = [[F(rng.randrange(0, 4)) for _ in range(n)] for _ in range(n)]
+    kernels = [_random_kernel_rows(rng, n, denom=6), _random_kernel_rows(rng, n, denom=35),
+               _cone_built(zp, variant, weights)]
+    for kernel in kernels:
+        p = _fraction_rows(kernel)
+        single = p if variant.uses_columns else [list(c) for c in zip(*p)]
+        cumulative = _fraction_matmul(single, z if variant.cumulative_downward else zt)
+        cone = mt if variant.transposed_cone else m
+        for report, margins in ((positivity_certificate(Kernel.of(kernel), zp, variant), cumulative),
+                                (strong_condition_check(Kernel.of(kernel), zp, variant), single)):
+            images = _fraction_matmul(cone, margins)
+            assert [r.image for r in report.per_index] == [tuple(c) for c in zip(*images)]
+            assert all(type(x) is F for r in report.per_index for x in r.image)

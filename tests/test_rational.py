@@ -343,3 +343,105 @@ def test_first_difference_witness():
     assert a._first_difference(RationalMatrix([[1, "1/3"], [0, 1]])) == (0, 1)
     assert a._first_difference(RationalMatrix([[1, "1/2"], [5, 1]])) == (1, 0)
     assert a._first_difference(RationalMatrix([[1]])) == ((2, 2), (1, 1))
+
+
+# Entries leave the matrix through one string or Fraction per distinct
+# numerator; each view must read as if every entry were made on its own.
+_numerators = st.one_of(st.integers(-7, 7), st.integers(2**63, 2**80), st.integers(-2**80, -2**63))
+
+
+@st.composite
+def numerator_matrices(draw):
+    rows, cols = draw(st.sampled_from([(1, 1), (1, 5), (5, 1), (2, 3), (4, 4)]))
+    nums = draw(st.lists(st.lists(_numerators, min_size=cols, max_size=cols),
+                         min_size=rows, max_size=rows))
+    if draw(st.booleans()):
+        nums = [[x % 5 for x in row] for row in nums]  # many repeats, all in int64
+    return nums, draw(st.sampled_from([1, 2, 6, 2**64 + 1]))
+
+
+def _per_entry_views(m):
+    """The entries of ``m`` made one by one from its numerators and denominator:
+    Fractions and their strings."""
+    fractions = [[Fraction(x, m._den) for x in row] for row in m._num.tolist()]
+    return fractions, [[format_fraction(f) for f in row] for row in fractions]
+
+
+@settings(max_examples=150, deadline=None)
+@given(numerator_matrices())
+def test_views_match_per_entry_reference(case):
+    nums, den = case
+    m = RationalMatrix([[Fraction(x, den) for x in row] for row in nums])
+    assert m._num.dtype == (object if max(abs(x) for r in m._num.tolist() for x in r) > 2**63 - 1
+                            else np.int64)
+    fractions, strings = _per_entry_views(m)
+    assert fractions == [[Fraction(x, den) for x in row] for row in nums]
+    assert m._strings() == strings
+    assert repr(m) == f"RationalMatrix({m.rows}x{m.cols}: {'; '.join(map(' '.join, strings))})"
+    assert m.to_json() == json.dumps({"rows": m.rows, "cols": m.cols, "entries": strings}, indent=2)
+    labels = [f"s{i}" for i in range(max(m.shape))]
+    assert m.to_csv() == "".join(",".join(row) + "\n" for row in strings)
+    assert m.to_csv(labels[:m.rows], labels[:m.cols]) == "".join(
+        ",".join(row) + "\n"
+        for row in [[""] + labels[:m.cols]] + [[labels[i]] + r for i, r in enumerate(strings)])
+    views = [list(m), [m.row(i) for i in range(m.rows)], m.array().tolist(),
+             [m[i, :] for i in range(m.rows)]]
+    for view in views:
+        assert view == fractions
+        assert all(type(x) is Fraction for row in view for x in row)
+    vector = [Fraction(j + 1, 3) for j in range(m.cols)]
+    image = m.apply(vector)
+    assert image == [sum((f * v for f, v in zip(row, vector)), Fraction(0)) for row in fractions]
+    sums = m.row_sums()
+    assert sums == [sum(row, Fraction(0)) for row in fractions]
+    assert all(type(x) is Fraction for x in image + sums)
+    # the Fraction array is the caller's to write
+    a = m.array()
+    a[0, 0] = Fraction(-99)
+    assert list(m) == fractions
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 3)])
+def test_zero_matrix_views(shape):
+    m = RationalMatrix(np.zeros(shape, dtype=np.int64))
+    zeros = [[Fraction(0)] * shape[1] for _ in range(shape[0])]
+    assert m._den == 1 and list(m) == m.array().tolist() == zeros
+    assert m._strings() == [["0"] * shape[1] for _ in range(shape[0])]
+    assert m.to_csv() == (",".join(["0"] * shape[1]) + "\n") * shape[0]
+    assert m.row_sums() == [0] * shape[0] and m.apply([1] * shape[1]) == [0] * shape[0]
+
+
+def test_mixed_entry_types_each_pass_the_gate():
+    # True == 1 == 1.0 as dict keys, so only an all-string list is deduplicated
+    for rows in ([[1, True]], [["1", True]]):
+        with pytest.raises(NonRationalEntry, match="bool entry True"):
+            RationalMatrix(rows)
+    with pytest.raises(NonRationalEntry, match="float entry 1.0"):
+        RationalMatrix([["1/2", 1.0]])
+    m = RationalMatrix([[np.int64(2), "1/3"]])
+    assert m == RationalMatrix([["2", "1/3"]]) and list(m) == [[2, Fraction(1, 3)]]
+    assert m._num.dtype == np.int64
+
+
+def test_string_entries_are_parsed_once_each_and_the_first_bad_one_is_named():
+    rows = [["1/3", "x"], ["1/3", "y"]]
+    builds = (lambda: RationalMatrix(rows),
+              lambda: RationalMatrix.from_json(json.dumps({"entries": rows})),
+              lambda: RationalMatrix.from_csv("1/3,x\n1/3,y\n"))
+    for build in builds:
+        with pytest.raises(NonRationalEntry, match="cannot parse rational 'x'"):
+            build()
+        parsed = []
+
+        def gate(t):
+            parsed.append(t)
+            return fraction_gate(t).as_integer_ratio()
+
+        halves = RationalMatrix([["1/2", "1/2"], ["1/2", 0]])
+        with mock.patch.object(rational, "_parse_entry", gate):
+            with pytest.raises(NonRationalEntry, match="cannot parse rational 'x'"):
+                build()
+            assert parsed == ["1/3", "x"]
+            parsed.clear()
+            assert RationalMatrix.from_csv("1/2,2/4\n1/2,0\n") == halves
+            assert parsed == ["1/2", "2/4", "0"]
