@@ -4,10 +4,12 @@ An offspring law assigns to each parent i the set nu_i of its children;
 the nu_i are disjoint and cover the population.  The forward chain tracks
 the carrier sets of the T types, the backward chain tracks their ancestors,
 and the two are dual through the transpose of the zeta matrix of the
-componentwise subset order.  The haploid model is the case T = 1, where the
-states are the subsets of the population.  Coarse-graining by type counts
-recovers the classical frequency chain and, at T = 1, its hypergeometric
-dual.
+componentwise subset order.  The states are the N-fold product of the claw
+(absent below T incomparable types), enumerated by ``lattices._claw_power``;
+the haploid model is the case T = 1, where that product is the subset
+lattice of the population, built by the same path.  Coarse-graining by type
+counts recovers the classical frequency chain and, at T = 1, its
+hypergeometric dual.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 
@@ -30,8 +32,8 @@ from .errors import (
     _check_range,
     _require,
 )
-from .lattices import _claw, _flatten, _subset_order
-from .poset import ZetaPair, _check_states, _kron_pair, _poset_from_matrix
+from .lattices import _claw_power
+from .poset import ZetaPair, _check_states
 from .rational import _INT64_MAX, RationalMatrix, _require_equal
 
 __all__ = [
@@ -48,7 +50,14 @@ __all__ = [
     "coarsen_multiallelic",
     "monte_carlo_duality",
     "exact_coarse_duality_value",
+    "MAX_LAW_GROUND",
+    "MAX_WRIGHT_FISHER_GROUND",
+    "MAX_MORAN_GROUND",
 ]
+
+MAX_LAW_GROUND = 64  # the children sets are N-bit masks, held in at most uint64
+MAX_WRIGHT_FISHER_GROUND = 6  # N^N atoms: 6^6 = 46,656, where 7^7 would be 823,543
+MAX_MORAN_GROUND = 8  # 2^8 = 256 haploid states, the largest subset lattice the first release checked
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,7 +80,7 @@ class OffspringLaw:
 
     def __post_init__(self):
         n = self.ground_size
-        _check_range("offspring law", "N", n, 0, 64)
+        _check_range("offspring law", "N", n, 0, MAX_LAW_GROUND)
         den = operator.index(self.den)
         if den < 1:
             raise InvalidOffspringLaw(f"denominator {den} is not positive")
@@ -171,7 +180,7 @@ def _mask_rows(n: int, children):
 def wright_fisher_law(n: int) -> OffspringLaw:
     """Each child picks a uniform parent independently; N^N atoms, atom a
     giving child c the parent of base-N digit c of a, most significant first."""
-    _check_range("wright-fisher law", "N", n, 1, 6)
+    _check_range("wright-fisher law", "N", n, 1, MAX_WRIGHT_FISHER_GROUND)
     parent = np.arange(n ** n)[:, None] // n ** np.arange(n - 1, -1, -1) % n
     children = ((parent[:, None, :] == np.arange(n)[:, None]) << np.arange(n)).sum(axis=2)
     law = OffspringLaw(n, children, n ** n, np.ones(n ** n, dtype=np.int64))
@@ -182,7 +191,7 @@ def wright_fisher_law(n: int) -> OffspringLaw:
 def moran_law(n: int) -> OffspringLaw:
     """A uniform pair (b, d), b != d: d dies, b keeps its slot and takes d's;
     the atoms are the pairs in lexicographic order."""
-    _check_range("moran law", "N", n, 2, 8)
+    _check_range("moran law", "N", n, 2, MAX_MORAN_GROUND)
     b, d = np.nonzero(~np.eye(n, dtype=bool))
     children = np.tile(1 << np.arange(n), (len(b), 1))
     atom = np.arange(len(b))
@@ -349,23 +358,24 @@ def _place(n: int, t: int) -> np.ndarray:
     return place
 
 
-def _kernel_counts(law: OffspringLaw, states, t: int):
-    """D P(J, K) and D Q(J, K) on ``states`` (T-tuples of disjoint masks),
-    for D the law's common denominator, as exact integer arrays.
+def _kernel_counts(law: OffspringLaw, masks, codes):
+    """D P(J, K) and D Q(J, K) on the states of ``_claw_power``: rows of T
+    disjoint masks ``masks``, with the type codes ``codes``, for D the law's
+    common denominator, as exact integer arrays.
 
-    A state is coded by its type assignment read in base T+1, so the image
+    A state's type code is its type assignment read in base T+1, so the image
     of every (atom, state) pair is located with one table lookup per type;
     the tables are built per block of atoms.
     Q drops the pairs whose per-type ancestor sets overlap.  The pairs of
     the atoms sharing one integer weight are counted with np.bincount and
     the counts are multiplied by that weight in exact integers.
     """
-    n, size, nu, weights = law.ground_size, len(states), law.children, law.weights
+    n, nu, weights = law.ground_size, law.children, law.weights
+    size, t = masks.shape
     place = _place(n, t)
-    masks = np.array(states, dtype=np.int64).reshape(size, t)
     types = np.arange(1, t + 1)
     index = np.zeros((t + 1) ** n, dtype=np.int64)
-    index[place[masks] @ types] = np.arange(size)
+    index[codes] = np.arange(size)
     rows = np.arange(size) * size
     # every entry is at most its row sum, which is D
     p_num = np.zeros(size * size, dtype=weights.dtype)
@@ -416,51 +426,24 @@ class MultiAllelicKernels:
     defect: tuple  # per-state mass loss of q
 
 
-def _partial_states(n: int, t: int):
-    """All T-tuples of disjoint subsets of {1..N}: one type in 0..T per
-    individual, type 0 meaning absent."""
-    states = []
-    for assign in product(range(t + 1), repeat=n):
-        masks = [0] * t
-        for i, a in enumerate(assign):
-            if a:
-                masks[a - 1] |= 1 << i
-        states.append(tuple(masks))
-    states = sorted(set(states), key=lambda s: (sum(m.bit_count() for m in s), s))
-    return states
-
-
-def _partial_pair(n: int, t: int) -> ZetaPair:
-    """The zeta pair of the partial states, the N-fold product of the claw
-    (absent below T incomparable types), read off the claw's by
-    ``_kron_pair`` with the type code of a state as its Kronecker index."""
-    states = _partial_states(n, t)
-    # componentwise inclusion is inclusion of the flattened masks
-    poset = _poset_from_matrix(tuple(states), _subset_order([_flatten(s, n) for s in states]),
-                               validate=False)
-    codes = _place(n, t)[np.array(poset.elements, dtype=np.int64).reshape(-1, t)] @ np.arange(1, t + 1)
-    return _kron_pair(poset, (_claw(t),) * n, codes)
-
-
 def multiallelic_kernels(law: OffspringLaw, t: int) -> MultiAllelicKernels:
     """Exact forward and backward kernels for T >= 1 allele types, with the
     transpose-zeta duality Z' Q' = P Z' verified: the counted Q must equal
     h_dual's (M' P Z')', which checks Z' M' = I first, at every size.
-    T = 1 is the haploid model.  The zeta pair is the product pair of
-    ``_partial_pair``, so past the mode-product crossover that check and
-    its products are made factor by factor by ``@``.  The (T+1)^N partial
+    T = 1 is the haploid model.  The states, their masks and type codes and
+    the zeta pair come from ``lattices._claw_power``, each state labelled by
+    its T-tuple of masks; past the mode-product crossover the pair's
+    products are made factor by factor by ``@``.  The (T+1)^N partial
     states are checked against the state cap first."""
     if t < 1:
         raise InvalidParameter(f"population model: T must be >= 1, got {t}")
     n = law.ground_size
     _check_states((t + 1) ** n)
-    pair = _partial_pair(n, t)
-    covering = tuple(
-        i for i, s in enumerate(pair.poset.elements)
-        if sum(m.bit_count() for m in s) == n
-    )
+    masks, codes, pair = _claw_power(n, t, lambda masks: tuple(map(tuple, masks.tolist())))
+    # sorted by the number of individuals present, the T^N covering states come last
+    covering = tuple(range(len(codes) - t ** n, len(codes)))
 
-    den, p_num, q_num = _kernel_counts(law, pair.poset.elements, t)
+    den, p_num, q_num = _kernel_counts(law, masks, codes)
     p_ext = RationalMatrix._wrap(p_num, den)
     q = RationalMatrix._wrap(q_num, den)
     p_ext_k = Kernel.of(p_ext)

@@ -263,11 +263,16 @@ def support_implication_check(
 
     direction="forward": if P charges only pairs with c <= d then Q charges
     only pairs with d <= c.  direction="reverse" swaps the roles.  Returns
-    True vacuously when the hypothesis on P fails.
+    True vacuously when the hypothesis on P fails.  P and Q must be square
+    over the poset's elements.
     """
     if direction not in ("forward", "reverse"):
         raise InvalidParameter(f"support implication: direction must be 'forward' or 'reverse', "
                                f"got {direction!r}")
+    for name, m in (("p", p.matrix), ("q", q)):
+        if m.shape != (len(poset), len(poset)):
+            raise InvalidParameter(f"support implication: {name} is {m.rows}x{m.cols}, "
+                                   f"the poset has {len(poset)} elements")
 
     def supported_within(m, upper):
         # every nonzero entry (c, d) has c <= d (upper) or d <= c

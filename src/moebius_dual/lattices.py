@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -32,21 +32,10 @@ __all__ = [
 ]
 
 
-def _flatten(masks, width: int) -> int:
-    """The bitmasks of ``width`` bits each side by side, the first lowest."""
-    out = 0
-    for t, m in enumerate(masks):
-        out |= m << (t * width)
-    return out
-
-
-def _subset_order(masks) -> np.ndarray:
-    """Bool matrix with [i, j] True iff masks[i] is a subset of masks[j].
-
-    The masks are held in the narrowest unsigned dtype that fits them, and as
-    Python ints beyond 64 bits.
-    """
-    a = np.array(masks, dtype=np.min_scalar_type(max(masks, default=0)))
+def _subset_order(masks: np.ndarray) -> np.ndarray:
+    """Bool matrix with [i, j] True iff masks[i] is a subset of masks[j], for
+    an integer array of masks, held in the narrowest unsigned dtype that fits."""
+    a = masks.astype(np.min_scalar_type(masks.max(initial=0)))
     return (a[:, None] & ~a[None, :]) == 0
 
 
@@ -98,26 +87,42 @@ def _claw(t: int) -> ZetaPair:
     the chain 0 < 1), validated and checked once, when it is cached."""
     m = np.eye(t + 1, dtype=bool)
     m[0] = True
-    return _checked_pair(_poset_from_matrix(tuple(range(t + 1)), m, validate=True))
+    return _checked_pair(_poset_from_matrix(tuple(range(t + 1)), m))
+
+
+def _claw_power(n: int, t: int, label) -> tuple:
+    """The N-fold product of the claw of T types: its (T+1)^N states, one type
+    in 0..T per individual (0 absent), as an S x T int64 array of disjoint
+    bitmasks (bit c of column t-1 set iff individual c+1 has type t), sorted
+    by the number of individuals present, then the masks.  Returns the masks,
+    each state's type code (its assignment in base T+1, individual 1 the
+    lowest digit), which is its Kronecker index, and the zeta pair that
+    ``_kron_pair`` reads off ``_claw(t)`` over the labels ``label(masks)``.
+    The order is componentwise inclusion, ``_subset_order`` per type; the
+    labels are distinct and the sort is a linear extension, so the poset is
+    built as it is.  At T = 1 the states are the subsets of {1..N} and each
+    code is its mask."""
+    digits = np.arange((t + 1) ** n)[:, None] // (t + 1) ** np.arange(n) % (t + 1)
+    masks = ((digits[:, None, :] == np.arange(1, t + 1)[:, None]) << np.arange(n)).sum(axis=2)
+    # the states are enumerated in code order, so the sort permutation is their codes
+    codes = np.lexsort((*masks.T[::-1], np.count_nonzero(digits, axis=1)))
+    masks = masks[codes]
+    labels = label(masks)
+    poset = FinitePoset(elements=labels, matrix=reduce(np.logical_and, map(_subset_order, masks.T)),
+                        index={lab: i for i, lab in enumerate(labels)})
+    return masks, codes, _kron_pair(poset, (_claw(t),) * n, codes)
 
 
 def subset_lattice(n: int) -> SubsetLattice:
     """Subset lattice of {1..n}, the n-fold product of the two-element chain
-    0 < 1: ``_kron_pair`` reads its Moebius matrix off the chain's checked
-    pair, with the mask of a subset as its Kronecker index, and checks the
-    order against the Kronecker power at every size.
-
-    It is also the T-fold product of the subset lattice of {1..N}, with the
-    componentwise order, for n = N*T: a product of Boolean lattices is
-    Boolean (Rota 1964), and ``_flatten`` is the isomorphism, putting the
-    t-th N-bit block of a mask at bits t*N..t*N+N-1.  The state cap is checked first.
-    """
+    0 < 1: ``_claw_power(n, 1)`` with each subset labelled by its mask, in
+    (popcount, mask) order, its Moebius matrix read off the chain's checked
+    pair and its order checked against the Kronecker power at every size.
+    The state cap is checked first."""
     if n < 0:
         raise InvalidParameter(f"subset lattice: N must be >= 0, got {n}")
     _check_states(power=n)
-    masks = tuple(sorted(range(1 << n), key=lambda m: (m.bit_count(), m)))
-    poset = _poset_from_matrix(masks, _subset_order(masks), validate=False)
-    return SubsetLattice(ground_size=n, pair=_kron_pair(poset, (_claw(1),) * n, poset.elements))
+    return SubsetLattice(ground_size=n, pair=_claw_power(n, 1, lambda m: tuple(m[:, 0].tolist()))[2])
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +265,8 @@ def enumerate_partitions(n: int):
 
 @lru_cache(maxsize=None)
 def bell_number(n: int) -> int:
+    if n < 0:
+        raise InvalidParameter(f"bell number: n must be >= 0, got {n}")
     if n == 0:
         return 1
     return sum(math.comb(n - 1, k) * bell_number(k) for k in range(n))
@@ -283,7 +290,7 @@ def partition_lattice(n: int) -> PartitionLattice:
     _check_states(bell_number(n))
     rgs = _rgs(n)
     parts = tuple(Partition(tuple(r)) for r in rgs.tolist())
-    poset = _poset_from_matrix(parts, _subset_order(_pair_masks(rgs).tolist()), validate=True)
+    poset = _poset_from_matrix(parts, _subset_order(_pair_masks(rgs)))
     return PartitionLattice(ground_size=n, pair=_checked_pair(poset))
 
 
@@ -348,6 +355,8 @@ def skeleton(alpha: Partition) -> Skeleton:
 
 def skeletons_of(n: int):
     """All skeletons in E_N, ordered by (part count descending, parts lex)."""
+    if n < 0:
+        raise InvalidParameter(f"skeletons: n must be >= 0, got {n}")
     out = []
 
     def gen(remaining, mx, acc):

@@ -252,11 +252,12 @@ def build_poset(labels: Sequence, leq: Callable) -> FinitePoset:
     labels = tuple(labels)
     n = len(labels)
     m = np.array([[bool(leq(a, b)) for b in labels] for a in labels], dtype=bool).reshape(n, n)
-    return _poset_from_matrix(labels, m, validate=True)
+    return _poset_from_matrix(labels, m)
 
 
-def _poset_from_matrix(labels: tuple, m: np.ndarray, *, validate: bool) -> FinitePoset:
-    """The poset of ``build_poset`` from its bool order matrix over ``labels``."""
+def _poset_from_matrix(labels: tuple, m: np.ndarray) -> FinitePoset:
+    """The poset of ``build_poset`` from its bool order matrix over ``labels``,
+    validated at every size."""
     seen = set()
     for lab in labels:
         try:
@@ -265,8 +266,7 @@ def _poset_from_matrix(labels: tuple, m: np.ndarray, *, validate: bool) -> Finit
             raise InvalidParameter(f"poset: labels must be hashable, got {lab!r}") from None
     if len(seen) != len(labels):
         raise InvalidParameter("poset: labels must be distinct")
-    if validate:
-        _validate_order(labels, m)
+    _validate_order(labels, m)
     # Kahn's sort returns input already in a linear extension unchanged
     if np.tril(m, -1).any():
         order = _stable_toposort(m)

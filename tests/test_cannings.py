@@ -33,8 +33,8 @@ from moebius_dual import (
     subset_lattice,
     wright_fisher_law,
 )
-from moebius_dual import cannings, coarse_graining, duality, poset, rational
-from moebius_dual.cannings import _block_forward, _partial_states
+from moebius_dual import cannings, coarse_graining, duality, lattices, poset, rational
+from moebius_dual.cannings import _block_forward
 from moebius_dual.errors import (
     InvalidOffspringLaw,
     InvalidParameter,
@@ -122,6 +122,13 @@ def test_law_size_caps():
         wright_fisher_law(0)
     with pytest.raises(InvalidParameter):
         moran_law(1)
+    # the named bounds hold the values the messages have always shown
+    bounds = (cannings.MAX_LAW_GROUND, cannings.MAX_WRIGHT_FISHER_GROUND, cannings.MAX_MORAN_GROUND)
+    assert bounds == (64, 6, 8)
+    with pytest.raises(SizeOverflow, match="^moran law: N must be in 2..8, got 9$"):
+        moran_law(9)
+    with pytest.raises(SizeOverflow, match="^offspring law: N must be in 0..64, got 65$"):
+        OffspringLaw(65, [], 1, [])
 
 
 @pytest.mark.parametrize(
@@ -368,12 +375,12 @@ def test_builder_rejects_a_counted_q_off_in_one_entry(monkeypatch, t):
     counts = cannings._kernel_counts
     off = []
 
-    def lowered(law, states, types):
-        den, p_num, q_num = counts(law, states, types)
+    def lowered(law, masks, codes):
+        den, p_num, q_num = counts(law, masks, codes)
         q_num = q_num.copy()
         j, k = np.argwhere(q_num > 0)[3].tolist()
         q_num[j, k] -= 1
-        off.append((states[j], states[k]))
+        off.append((tuple(masks[j].tolist()), tuple(masks[k].tolist())))
         return den, p_num, q_num
 
     monkeypatch.setattr(cannings, "_kernel_counts", lowered)
@@ -387,7 +394,7 @@ def test_builder_checks_h_h_inverse_past_256_states(monkeypatch):
     # a Moebius matrix off in one entry of a 343-state pair is caught as
     # Z' M' = I in h_dual: the replaced M keeps no Kronecker factors, so
     # the check multiplies Z', by its factors, with the wrong dense M'
-    kron_pair = cannings._kron_pair
+    kron_pair = lattices._kron_pair
 
     def broken(*args):
         pair = kron_pair(*args)
@@ -395,7 +402,7 @@ def test_builder_checks_h_h_inverse_past_256_states(monkeypatch):
         num[0, -1] += 1
         return dataclasses.replace(pair, moebius=RationalMatrix(num))
 
-    monkeypatch.setattr(cannings, "_kron_pair", broken)
+    monkeypatch.setattr(lattices, "_kron_pair", broken)
     with pytest.raises(VerificationFailure) as exc:
         multiallelic_kernels(moran_law(3), 6)
     assert exc.value.identity == "H H^-1 = I"
@@ -525,7 +532,7 @@ def test_multiallelic_defect_values():
 
 def test_multiallelic_cap(monkeypatch):
     law = wright_fisher_law(3)
-    monkeypatch.setattr(cannings, "_partial_pair", lambda n, t: pytest.fail("built past the cap"))
+    monkeypatch.setattr(cannings, "_claw_power", lambda n, t, label: pytest.fail("built past the cap"))
     with pytest.raises(SizeOverflow, match="^6561 states exceed the cap 4096$"):
         multiallelic_kernels(wright_fisher_law(4), 8)
     # a count too long for str() is written as a power of two: (10^1500 + 1)^3
@@ -851,19 +858,32 @@ def test_kernel_builders_match_reference_on_a_nonexchangeable_law():
         assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
 
 
+def partial_states(n, t):
+    """All T-tuples of disjoint subsets of {1..N}, one type in 0..T per
+    individual, sorted by the number present, then the masks."""
+    states = []
+    for assign in product(range(t + 1), repeat=n):
+        masks = [0] * t
+        for i, a in enumerate(assign):
+            if a:
+                masks[a - 1] |= 1 << i
+        states.append(tuple(masks))
+    return sorted(states, key=lambda s: (sum(m.bit_count() for m in s), s))
+
+
 @pytest.mark.parametrize("t", [1, 2])
 def test_partial_state_order_matches_the_python_leq_reference(t):
-    # the builder orders the partial states by inclusion of their flattened
-    # masks; the reference is componentwise inclusion through a Python leq
+    # the builder orders the partial states by componentwise inclusion of
+    # their masks; the reference is that inclusion through a Python leq
     for n in range(1, 5):
         got = multiallelic_kernels(wright_fisher_law(n), t).pair.poset
-        ref = build_poset(_partial_states(n, t),
+        ref = build_poset(partial_states(n, t),
                           lambda a, b: all(x & ~y == 0 for x, y in zip(a, b)))
         assert got.elements == ref.elements and (got.matrix == ref.matrix).all()
 
 
 def test_partial_states_past_64_flattened_bits():
-    # N = 1 and T = 70 flatten to 70 bits, held as Python ints
+    # N = 1 and T = 70: 70 types, whose masks side by side would take 70 bits
     law = OffspringLaw.build(1, [((1,), 1)])
     ma = multiallelic_kernels(law, 70)
     assert len(ma.pair.poset) == 71

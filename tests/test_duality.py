@@ -212,6 +212,18 @@ def test_support_implication_both_directions(zp):
         assert support_implication_check(Kernel.of(full), broken_q, poset, direction=direction)
 
 
+@pytest.mark.parametrize("direction", ["forward", "reverse"])
+def test_support_implication_names_a_kernel_off_the_poset(direction):
+    # P or Q of another size is refused before any array operation, naming it
+    poset = subset_lattice(2).poset
+    fits = RationalMatrix.identity(4)
+    wrong = RationalMatrix.identity(2)
+    for p, q, name in ((wrong, fits, "p"), (fits, wrong, "q")):
+        with pytest.raises(InvalidParameter, match=f"^support implication: {name} is 2x2, "
+                                                   f"the poset has 4 elements$"):
+            support_implication_check(Kernel.of(p), q, poset, direction=direction)
+
+
 def test_h_transform_rejects_a_short_h():
     q = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))
     with pytest.raises(InvalidParameter, match=r"\(1, 1\) @ \(2, 2\)"):

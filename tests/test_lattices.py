@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,10 +20,10 @@ from moebius_dual import (
     partition_lattice,
     partition_moebius_closed_form,
     skeleton,
+    skeletons_of,
     subset_lattice,
 )
 from moebius_dual.errors import InvalidParameter, InvalidSkeleton, NotComparable, SizeOverflow
-from moebius_dual.lattices import _flatten
 
 
 def test_subset_lattice_canonical_order():
@@ -89,18 +90,23 @@ def test_lattices_raise_on_the_state_cap_before_they_allocate(monkeypatch):
             subset_lattice(0)
 
 
+def flatten(masks, width):
+    """The bitmasks of ``width`` bits each side by side, the first lowest."""
+    return sum(m << (t * width) for t, m in enumerate(masks))
+
+
 def test_flattening_maps_the_product_of_subset_lattices_onto_subsets():
     # the T-fold product of the subset lattice of {1..N} under the componentwise
-    # order is subset_lattice(N*T): _flatten is a bijection onto its masks that
+    # order is subset_lattice(N*T): flattening is a bijection onto its masks that
     # carries the order, and with it the Moebius function, across
     for n, t in ((0, 3), (1, 1), (2, 2), (3, 2), (2, 3), (1, 5)):
         vecs = list(product(range(1 << n), repeat=t))
         prod = moebius_matrix(build_poset(vecs, lambda a, b: all(x & ~y == 0 for x, y in zip(a, b))))
         flat = subset_lattice(n * t)
-        assert sorted(_flatten(v, n) for v in vecs) == sorted(flat.poset.elements)
+        assert sorted(flatten(v, n) for v in vecs) == sorted(flat.poset.elements)
         for a in vecs:
             for b in vecs:
-                fa, fb = _flatten(a, n), _flatten(b, n)
+                fa, fb = flatten(a, n), flatten(b, n)
                 assert prod.poset.leq(a, b) == flat.poset.leq(fa, fb)
                 if prod.poset.leq(a, b):
                     assert prod.mu_value(a, b) == flat.mu_closed_form(fa, fb)
@@ -143,8 +149,46 @@ def test_enumeration_counts_are_bell_numbers():
     for n in range(1, 7):
         assert len(enumerate_partitions(n)) == bell_number(n)
     assert [bell_number(k) for k in range(6)] == [1, 1, 2, 5, 15, 52]
-    with pytest.raises(InvalidParameter, match="^partitions: n must be >= 0, got -1$"):
-        enumerate_partitions(-1)
+    # the empty ground set has one partition, of the empty skeleton; a
+    # negative one is the same typed error for all three counts
+    assert len(enumerate_partitions(0)) == len(skeletons_of(0)) == 1
+    for count, name in ((enumerate_partitions, "partitions"), (bell_number, "bell number"),
+                        (skeletons_of, "skeletons")):
+        for n in (-1, -5):
+            with pytest.raises(InvalidParameter, match=f"^{name}: n must be >= 0, got {n}$"):
+                count(n)
+
+
+CLAW_POWERS = [(n, t) for t in (1, 2, 3) for n in range(13) if (t + 1) ** n <= 4096] + [(1, 70)]
+
+
+@pytest.mark.parametrize("n, t", CLAW_POWERS, ids=[f"N{n}-T{t}" for n, t in CLAW_POWERS])
+def test_claw_power_matches_the_product_reference(n, t):
+    # the reference: one type assignment per itertools.product tuple, type c
+    # of individual c+1 read as digit c of the code in base T+1, sorted by
+    # the number present, then the masks; x <= y iff every individual
+    # present in x has the same type in y
+    ref = []
+    for assign in product(range(t + 1), repeat=n):
+        masks = [0] * t
+        for c, a in enumerate(assign):
+            if a:
+                masks[a - 1] |= 1 << c
+        code = sum(a * (t + 1) ** c for c, a in enumerate(assign))
+        ref.append((sum(a > 0 for a in assign), tuple(masks), code, assign))
+    ref.sort()
+    masks, codes, pair = lattices._claw_power(n, t, lambda m: tuple(map(tuple, m.tolist())))
+    assert masks.shape == (len(ref), t) and masks.dtype == np.int64
+    assert pair.poset.elements == tuple(map(tuple, masks.tolist())) == tuple(r[1] for r in ref)
+    assert codes.tolist() == [r[2] for r in ref]
+    types = np.array([r[3] for r in ref], dtype=np.int64).reshape(len(ref), n)
+    order = np.ones((len(ref), len(ref)), dtype=bool)
+    for c in range(n):
+        x, y = types[:, c, None], types[None, :, c]
+        order &= (x == 0) | (x == y)
+    assert np.array_equal(pair.poset.matrix, order)
+    assert not np.tril(pair.poset.matrix, -1).any()
+    assert pair.poset.index == {s: i for i, s in enumerate(pair.poset.elements)}
 
 
 def test_partition_lattice_order_and_mu():

@@ -136,6 +136,17 @@ def test_size_rules_are_the_constants_of_poset():
     )
     assert state_constants == ["poset.py:MAX_STATES", "poset.py:_MODE_STATES"]
     assert list(inspect.signature(moebius_dual.build_poset).parameters) == ["labels", "leq"]
+    # nor does any other function: every order built from a matrix is
+    # validated, or is a claw power built as it is
+    switches = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in _source_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if arg.arg == "validate"
+    ]
+    assert switches == []
     # poset.py alone reads the cap and compares counts with it: no other module
     # names its variable, the environment or MAX_STATES, and no public
     # function takes a cap of its own

@@ -26,7 +26,7 @@ from moebius_dual import (
     subset_lattice,
     zeta_matrix,
 )
-from moebius_dual import cannings, duality, lattices, poset
+from moebius_dual import duality, lattices, poset
 from moebius_dual.errors import (InvalidParameter, PartialOrderViolation, SizeOverflow,
                                  VerificationFailure)
 
@@ -523,7 +523,8 @@ def product_pairs(draw):
     if kind == "subsets":
         return subset_lattice(draw(st.integers(0, 8))).pair
     t = draw(st.integers(1, 3))
-    return cannings._partial_pair(draw(st.integers(1, {1: 8, 2: 5, 3: 4}[t])), t)
+    n = draw(st.integers(1, {1: 8, 2: 5, 3: 4}[t]))
+    return lattices._claw_power(n, t, lambda masks: tuple(map(tuple, masks.tolist())))[2]
 
 
 def random_matrix(draw, rows, cols, big):
@@ -613,7 +614,7 @@ def test_product_pairs_check_their_factors_and_order(monkeypatch):
             moebius_matrix(prod)
     assert (e.value.identity, e.value.witness) == ("Z M = I", (0, 2))
     # a product_poset whose order lost one comparable pair
-    broken = poset._poset_from_matrix(prod.elements, prod.matrix.copy(), validate=False)
+    broken = poset._poset_from_matrix(prod.elements, prod.matrix.copy())
     broken.matrix.flags.writeable = True
     broken.matrix[0, -1] = False
     leaves, perm = poset._leaves(prod)
