@@ -614,18 +614,19 @@ def _mt_words(key, out) -> None:
     last ^= first
     last += key[(_MT_N - 1) % size]
     # second loop: mt[i] = (mt[i] ^ scramble(mt[i - 1])) - i, for i = 2..N-1,
-    # then once more at i = 1 after mt[0] = mt[N - 1]
+    # then once more at i = 1 after mt[0] = mt[N - 1]; row 0 of ``p`` reruns
+    # the first loop from its mt[1], row 1 is the second loop, one scramble for both
     out[0], out[1] = upper, 0
-    p1, t1, p2, t2 = first, prev, last.copy(), new
+    p, t = np.stack([first, last]), np.empty((2, len(first)), dtype=np.uint32)
+    mult = np.repeat(np.array([[mult1], [mult2]]), len(first), axis=1)
+    (p1, p2), (t1, t2) = p, t
     for i in range(2, _MT_N):
-        scramble(p1, mult1, t1)
+        scramble(p, mult, t)
         t1 ^= _MT_START[i]
         t1 += key[(i - 1) % size]
-        p1, t1 = t1, p1
-        scramble(p2, mult2, t2)
-        t2 ^= p1
+        t2 ^= t1
         t2 -= np.uint32(i)
-        p2, t2 = t2, p2
+        p, p1, p2, t, t1, t2 = t, t1, t2, p, p1, p2
         if i <= b:
             out[i] = p2
         if 0 <= i - _MT_M < b:
@@ -665,84 +666,77 @@ def _mt_words(key, out) -> None:
         y ^= scratch
 
 
-def _words(rng: random.Random, count: int):
-    """The next ``count`` 32-bit words of ``rng``, in order."""
-    return np.frombuffer(rng.getrandbits(32 * count).to_bytes(4 * count, "little"), dtype="<u4")
-
-
-class _ReplicaWords:
-    """The 32-bit words of random.Random(s) for a block of seeds s, one lane
-    per seed, each lane read in order.
-
-    A (B+1) x lanes table holds B words per lane, from ``_mt_words``.  A lane
-    that reads past them continues in its own random.Random(s), which first
-    skips those B words: its unread words move to the top of its column and
-    fresh words fill the rest.  Keys too long for ``_mt_words``, or B past
-    N - M, take every word from CPython.
-    """
-
-    def __init__(self, seeds: range, depth: int):
-        self.seeds, self.depth = seeds, depth
-        self.table = np.empty((depth + 1, len(seeds)), dtype=np.uint32)
-        self.pos = np.zeros(len(seeds), dtype=np.intp)  # the next word of each lane
-        self.rngs = {}  # lane -> its generator, ``depth`` words past the top of its column
-        lengths, key = _seed_keys(seeds)
-        # the lanes of one key length form runs, which are views of the table
-        cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(seeds)]
-        for lo, hi in zip(cuts, cuts[1:]):
-            size = int(lengths[lo])
-            if size < _MT_N and depth <= _MT_N - _MT_M:
-                _mt_words(key[:size, lo:hi], self.table[:, lo:hi])
-                continue
-            for lane in range(lo, hi):
-                self.rngs[lane] = random.Random(seeds[lane])
-                self.table[:depth, lane] = _words(self.rngs[lane], depth)
-
-    def _refill(self, lane: int) -> None:
-        rng = self.rngs.get(lane)
-        if rng is None:
-            rng = self.rngs[lane] = random.Random(self.seeds[lane])
-            rng.getrandbits(32 * self.depth)
-        pos, column = int(self.pos[lane]), self.table[:self.depth, lane]
-        column[:] = np.concatenate([column[pos:], _words(rng, pos)])
-        self.pos[lane] = 0
-
-    def getrandbits(self, lanes, k: int, dtype):
-        """getrandbits(k) of every lane in ``lanes``, as ``dtype``: ceil(k/32)
-        words, least significant first, the last one shifted right by
-        32 ceil(k/32) - k."""
-        w = -(-k // 32)
-        for lane in lanes[self.pos[lanes] + w > self.depth].tolist():
-            self._refill(lane)
-        pos = self.pos[lanes]
-        self.pos[lanes] = pos + w
-        r = self.table[pos + w - 1, lanes].astype(dtype) >> 32 * w - k
-        for t in reversed(range(w - 1)):
-            r = r << 32 | self.table[pos + t, lanes].astype(dtype)
-        return r
+def _tries(seeds: range, depth: int, k: int):
+    """The getrandbits(k) tries that the first ``depth`` words of
+    random.Random(s) make, for a block of seeds s, as a tries x w x lanes
+    uint32 view of the word table; and the mask of the lanes that hold them,
+    which leaves out keys too long for ``_mt_words`` and depths past N - M.
+    getrandbits(k) reads w = ceil(k/32) words, least significant first, and
+    shifts the last right by 32w - k, which is done here in place."""
+    table = np.empty((depth + 1, len(seeds)), dtype=np.uint32)
+    lengths, key = _seed_keys(seeds)
+    fits = (lengths < _MT_N) & (depth <= _MT_N - _MT_M)
+    # the lanes of one key length form runs, which are views of the table
+    cuts = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(seeds)]
+    for lo, hi in zip(cuts, cuts[1:]):
+        if fits[lo]:
+            _mt_words(key[:lengths[lo], lo:hi], table[:, lo:hi])
+    w = -(-k // 32)
+    tries = table[:depth // w * w].reshape(-1, w, len(seeds))
+    tries[:, -1] >>= 32 * w - k
+    return tries, fits
 
 
 def _table_depth(steps: int, den: int, k: int) -> int:
     """Words per lane for ``steps`` draws of getrandbits(k) below ``den``:
     the words of the mean number of tries plus three standard deviations
     plus two, within one draw's words and N - M.  A lane that needs more
-    continues in CPython, which stays a rare case."""
+    draws in CPython, which stays a rare case."""
     w, span = -(-k // 32), 1 << k
     tries = -(-steps * span // den) + 3 * (math.isqrt(steps * (span - den) * span) // den + 1) + 2
     return max(w, min(_MT_N - _MT_M, w * tries))
 
 
-def _draw_atoms(words: _ReplicaWords, lanes, cum, k: int):
-    """One atom per lane: randrange(D) for D = cum[-1], spelled out as its
-    getrandbits(k) rejection loop, located in the cumulative weights."""
-    atoms = np.empty(len(lanes), dtype=np.intp)
-    todo = np.arange(len(lanes))
-    while len(todo):
-        r = words.getrandbits(lanes[todo], k, cum.dtype)
-        ok = r < cum[-1]
-        atoms[todo[ok]] = np.searchsorted(cum, r[ok], side="right")
-        todo = todo[~ok]
-    return atoms
+def _draw_dtype(k: int):
+    """The narrowest unsigned dtype that holds getrandbits(k), Python
+    integers past 64 bits."""
+    return np.uint32 if k <= 32 else np.uint64 if k <= 64 else object
+
+
+def _draws(seeds: range, steps: int, den: int, depth: int):
+    """``steps`` draws of randrange(den) from random.Random(s) for each seed
+    s of a lane block, one column per seed, in the dtype of ``_draw_dtype``.
+    randrange(den) takes getrandbits(k), for k = den.bit_length(), until a
+    value falls below den, so a lane's draws are its first ``steps`` tries
+    below den; only those are joined from their words.  A lane whose first
+    ``depth`` words hold fewer, or none, draws in its own random.Random(s)."""
+    k = den.bit_length()
+    tries, full = _tries(seeds, depth, k)
+    dtype, w = _draw_dtype(k), tries.shape[1]
+    words = [den >> 32 * j & 0xFFFFFFFF for j in range(w)]
+    out = np.empty((steps, len(seeds)), dtype=dtype)
+    # the lanes in slices, so that the counts stay small beside the table
+    width = max(1, _TABLE_WORDS // 4 // len(tries))
+    for lo in range(0, len(seeds), width):
+        part = tries[:, :, lo:lo + width]
+        below, equal = False, True
+        for j in reversed(range(w)):  # compared from the most significant word
+            below = below | equal & (part[:, j] < words[j])
+            equal = equal & (part[:, j] == words[j])
+        accepted = np.cumsum(below, axis=0, dtype=np.uint8)  # a lane that fits has < 256 tries
+        full[lo:lo + width] &= accepted[-1] >= steps
+        lanes = np.arange(part.shape[2])
+        for step in range(steps):
+            # draw ``step`` is try ``at``; a lane short of tries reads a clipped one, redrawn below
+            at = np.minimum((accepted <= step).sum(axis=0, dtype=np.uint8), len(part) - 1)
+            draw = part[at, -1, lanes].astype(dtype)
+            for j in reversed(range(w - 1)):
+                draw = draw << 32 | part[at, j, lanes].astype(dtype)
+            out[step, lo:lo + width] = draw
+    for lane in np.flatnonzero(~full).tolist():
+        rng = random.Random(seeds[lane])
+        out[:, lane] = [rng.randrange(den) for _ in range(steps)]
+    return out
 
 
 def monte_carlo_duality(
@@ -762,11 +756,11 @@ def monte_carlo_duality(
     replica and side draws from random.Random(seed * 1_000_003 + m), with m
     = 2 replica for the forward side and m = 2 replica + 1 for the backward
     side, so results do not depend on execution order.  A draw is
-    randrange(D) over the integer atom weights, spelled out as its
-    getrandbits rejection loop.  Every replica steps at once: the streams'
-    first words come from one numpy pass over the seeds (``_mt_words``), a
-    step is N bit operations over the drawn atoms' children sets, and the
-    lanes run in blocks that bound the memory.
+    randrange(D) over the integer atom weights.  The lanes run in blocks
+    that bound the memory.  A block draws all its steps in one pass
+    (``_draws``) from the streams' first words, which come from one numpy
+    pass over the seeds (``_mt_words``); then every replica steps at once,
+    by N bit operations over the drawn atoms' children sets.
     """
     law.require_exchangeable()
     n = law.ground_size
@@ -779,9 +773,7 @@ def monte_carlo_duality(
     shifts = np.arange(n, dtype=nu.dtype)
     bits = nu.dtype.type(1) << shifts
     k = den.bit_length()
-    # draws in the narrowest unsigned dtype that holds getrandbits(k), Python integers past 64 bits
-    dtype = np.uint32 if k <= 32 else np.uint64 if k <= 64 else object
-    cum = np.cumsum(law.weights).astype(dtype)
+    cum = np.cumsum(law.weights).astype(_draw_dtype(k))
 
     def children(atom, x):
         """The union of nu_i over i in x, per lane."""
@@ -799,14 +791,13 @@ def monte_carlo_duality(
     block = max(2, _TABLE_WORDS // (depth + 1) & ~1)  # even, so even lanes are forward
     for lo in range(0, len(seeds), block):
         chunk = seeds[lo:lo + block]
-        words = _ReplicaWords(chunk, depth) if steps else None
+        atoms = np.searchsorted(cum, _draws(chunk, steps, den, depth), side="right") if steps else None
         for side, (start, image) in enumerate(((a, children), (b, ancestors))):
-            lanes = np.arange(side, len(chunk), 2)
-            x = np.full(len(lanes), start, dtype=nu.dtype)
-            for _ in range(steps):
-                x = image(_draw_atoms(words, lanes, cum, k), x)
+            x = np.full(len(chunk) // 2, start, dtype=nu.dtype)
+            for step in range(steps):
+                x = image(atoms[step, side::2], x)
             sizes[side] += np.bincount(np.bitwise_count(x), minlength=n + 1)
-        del words  # so that the next block's table replaces this one, not joins it
+        del atoms  # so that the next block's table replaces these draws, not joins them
     fwd_counts, bwd_counts = ({i: c for i, c in enumerate(row) if c} for row in sizes.tolist())
     j_b, i_a = b.bit_count(), a.bit_count()
     fwd_vals = {i: h[i, j_b] for i in fwd_counts}

@@ -90,8 +90,11 @@ def _emit(args, payload, *, matrix=None, labels=None):
     else:  # pretty
         text = _pretty(payload)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InvalidParameter(f"--output: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -127,8 +130,12 @@ def _matrix_doc(m: RationalMatrix, labels=None) -> dict:
 
 
 def _load_kernel(path: str) -> Kernel:
-    with open(path) as fh:
-        return Kernel.of(RationalMatrix.from_json(fh.read()))
+    try:
+        with open(path) as fh:
+            matrix = RationalMatrix.from_json(fh.read())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InvalidParameter(f"--kernel: {exc}") from None
+    return Kernel.of(matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -1025,13 +1025,30 @@ def test_rejection_loop_equals_randrange(total):
 
 
 # ---------------------------------------------------------------------------
-# The replica word source against CPython's own generators
+# The replica tries and draws against CPython's own generators
 # ---------------------------------------------------------------------------
 
 
 def cpython_words(s, count):
     rng = random.Random(s)
     return [rng.getrandbits(32) for _ in range(count)]
+
+
+def cpython_draws(seeds, steps, den):
+    """randrange(den) ``steps`` times from random.Random(s), per seed."""
+    return [[rng.randrange(den) for _ in range(steps)] for rng in map(random.Random, seeds)]
+
+
+def assert_words(seeds, depth):
+    # the lanes of keys shorter than 624 words hold CPython's words; every
+    # lane draws as CPython does, where nearly every word is a try below
+    # 2^32 - 1, so the draws pick out the words
+    tries, fits = cannings._tries(seeds, depth, 32)
+    assert fits.tolist() == [abs(s) < 2**(32 * 623) for s in seeds]
+    for lane in np.flatnonzero(fits).tolist():
+        assert tries[:, 0, lane].tolist() == cpython_words(seeds[lane], depth)
+    draws = cannings._draws(seeds, depth, 2**32 - 1, depth)
+    assert draws.T.tolist() == cpython_draws(seeds, depth, 2**32 - 1)
 
 
 # keys of one word (0, -1, 2^32 - 1), two (2^32), three past 64 bits, the
@@ -1044,9 +1061,7 @@ WORD_SEEDS = {"0": 0, "-1": -1, "2^32-1": 2**32 - 1, "2^32": 2**32, "2^64+3": 2*
 @pytest.mark.parametrize("depth", [1, 2, 3, 227])
 def test_word_source_equals_cpython(name, depth):
     s = WORD_SEEDS[name]
-    words = cannings._ReplicaWords(range(s, s + 3), depth)
-    for lane in range(3):
-        assert words.table[:depth, lane].tolist() == cpython_words(s + lane, depth)
+    assert_words(range(s, s + 3), depth)
 
 
 @pytest.mark.parametrize("first, count", [(-3, 7), (2**32 - 2, 5), (2**63 - 3, 3), (-(2**63) + 1, 3),
@@ -1054,33 +1069,52 @@ def test_word_source_equals_cpython(name, depth):
 def test_word_source_lanes_cross_key_lengths(first, count):
     # one block whose seeds change key length part way, cross zero, or end
     # at either side of the int64 range
-    words = cannings._ReplicaWords(range(first, first + count), 5)
-    for lane in range(count):
-        assert words.table[:5, lane].tolist() == cpython_words(first + lane, 5)
+    assert_words(range(first, first + count), 5)
 
 
 @settings(max_examples=25, deadline=None)
 @given(first=st.integers(-2**80, 2**80), count=st.integers(1, 9), depth=st.integers(1, 227))
 def test_word_source_equals_cpython_on_any_seeds(first, count, depth):
-    words = cannings._ReplicaWords(range(first, first + count), depth)
-    for lane in range(count):
-        assert words.table[:depth, lane].tolist() == cpython_words(first + lane, depth)
+    assert_words(range(first, first + count), depth)
 
 
 @pytest.mark.parametrize("k", [1, 9, 31, 32, 33, 63, 64, 66, 96, 100])
 @pytest.mark.parametrize("depth", [4, 227])
 def test_word_source_draws_equal_getrandbits(k, depth):
-    # k > 32 takes ceil(k/32) words per draw; past the table a lane continues
-    # in CPython, so 150 draws cross it at every k; lanes 2 and 3 have keys
-    # of 624 words and take every word from CPython
+    # a try of k > 32 bits takes ceil(k/32) words; lanes 2 and 3 have keys
+    # of 624 words and draw in CPython; 150 draws outrun a table of 4 words
+    # on every lane, and one of 227 words on about half of them at k <= 32
     seeds = range(2**(32 * 623) - 2, 2**(32 * 623) + 2)
-    words = cannings._ReplicaWords(seeds, depth)
-    rngs = [random.Random(s) for s in seeds]
-    dtype = np.uint32 if k <= 32 else np.uint64 if k <= 64 else object
-    for _ in range(150):
-        lanes = np.array([3, 0, 2])
-        got = words.getrandbits(lanes, k, dtype)
-        assert got.tolist() == [rngs[lane].getrandbits(k) for lane in lanes.tolist()]
+    w = -(-k // 32)
+    tries, fits = cannings._tries(seeds, depth, k)
+    assert fits.tolist() == [True, True, False, False]
+    for lane in (0, 1):
+        rng = random.Random(seeds[lane])
+        got = [sum(x << 32 * j for j, x in enumerate(t)) for t in tries[:, :, lane].tolist()]
+        assert got == [rng.getrandbits(k) for _ in range(depth // w)]
+    den = 2**(k + 1) // 3  # of k bits, so that about two tries in three are accepted
+    for steps in (1, depth // w, 150):
+        assert cannings._draws(seeds, steps, den, depth).T.tolist() == cpython_draws(seeds, steps, den)
+
+
+# runs of seeds that cross zero, 2^32, 2^64 or the longest key run in numpy
+SEED_EDGES = [0, 2**32, 2**64, 2**(32 * 623), -(2**(32 * 623)) + 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_draws_equal_randrange(data):
+    bits = data.draw(st.integers(1, 100), label="bits")
+    den = data.draw(st.integers(1 << bits - 1, (1 << bits) - 1), label="den")
+    w = -(-bits // 32)
+    depth = data.draw(st.integers(w, 227), label="depth")
+    steps = data.draw(st.integers(0, 300), label="steps")
+    first = data.draw(st.sampled_from(SEED_EDGES) | st.integers(-2**70, 2**70), label="edge")
+    first += data.draw(st.integers(-4, 0), label="offset")
+    seeds = range(first, first + data.draw(st.integers(1, 6), label="count"))
+    got = cannings._draws(seeds, steps, den, depth)
+    assert got.shape == (steps, len(seeds))
+    assert got.T.tolist() == cpython_draws(seeds, steps, den)
 
 
 @pytest.mark.parametrize("law, steps", [(wright_fisher_law(2), 300), (GIANT_LAW, 3)],

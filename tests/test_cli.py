@@ -223,6 +223,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     monkeypatch.delenv("MOEBIUS_DUAL_MAX_STATES")
     # bad values exit 2, with no traceback, naming the argument
     simulate = ["simulate", "--N", "3", "--steps", "1", "--seed", "0", "--dual-start", "1"]
+    not_json, binary = tmp_path / "not.json", tmp_path / "binary.json"
+    not_json.write_text("not json")
+    binary.write_bytes(b"\xff\xfe\x00")
     bad = [
         (simulate + ["--start", "5", "--reps", "10"], "--start"),
         (simulate + ["--start", "1", "--reps", "0"], "--reps"),
@@ -249,6 +252,13 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         # the duality command has only the subset lattice, so it takes no --poset
         (["duality", "--poset", "subsets", "--n", "1", "--kernel", negative_kernel(tmp_path)],
          "--poset"),
+        # files that cannot be read or written name their flag
+        (["duality", "--n", "1", "--kernel", str(tmp_path)], "--kernel: [Errno 21] Is a directory"),
+        (["duality", "--n", "1", "--kernel", str(not_json)],
+         "--kernel: Expecting value: line 1 column 1 (char 0)"),
+        (["duality", "--n", "1", "--kernel", str(binary)], "--kernel: "),
+        (["lattice", "subsets", "--n", "2", "--output", str(tmp_path / "missing" / "o.json")],
+         "--output: [Errno 2] No such file or directory"),
     ]
     for argv, name in bad:
         code, out, err = run(argv, capsys)

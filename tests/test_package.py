@@ -306,3 +306,54 @@ def test_identity_names_are_pinned():
                 forwarded.append(f"{name}:{ast.unparse(arg)}")
     assert sorted(forwarded) == ["errors.py:identity", "rational.py:identity"]
     assert sorted(names) == IDENTITIES
+
+
+def _scope(parents, node):
+    """The name of the function that encloses ``node``, or None at module level."""
+    while not isinstance(node, (ast.FunctionDef, ast.Module)):
+        node = parents[node]
+    return getattr(node, "name", None)
+
+
+def test_no_speedup_brings_in_floats():
+    # only the Monte Carlo summary statistics (cannings._summary) are floats:
+    # no other float() call, no numpy float dtype or numpy.random, and no
+    # bincount weights, which numpy sums in float64
+    found = []
+    for name, tree in _source_trees():
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+                bad = (name, _scope(parents, node)) != ("cannings.py", "_summary")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                bad = node.value.id in ("np", "numpy") and (node.attr.startswith("float")
+                                                            or node.attr == "random")
+            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+                called = getattr(node.func, "attr", getattr(node.func, "id", None))
+                bad = called == "bincount" and (len(node.args) > 1
+                                                or any(k.arg == "weights" for k in node.keywords))
+            else:
+                bad = False
+            if bad:
+                found.append(f"{name}:{node.lineno}:{ast.unparse(node)}")
+    assert found == []
+
+
+def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
+    # hypothesis reports a failure through libcst, whose import warns that a
+    # mypy_extensions name is deprecated; pyproject's filterwarnings lets that
+    # warning pass, so the session goes on to the next test
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    config = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", config,
+         "--rootdir", str(tmp_path), "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
