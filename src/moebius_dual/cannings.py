@@ -15,7 +15,6 @@ hypergeometric dual.
 from __future__ import annotations
 
 import math
-import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,13 +27,14 @@ from .duality import DualityVariant, Kernel, h_dual
 from .errors import (
     InvalidOffspringLaw,
     InvalidParameter,
+    NonRationalEntry,
     NotExchangeable,
     _check_range,
     _require,
 )
 from .lattices import _claw_power
 from .poset import ZetaPair, _check_states
-from .rational import _INT64_MAX, RationalMatrix, _require_equal
+from .rational import _INT64_MAX, RationalMatrix, _ratio, _require_equal
 
 __all__ = [
     "OffspringLaw",
@@ -81,11 +81,14 @@ class OffspringLaw:
     def __post_init__(self):
         n = self.ground_size
         _check_range("offspring law", "N", n, 0, MAX_LAW_GROUND)
-        den = operator.index(self.den)
+        den = _integer(self.den, "denominator")
         if den < 1:
             raise InvalidOffspringLaw(f"denominator {den} is not positive")
         nu, lengths = _mask_rows(n, self.children)
-        weights = np.array(self.weights, dtype=object)  # Python integers, exact at any size
+        # an integer array comes out as Python ints, exact at any size
+        weights = np.array([w if type(w) is int else _integer(w, f"atom {k}: weight")
+                            for k, w in enumerate(np.array(self.weights, dtype=object).tolist())],
+                           dtype=object)
         if len(weights) != len(nu):
             raise InvalidOffspringLaw(f"{len(weights)} weights for {len(nu)} atoms")
         # every atom at once, with Python's bit semantics: the overlap is the
@@ -120,13 +123,17 @@ class OffspringLaw:
     @classmethod
     def build(cls, n: int, atoms) -> "OffspringLaw":
         """The law with the (nu, probability) pairs ``atoms``, nu a sequence of
-        N masks; repeated atoms add up."""
+        N masks and each probability an exact rational, as the matrix input
+        gate takes it (no float or bool); repeated atoms add up."""
         nus, probs = [], []
-        for nu, p in atoms:
+        for k, (nu, p) in enumerate(atoms):
             nus.append(tuple(nu))
-            probs.append(Fraction(p))
-        den = math.lcm(*(p.denominator for p in probs))
-        return cls(n, nus, den, [p.numerator * (den // p.denominator) for p in probs])
+            try:
+                probs.append(_ratio(p))
+            except NonRationalEntry as exc:
+                raise NonRationalEntry(f"atom {k}: {exc}") from None
+        den = math.lcm(*(q for _, q in probs))
+        return cls(n, nus, den, [p * (den // q) for p, q in probs])
 
     @property
     def support(self) -> tuple:
@@ -162,6 +169,14 @@ class OffspringLaw:
     def require_exchangeable(self):
         if not self.exchangeable:
             raise NotExchangeable("offspring law is not permutation invariant")
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as a Python int if it is an int or numpy integer and no bool;
+    else InvalidOffspringLaw names ``what``."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    raise InvalidOffspringLaw(f"{what} {value!r} is not an integer")
 
 
 def _mask_rows(n: int, children):

@@ -133,7 +133,9 @@ def _load_kernel(path: str) -> Kernel:
     try:
         with open(path) as fh:
             matrix = RationalMatrix.from_json(fh.read())
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except MoebiusDualError:  # the matrix gate's own errors
+        raise
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, or JSON past the decoder's limits
         raise InvalidParameter(f"--kernel: {exc}") from None
     return Kernel.of(matrix)
 

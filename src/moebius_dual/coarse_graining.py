@@ -61,16 +61,16 @@ class EquivalenceRelation:
     @classmethod
     def from_function(cls, elements, fn) -> "EquivalenceRelation":
         elements = tuple(elements)
-        labels = []
-        pos = {}
+        pos = {}  # each class label at its first occurrence
         class_of = []
         for e in elements:
             lab = fn(e)
-            if lab not in pos:
-                pos[lab] = len(labels)
-                labels.append(lab)
-            class_of.append(pos[lab])
-        return cls(elements=elements, class_labels=tuple(labels), class_of=tuple(class_of))
+            try:
+                class_of.append(pos.setdefault(lab, len(pos)))
+            except TypeError:
+                raise InvalidParameter(f"equivalence relation: class labels must be hashable, "
+                                       f"got {lab!r}") from None
+        return cls(elements=elements, class_labels=tuple(pos), class_of=tuple(class_of))
 
     @classmethod
     def trivial(cls, elements) -> "EquivalenceRelation":

@@ -317,6 +317,8 @@ def representing_measure(g, zp: ZetaPair) -> RepresentingMeasure:
 
 def invariant_distribution(p: Kernel):
     """Exact invariant distribution of a stochastic irreducible kernel."""
+    if p.matrix.rows != p.matrix.cols:
+        raise InvalidParameter(f"invariant distribution: p must be square, got shape {p.matrix.shape}")
     if not p.is_stochastic:
         raise InvalidParameter("invariant distribution: p must be a stochastic kernel")
     n = p.matrix.rows

@@ -91,8 +91,9 @@ class FinitePoset:
 
     ``matrix[i, j]`` is True iff ``elements[i] <= elements[j]``; the index
     order is a linear extension, so the matrix is upper-triangular.
-    ``product_poset`` keeps its two factors in the private ``_factors``,
-    which is no field, so ``dataclasses.replace`` drops it.
+    A ``product_poset`` records in the private ``_factors`` its leaf factor
+    posets, the most significant first, and the Kronecker index of each
+    element over them; it is no field, so ``dataclasses.replace`` drops it.
     """
 
     elements: tuple
@@ -284,11 +285,11 @@ def zeta_matrix(p: FinitePoset) -> RationalMatrix:
 def moebius_matrix(p: FinitePoset) -> ZetaPair:
     """Zeta matrix and its exact inverse; the pair reads the integer mu off
     the inverse when it is first asked for.  A ``product_poset`` is read off
-    the checked pair of each distinct leaf factor by ``_kron_pair``; any
-    other order runs the column recursion, and Z M = I is checked."""
+    the checked pair of each distinct leaf of its ``_factors`` by ``_kron_pair``;
+    any other order runs the column recursion, and Z M = I is checked."""
     if p._factors is None:
         return _checked_pair(p)
-    leaves, perm = _leaves(p)
+    leaves, perm = p._factors
     pairs = {id(f): _checked_pair(f) for f in {id(f): f for f in leaves}.values()}  # each leaf once
     return _kron_pair(p, tuple(pairs[id(f)] for f in leaves), perm)
 
@@ -302,17 +303,15 @@ def _checked_pair(p: FinitePoset) -> ZetaPair:
 
 
 def _sparse_product(z: np.ndarray, y) -> np.ndarray:
-    """z y for a bool or integer array z and an integer array y: row i is the
-    sum of z[i, j] y[j] over the nonzero z[i, j], gathered over blocks of
-    about ``_BLOCK_BYTES`` entries; the bound of ``rational._product``
-    decides between int64 and Python ints."""
-    bound = (1 if z.dtype == bool else _bound(z)) * _bound(y) * max(1, z.shape[1])
-    y = _ints(y, bound)
+    """z y for a bool array z and an integer array y: row i is the sum of the
+    rows y[j] over the True z[i, j], gathered over blocks of about
+    ``_BLOCK_BYTES`` entries; the bound of ``rational._product`` decides
+    between int64 and Python ints."""
+    y = _ints(y, _bound(y) * max(1, z.shape[1]))
     out = np.zeros((len(z), y.shape[1]), dtype=y.dtype)
     for ii, jj in _pair_blocks(z, y.shape[1]):
-        terms = y[jj] if z.dtype == bool else y[jj] * _ints(z[ii, jj], bound)[:, None]
         rows, starts = np.unique(ii, return_index=True)  # where each row's pairs begin
-        out[rows] = np.add.reduceat(terms, starts, axis=0)
+        out[rows] = np.add.reduceat(y[jj], starts, axis=0)
     return out
 
 
@@ -374,7 +373,8 @@ def _kron_pair(poset: FinitePoset, factors: tuple, perm) -> ZetaPair:
       an order equal to a permuted Kronecker power is a partial order only
       if each factor of a non-empty product is one.
 
-    Z and M are ``_KronMatrix``, which keep the factor matrices and ``perm``.
+    Z and M are ``_KronMatrix`` over the order matrix and the Kronecker power
+    of the factor Moebius matrices, and keep the factor matrices and ``perm``.
     """
     perm = np.asarray(perm, dtype=np.int64)
     size, labels = math.prod(len(f.poset) for f in factors), poset.elements
@@ -384,61 +384,47 @@ def _kron_pair(poset: FinitePoset, factors: tuple, perm) -> ZetaPair:
     _require(np.array_equal(_kron_power(orders, perm), poset.matrix), "order = permuted Kronecker power",
              lambda: tuple(labels[i] for i in np.argwhere(_kron_power(orders, perm) != poset.matrix)[0]))
     # Z and M are integer matrices: the factors' mu are the column recursion's integers
-    moeb = _kron_power([f.moebius._num for f in factors], perm)
-    m = RationalMatrix._wrap(moeb if moeb.dtype == object else moeb.astype(np.int64), 1)
-    return ZetaPair(poset, _KronMatrix(zeta_matrix(poset)._num, tuple(f.zeta._num for f in factors), perm),
-                    _KronMatrix(m._num, tuple(f.moebius._num for f in factors), perm))
-
-
-def _leaves(p: FinitePoset):
-    """The factor posets of a ``product_poset``, the most significant first,
-    and the Kronecker index of each element; a poset that is no product is
-    its own one factor."""
-    if p._factors is None:
-        return (p,), np.arange(len(p))
-    p1, p2 = p._factors
-    (f1, k1), (f2, k2) = _leaves(p1), _leaves(p2)
-    a = [p1.index[x] for x, _ in p.elements]
-    b = [p2.index[y] for _, y in p.elements]
-    return f1 + f2, k1[a] * len(p2) + k2[b]
+    moebs = tuple(f.moebius._num for f in factors)
+    return ZetaPair(poset, _KronMatrix(poset.matrix, tuple(f.zeta._num for f in factors), perm),
+                    _KronMatrix(_kron_power(moebs, perm), moebs, perm))
 
 
 class _KronMatrix(RationalMatrix):
     """The Z or M of a product order: the integer matrix A = P kron(A_1, ...,
-    A_k) P', or its transpose when ``_flip``, which also keeps its integer
-    factors A_t and the index permutation ``_perm`` of P.  Past
-    ``_MODE_STATES`` states ``A @ x`` and ``x @ A`` are made by
-    ``_mode_product``, below it by the dense numerators.  ``.T`` flips the
-    flag and shares the numerators as a read-only view."""
+    A_k) P', which also keeps its integer factors A_t and the index
+    permutation ``_perm`` of P.  Past ``_MODE_STATES`` states ``A @ x`` and
+    ``x @ A`` are made by ``_mode_product``, below it by the dense
+    numerators.  ``.T`` is A' = P kron(A_1', ..., A_k') P', whose numerators
+    and factors are read-only views of A's."""
 
-    __slots__ = ("_factors", "_perm", "_flip")
+    __slots__ = ("_factors", "_perm")
 
-    def __init__(self, num, factors: tuple, perm, flip: bool = False):
-        # num is the dense matrix, already read-only and in its narrowest dtype
-        self._num, self._den = num, 1
-        self._factors, self._perm, self._flip = factors, perm, flip
+    def __init__(self, num, factors: tuple, perm):
+        # num is the dense matrix, widened to int64 unless it holds Python ints
+        self._num, self._den = num if num.dtype == object else num.astype(np.int64, copy=False), 1
+        self._num.setflags(write=False)
+        self._factors, self._perm = factors, perm
 
     @property
     def T(self) -> "_KronMatrix":
-        return _KronMatrix(self._num.T, self._factors, self._perm, not self._flip)
+        return _KronMatrix(self._num.T, tuple(a.T for a in self._factors), self._perm)
 
     def __matmul__(self, other: RationalMatrix) -> RationalMatrix:
         if len(self._perm) <= _MODE_STATES or other.rows != self.cols:
             return super().__matmul__(other)
-        return RationalMatrix._wrap(_mode_product(self._factors, self._perm, self._flip, other._num),
-                                    other._den)
+        return RationalMatrix._wrap(_mode_product(self._factors, self._perm, other._num), other._den)
 
     def __rmatmul__(self, other: RationalMatrix) -> RationalMatrix:
         if len(self._perm) <= _MODE_STATES or other.cols != self.rows:
             return RationalMatrix.__matmul__(other, self)
         # x A = (A' x')'
-        num = _mode_product(self._factors, self._perm, not self._flip, other._num.T)
+        num = _mode_product(tuple(a.T for a in self._factors), self._perm, other._num.T)
         return RationalMatrix._wrap(num.T.copy(), other._den)
 
 
-def _mode_product(factors: tuple, perm, flip: bool, y):
+def _mode_product(factors: tuple, perm, y):
     """A y for integer arrays y and A = P kron(A_1, ..., A_k) P' of the
-    factors (A' when ``flip``), one small product per Kronecker factor
+    factors, one small product per Kronecker factor
     (Yates' fast zeta/Moebius transform): the rows of y are put in
     Kronecker order, and mode t adds a_ij times slice j into slice i of its
     axis for every nonzero a_ij of the factor.  Per mode the bound of
@@ -448,7 +434,6 @@ def _mode_product(factors: tuple, perm, flip: bool, y):
     size, cols = y.shape
     bound, pre = _bound(y), 1
     for a in factors:
-        a = a.T if flip else a
         s = len(a)
         bound *= _bound(a) * s
         y = _ints(y, bound).reshape(pre, s, -1)
@@ -466,7 +451,8 @@ def _mode_product(factors: tuple, perm, flip: bool, y):
 
 
 def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:
-    """Cartesian product with the componentwise order."""
+    """Cartesian product with the componentwise order; its ``_factors`` are
+    the leaf factor posets of p1 and p2 and each element's Kronecker index."""
     _check_states(len(p1) * len(p2))
     labels = [(a, b) for a in p1.elements for b in p2.elements]
 
@@ -474,6 +460,9 @@ def product_poset(p1: FinitePoset, p2: FinitePoset) -> FinitePoset:
         return p1.leq(x[0], y[0]) and p2.leq(x[1], y[1])
 
     prod = build_poset(labels, leq)
-    object.__setattr__(prod, "_factors", (p1, p2))
+    (f1, k1), (f2, k2) = (p._factors or ((p,), np.arange(len(p))) for p in (p1, p2))
+    kron = (k1[[p1.index[x] for x, _ in prod.elements]] * len(p2)
+            + k2[[p2.index[y] for _, y in prod.elements]])
+    object.__setattr__(prod, "_factors", (f1 + f2, kron))
     return prod
 

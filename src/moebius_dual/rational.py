@@ -58,12 +58,10 @@ def parse_fraction(s):
     ``e`` or ``E`` is rejected as decimal notation; any other string outside
     the grammar, a zero denominator or a number past Python's limit of 4,300
     decimal digits is rejected as unparsable.  Both raise NonRationalEntry.
+    Any other value passes the matrix input gate, which takes integers and
+    rationals but no float or bool.
     """
-    if isinstance(s, Rational):
-        return Fraction(s)
-    if isinstance(s, str):
-        return Fraction(*_parse_entry(s))
-    raise NonRationalEntry(f"not an exact rational: {s!r}")
+    return Fraction(*_ratio(s))
 
 
 def _format(n: int, d: int) -> str:

@@ -38,6 +38,7 @@ from moebius_dual.cannings import _block_forward
 from moebius_dual.errors import (
     InvalidOffspringLaw,
     InvalidParameter,
+    NonRationalEntry,
     NotExchangeable,
     SizeOverflow,
     VerificationFailure,
@@ -146,12 +147,43 @@ def test_law_build_rejects_bad_atoms(atoms, defect):
         OffspringLaw.build(2, atoms)
 
 
+def test_law_probabilities_pass_the_rational_input_gate():
+    # floats and booleans are refused, naming the atom, as matrix entries are;
+    # the float 0.1 is no tenth, so it is refused rather than summed
+    swap = [(1, 2), (2, 1)]
+    for probs, bad in (((0.5, 0.5), "atom 0: float entry 0.5 rejected"),
+                       ((0.1, 0.9), "atom 0: float entry 0.1 rejected"),
+                       ((F(1, 2), True), "atom 1: bool entry True rejected")):
+        with pytest.raises(NonRationalEntry, match=bad):
+            OffspringLaw.build(2, list(zip(swap, probs)))
+    # exact strings and numpy integers pass, as in a matrix
+    law = OffspringLaw.build(2, [(swap[0], "1/10"), (swap[1], F(9, 10))])
+    assert law.support == ((swap[0], F(1, 10)), (swap[1], F(9, 10)))
+    assert OffspringLaw.build(2, [((3, 0), np.int64(1))]).support == (((3, 0), 1),)
+
+
+def test_direct_construction_takes_integer_weights_and_denominators_only():
+    swap = [(1, 2), (2, 1)]
+    for den, weights, bad in ((2, [1.0, 1.0], "atom 0: weight 1.0 is not an integer"),
+                              (2, [1, True], "atom 1: weight True is not an integer"),
+                              (2.0, [1, 1], "denominator 2.0 is not an integer"),
+                              (True, [1, 0], "denominator True is not an integer"),
+                              (2, np.array([1.0, 1.0]), "atom 0: weight 1.0 is not an integer"),
+                              (2, np.array([True, True]), "atom 0: weight True is not an integer")):
+        with pytest.raises(InvalidOffspringLaw, match=bad):
+            OffspringLaw(2, swap, den, weights)
+    # numpy integers pass, as the Wright-Fisher and Moran laws give them
+    law = OffspringLaw(2, swap, np.int64(2), [np.int64(1), np.uint8(1)])
+    assert type(law.den) is int and law.support == ((swap[0], F(1, 2)), (swap[1], F(1, 2)))
+    assert OffspringLaw(2, swap, 2, np.ones(2, dtype=np.uint16)).support == law.support
+
+
 def test_law_build_checks_survive_optimized_mode():
     code = (
         "from moebius_dual import OffspringLaw\n"
         "from moebius_dual.errors import InvalidOffspringLaw\n"
         "try:\n"
-        "    OffspringLaw.build(2, [((0b11, 0b01), 1/2)])\n"
+        "    OffspringLaw.build(2, [((0b11, 0b01), '1/2')])\n"
         "except InvalidOffspringLaw as exc:\n"
         "    print('rejected:', exc)\n"
         # a law constructed directly, past OffspringLaw.build, is checked the same way
@@ -1121,15 +1153,16 @@ def test_draws_equal_randrange(data):
                          ids=["wf2-300", "giant-3"])
 def test_monte_carlo_past_the_first_twist(law, steps):
     # 300 draws need more than the 227 words of the first twist, and a draw
-    # of 228 words fits no table: the lanes continue in, or run in, CPython
+    # of 228 words fits no table: such lanes redraw all their steps in CPython
     got = monte_carlo_duality(law, 0b01, 0b10, steps=steps, reps=3, seed=5)
     assert got == reference_monte_carlo(law, 0b01, 0b10, steps, 3, 5)
 
 
 @pytest.mark.parametrize("name", ["wf4", "huge3"])
 def test_monte_carlo_continues_in_cpython_past_tiny_tables(monkeypatch, name):
-    # one draw's words per lane and two lanes per block: every draw past the
-    # first continues the lanes in their own random.Random
+    # one draw's words per lane and two lanes per block: a lane of more than
+    # one step, or whose one try is refused, redraws all its steps in its own
+    # random.Random
     monkeypatch.setattr(cannings, "_table_depth", lambda steps, den, k: -(-k // 32))
     monkeypatch.setattr(cannings, "_TABLE_WORDS", 1)
     law = REFERENCE_LAWS[name]

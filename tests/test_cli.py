@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -226,6 +228,9 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
     not_json, binary = tmp_path / "not.json", tmp_path / "binary.json"
     not_json.write_text("not json")
     binary.write_bytes(b"\xff\xfe\x00")
+    deep, huge = tmp_path / "deep.json", tmp_path / "huge.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    huge.write_text('{"entries": [["' + "1" * 5000 + '"]], "rows": ' + "1" * 5000 + "}")
     bad = [
         (simulate + ["--start", "5", "--reps", "10"], "--start"),
         (simulate + ["--start", "1", "--reps", "0"], "--reps"),
@@ -257,6 +262,8 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         (["duality", "--n", "1", "--kernel", str(not_json)],
          "--kernel: Expecting value: line 1 column 1 (char 0)"),
         (["duality", "--n", "1", "--kernel", str(binary)], "--kernel: "),
+        (["duality", "--n", "1", "--kernel", str(deep)], "--kernel: maximum recursion depth"),
+        (["duality", "--n", "1", "--kernel", str(huge)], "--kernel: Exceeds the limit (4300 digits)"),
         (["lattice", "subsets", "--n", "2", "--output", str(tmp_path / "missing" / "o.json")],
          "--output: [Errno 2] No such file or directory"),
     ]
@@ -305,6 +312,31 @@ def test_failed_parse_and_help_leave_the_parser_reusable(capsys):
     assert run(["lattice", "subsets", "--n", "2"], capsys) == first
     assert run(missing, capsys) == bad
     assert run(["duality", "--help"], capsys) == helped
+
+
+# JSON values of every kind, some with the keys of a kernel document; "HUGE"
+# is written as an integer of 5,000 digits, past what int() parses
+_KERNEL_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=3),
+                           st.sampled_from(["0", "1", "1/2", "-1", "HUGE"]))
+_KERNEL_DOCS = st.recursive(_KERNEL_LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=3),
+    st.dictionaries(st.sampled_from(["entries", "rows", "cols"]) | st.text(max_size=2), inner, max_size=3)),
+    max_leaves=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_KERNEL_DOCS, depth=st.sampled_from([0, 1, 100_000]))
+def test_any_json_kernel_exits_0_or_2(tmp_path_factory, doc, depth):
+    # any JSON value, nested in up to 100,000 lists, is a kernel or bad
+    # input: never a traceback, a verification failure or a size cap
+    kernel = tmp_path_factory.getbasetemp() / "any-kernel.json"
+    text = json.dumps(doc).replace('"HUGE"', "1" * 5000)
+    kernel.write_text("[" * depth + text + "]" * depth)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["duality", "--n", "0", "--kernel", str(kernel)])
+    assert code in (0, 2) and "Traceback" not in err.getvalue()
+    assert code == 0 or out.getvalue() == ""
 
 
 def kernel_file(tmp_path, name, doc):

@@ -54,6 +54,9 @@ def test_relation_accessors():
     assert tuple(skewed.class_sizes.values()) == (1, 4)  # in class index order
     assert EquivalenceRelation.trivial("ab").num_classes == 2
     assert EquivalenceRelation.single_class("ab").num_classes == 1
+    # the first unhashable class label is named
+    with pytest.raises(InvalidParameter, match=r"class labels must be hashable, got \[1\]"):
+        EquivalenceRelation.from_function([1, 2], lambda e: [e])
 
 
 def test_identity_always_compatible():

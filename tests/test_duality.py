@@ -257,6 +257,9 @@ def test_invariant_distribution():
         invariant_distribution(Kernel.of(RationalMatrix.identity(2)))
     with pytest.raises(ValueError):
         invariant_distribution(Kernel.of(RationalMatrix([[2]])))
+    # a stochastic kernel that is not square is named by its shape
+    with pytest.raises(InvalidParameter, match=r"must be square, got shape \(1, 2\)"):
+        invariant_distribution(Kernel.of(RationalMatrix([[1, 0]])))
 
 
 # -- the Fraction-loop certificates, kept as the reference -------------------

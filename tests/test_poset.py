@@ -250,20 +250,16 @@ def test_enumeration_compares_every_representative_up_to_256_subsets(monkeypatch
 
 @st.composite
 def sparse_products(draw):
-    """A random order or relation with random integer entries on its nonzero
-    pattern, and a random integer matrix; some entries are Python ints past
-    int64, or big enough that the products leave int64."""
-    m = draw(relations())
-    n = len(m)
+    """A random order or relation as a bool matrix, and a random integer
+    matrix; some entries are Python ints past int64, or big enough that the
+    products leave int64."""
+    z = draw(relations())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     bits = draw(st.sampled_from([1, 3, 31, 62, 80]))
-    big = lambda shape: (rng.integers(-(1 << 20), 1 << 20, shape).astype(object)
-                         << max(0, bits - 20))
-    z = m if draw(st.booleans()) else np.where(m, big((n, n)), 0)
-    y = big((n, draw(st.integers(0, 4))))
+    y = (rng.integers(-(1 << 20), 1 << 20, (len(z), draw(st.integers(0, 4)))).astype(object)
+         << max(0, bits - 20))
     if bits <= 62 or draw(st.booleans()):  # int64 where it fits, else Python ints
         y = poset._ints(y, poset._bound(y))
-        z = poset._ints(z, poset._bound(z)) if z.dtype != bool else z
     return z, y
 
 
@@ -271,8 +267,7 @@ def sparse_products(draw):
 @given(sparse_products(), st.integers(1, 64))
 def test_sparse_product_matches_the_dense_product(case, block_entries):
     z, y = case
-    dense = (RationalMatrix._wrap(z.astype(object if z.dtype == object else np.int64), 1)
-             @ RationalMatrix._wrap(y.copy(), 1))
+    dense = RationalMatrix._wrap(z.astype(np.int64), 1) @ RationalMatrix._wrap(y.copy(), 1)
     assert RationalMatrix._wrap(poset._sparse_product(z, y), 1) == dense
     # again over blocks of a few rows each
     with pytest.MonkeyPatch.context() as patch:
@@ -617,7 +612,7 @@ def test_product_pairs_check_their_factors_and_order(monkeypatch):
     broken = poset._poset_from_matrix(prod.elements, prod.matrix.copy())
     broken.matrix.flags.writeable = True
     broken.matrix[0, -1] = False
-    leaves, perm = poset._leaves(prod)
+    leaves, perm = prod._factors
     pairs = tuple(poset._checked_pair(f) for f in leaves)
     with pytest.raises(VerificationFailure) as e:
         poset._kron_pair(broken, pairs, perm)

@@ -32,6 +32,13 @@ def test_parse_rejects_garbage():
         parse_fraction(0.5)
 
 
+def test_parse_fraction_passes_the_input_gate():
+    # a bool is refused as a matrix entry is; numpy integers and rationals pass
+    with pytest.raises(NonRationalEntry, match="bool entry True rejected"):
+        parse_fraction(True)
+    assert parse_fraction(np.int64(-3)) == -3 and parse_fraction(Fraction(2, 4)) == Fraction(1, 2)
+
+
 def test_float_entries_rejected():
     with pytest.raises(NonRationalEntry):
         RationalMatrix([[0.5]])
