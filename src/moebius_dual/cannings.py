@@ -562,6 +562,8 @@ def _summary(counts, values, reps):
 _MT_N, _MT_M = 624, 397
 # the words of one lane block's table, about 1 MiB
 _TABLE_WORDS = 1 << 18
+# the largest D whose draw-to-atom lookup, D intp entries, is no larger than that table
+_LOOKUP_DEN = _TABLE_WORDS * 4 // np.dtype(np.intp).itemsize
 
 
 def _init_genrand(s: int):
@@ -774,8 +776,9 @@ def monte_carlo_duality(
     randrange(D) over the integer atom weights.  The lanes run in blocks
     that bound the memory.  A block draws all its steps in one pass
     (``_draws``) from the streams' first words, which come from one numpy
-    pass over the seeds (``_mt_words``); then every replica steps at once,
-    by N bit operations over the drawn atoms' children sets.
+    pass over the seeds (``_mt_words``), and reads their atoms from a D-entry
+    lookup (a binary search past ``_LOOKUP_DEN``); then every replica steps
+    at once, by a few bit operations per parent over its children sets.
     """
     law.require_exchangeable()
     n = law.ground_size
@@ -785,34 +788,33 @@ def monte_carlo_duality(
         raise InvalidParameter(f"monte carlo: start sets {a:b}, {b:b} must lie in a population of {n}")
     h = hypergeometric_matrix(n)
     nu, den = law.children, law.den
-    shifts = np.arange(n, dtype=nu.dtype)
-    bits = nu.dtype.type(1) << shifts
+    cols, bits = np.ascontiguousarray(nu.T), nu.dtype.type(1) << np.arange(n, dtype=nu.dtype)
     k = den.bit_length()
-    cum = np.cumsum(law.weights).astype(_draw_dtype(k))
-
-    def children(atom, x):
-        """The union of nu_i over i in x, per lane."""
-        return np.bitwise_or.reduce(nu[atom] * (x[:, None] >> shifts & 1), axis=1)
-
-    def ancestors(atom, x):
-        """The parents of the members of x, per lane.  Each child has one
-        parent, so this is the unique minimal set of parents whose children
-        cover x."""
-        return np.bitwise_or.reduce((nu[atom] & x[:, None] != 0) * bits, axis=1)
-
+    if den <= _LOOKUP_DEN:  # draw d in [cum[a - 1], cum[a]) is atom a, entry d of this lookup
+        pick = np.repeat(np.arange(len(nu)), law.weights).take
+    else:  # a binary search, the only path for draws past 64 bits
+        cum = np.cumsum(law.weights).astype(_draw_dtype(k))
+        pick = lambda draws: np.searchsorted(cum, draws, side="right")
     sizes = np.zeros((2, n + 1), dtype=np.int64)
     seeds = range(seed * 1_000_003, seed * 1_000_003 + 2 * reps)
     depth = _table_depth(steps, den, k)
     block = max(2, _TABLE_WORDS // (depth + 1) & ~1)  # even, so even lanes are forward
     for lo in range(0, len(seeds), block):
         chunk = seeds[lo:lo + block]
-        atoms = np.searchsorted(cum, _draws(chunk, steps, den, depth), side="right") if steps else None
-        for side, (start, image) in enumerate(((a, children), (b, ancestors))):
+        atoms = pick(_draws(chunk, steps, den, depth)) if steps else None
+        for side, start in enumerate((a, b)):
             x = np.full(len(chunk) // 2, start, dtype=nu.dtype)
             for step in range(steps):
-                x = image(atoms[step, side::2], x)
+                atom, y = atoms[step, side::2], np.zeros_like(x)
+                if side == 0:  # the union of the children sets of the members of x
+                    for i, col in enumerate(cols):
+                        y |= col[atom] * (x >> i & 1)
+                else:  # the parents of the members of x: each child has one parent
+                    for col, bit in zip(cols, bits):
+                        y |= (col[atom] & x != 0) * bit
+                x = y
             sizes[side] += np.bincount(np.bitwise_count(x), minlength=n + 1)
-        del atoms  # so that the next block's table replaces these draws, not joins them
+        atoms = atom = None  # so that the next block's table replaces these draws, not joins them
     fwd_counts, bwd_counts = ({i: c for i, c in enumerate(row) if c} for row in sizes.tolist())
     j_b, i_a = b.bit_count(), a.bit_count()
     fwd_vals = {i: h[i, j_b] for i in fwd_counts}

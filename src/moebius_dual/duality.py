@@ -288,9 +288,10 @@ def support_implication_check(
 def h_transform(q: Kernel, h) -> Kernel:
     """D_h^{-1} Q D_h for strictly positive h.
 
-    The result is stochastic exactly when h is a right 1-eigenvector of Q;
-    both sides of that equivalence are checked.  h passes the rational input
-    gate, so a float or bool entry raises NonRationalEntry.
+    Row i of the result sums to (Q h)_i / h_i and its entries have the signs
+    of Q's, for every Q; both are checked.  So for Q >= 0 the result is
+    stochastic exactly when h is a right 1-eigenvector of Q.  h passes the
+    rational input gate, so a float or bool entry raises NonRationalEntry.
     """
     d = RationalMatrix.diagonal(h)
     hv = [d[i, i] for i in range(d.rows)]
@@ -300,9 +301,8 @@ def h_transform(q: Kernel, h) -> Kernel:
     out = d_inv @ q.matrix @ d
     kernel = Kernel.of(out)
     qh = q.matrix.apply(hv)
-    _require(kernel.matrix.is_stochastic() == (qh == hv), "Q_h stochastic <=> Q h = h")
-    _require(kernel.matrix.is_substochastic() == all(a <= b for a, b in zip(qh, hv)),
-             "Q_h substochastic <=> Q h <= h")
+    _require(out.row_sums() == [a / x for a, x in zip(qh, hv)], "row sums of Q_h = (Q h) / h")
+    _require(np.array_equal(out.signs(), q.matrix.signs()), "Q_h has the signs of Q")
     return kernel
 
 

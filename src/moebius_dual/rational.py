@@ -304,7 +304,10 @@ class RationalMatrix:
 
     @property
     def T(self) -> "RationalMatrix":
-        return RationalMatrix._wrap(self._num.T.copy(), self._den)
+        m = object.__new__(RationalMatrix)  # a canonical matrix transposes to one: no gcd pass
+        m._num, m._den = self._num.T.copy(), self._den
+        m._num.setflags(write=False)
+        return m
 
     def apply(self, vector):
         """Matrix-vector product, returning a list of Fractions."""

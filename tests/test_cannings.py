@@ -1172,6 +1172,23 @@ def test_monte_carlo_continues_in_cpython_past_tiny_tables(monkeypatch, name):
             assert got == reference_monte_carlo(law, 0b011, 0b101, steps, 3, seed)
 
 
+
+@pytest.mark.parametrize("name", ["mixed3", "moran9"])
+def test_monte_carlo_lookup_and_search_agree(monkeypatch, name):
+    # draws map to atoms through a D-entry lookup while D is within the bound
+    # and through a binary search past it; the CLI laws all take the lookup
+    n_wf, n_moran = cannings.MAX_WRIGHT_FISHER_GROUND, cannings.MAX_MORAN_GROUND
+    assert max(n_wf ** n_wf, n_moran * (n_moran - 1)) <= cannings._LOOKUP_DEN
+    law, search, searched = REFERENCE_LAWS[name], np.searchsorted, []
+    monkeypatch.setattr(np, "searchsorted", lambda *args, **kw: searched.append(1) or search(*args, **kw))
+    for bound, searches in ((law.den, False), (law.den - 1, True)):
+        monkeypatch.setattr(cannings, "_LOOKUP_DEN", bound)
+        searched.clear()
+        for seed in (0, -3):
+            got = monte_carlo_duality(law, 0b011, 0b101, steps=4, reps=40, seed=seed)
+            assert got == reference_monte_carlo(law, 0b011, 0b101, 4, 40, seed)
+        assert bool(searched) == searches
+
 def test_monte_carlo_memory_and_cpython_generators_stay_small(monkeypatch):
     # the lanes run in blocks of a table of about 1 MiB, so the traced peak
     # stays under 2 MiB at 5,000 and at 100,000 replicas; fewer than 1% of

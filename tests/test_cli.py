@@ -442,6 +442,20 @@ GOLDEN = {
         "7fc84ee020b9f19ab2a5162c57d71d28663a2a439763e7453c9f878660d5128d",
     "lattice partitions --n 6 --emit moebius":
         "d694573916bdedde60cb1d667b0ce03b2d3ec28cbd7ac1df481a3c68fdea6d71",
+    # --format pretty (nested dicts, lists of lists, lists of dicts), recorded
+    # before the Monte Carlo draws were mapped to atoms by a lookup
+    "cannings --model moran --N 3 --T 2 --format pretty":
+        "fc6c170b584946843db5f85aee8e329c829cf81c64352a7c372b67d7a8f10631",
+    "lattice partitions --n 3 --emit moebius --format pretty":
+        "24fc5cbc31513e5e904ede8fe9eab28bf4c3d033f644bc2d394d9094fe01426e",
+    "coarsen sets --n 3 --format pretty":
+        "adc00593874a562d9a3676b1cd43a54e1ce5bd05e40143734075ca3ec7e596bd",
+    "verify-all --max-n 2 --format pretty":
+        "a08439963b631e92ce8dbb6705047f76909926ed6280ac66bcb3bac7021cddd3",
+    "simulate --model wf --N 4 --steps 3 --reps 200 --seed 5 --start 3 --dual-start 2 --format pretty":
+        "d24a477d83a19bb8ee1e77b6b195bd156444a2f6421b78b9d490880498251f4d",
+    "simulate --model moran --N 5 --steps 4 --reps 300 --seed -2 --start 3 --dual-start 2 --format pretty":
+        "5c6349e4e29ce5cc749c5574875d45b022f6075b77e0667c8a1910fa6fad424d",
 }
 
 # a stochastic kernel on the subsets of {1, 2} with four different denominators

@@ -312,6 +312,16 @@ def test_source_column_coarsening_detects_dependence():
     assert ok.compatible and ok.coarse.T == RationalMatrix.identity(2)
 
 
+
+@pytest.mark.parametrize("variant", [DualityVariant.ZETA, DualityVariant.ZETA_TRANSPOSE])
+def test_coarse_pipeline_runs_on_a_dual_with_negative_entries(variant):
+    # a stochastic kernel whose duals under both zeta variants have negative
+    # entries: the h-transform of such a coarse dual is valid input
+    lat = subset_lattice(2)
+    p = Kernel.of(RationalMatrix([[0, "1/2", "1/2", 0], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]]))
+    res = coarse_duality_pipeline(p, lat.pair, variant, cardinality_relation(lat))
+    assert not res.q_coarse_hh.matrix.is_nonnegative()
+
 def test_coarse_pipeline_trivial_and_one_class_relations():
     lat = subset_lattice(2)
     p = Kernel.of(

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -249,6 +252,55 @@ def test_h_transform_reads_h_through_the_rational_gate(h):
     # exact entries of every accepted kind give the same kernel
     assert h_transform(q, [1, 2]) == h_transform(q, ["1", F(2)]) == h_transform(q, np.array([1, 2]))
 
+
+
+def test_h_transform_takes_a_kernel_with_negative_entries():
+    # Q h = h, but Q_h = Q has a negative entry, so it is not stochastic
+    out = h_transform(Kernel.of(RationalMatrix([[2, -1], [0, 1]])), [1, 1])
+    assert out.matrix == RationalMatrix([[2, -1], [0, 1]]) and not out.is_stochastic
+
+
+_ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_H = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=8).filter(lambda x: x > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_h_transform_matches_the_fraction_reference_on_any_kernel(data):
+    n = data.draw(st.integers(1, 4), label="n")
+    rows = data.draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+                     label="rows")
+    h = data.draw(st.lists(_H, min_size=n, max_size=n), label="h")
+    out = h_transform(Kernel.of(RationalMatrix(rows)), h)
+    assert out.matrix == RationalMatrix([[rows[i][j] * h[j] / h[i] for j in range(n)]
+                                         for i in range(n)])
+    qh = [sum(q * x for q, x in zip(row, h)) for row in rows]
+    nonnegative = all(q >= 0 for row in rows for q in row)
+    assert out.is_stochastic == (nonnegative and qh == h)
+    assert out.is_substochastic == (nonnegative and all(a <= x for a, x in zip(qh, h)))
+
+
+def test_a_wrong_h_transform_fails_in_optimized_mode():
+    # every product of the transform scaled by 2 breaks its row sums; every
+    # product's columns rolled by one keeps the row sums and breaks the signs
+    code = (
+        "import numpy as np\n"
+        "from moebius_dual import Kernel, RationalMatrix, h_transform\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "q = Kernel.of(RationalMatrix([[2, -1, 0], [0, 1, 0], [0, 0, 1]]))\n"
+        "mul = RationalMatrix.__matmul__\n"
+        "for fault in (lambda m: m.scale(2), lambda m: RationalMatrix(np.roll(m.array(), 1, axis=1))):\n"
+        "    RationalMatrix.__matmul__ = lambda a, b: fault(mul(a, b))\n"
+        "    try:\n"
+        "        h_transform(q, [1, 1, 1])\n"
+        "    except VerificationFailure as exc:\n"
+        "        print(exc.identity)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["row sums of Q_h = (Q h) / h", "Q_h has the signs of Q"]
 
 def test_invariant_distribution():
     p = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))

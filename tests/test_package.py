@@ -244,8 +244,7 @@ IDENTITIES = [
     "Q substochastic",
     "Q substochastic => coarse Q substochastic",
     "Q' compatible with the relation",
-    "Q_h stochastic <=> Q h = h",
-    "Q_h substochastic <=> Q h <= h",
+    "Q_h has the signs of Q",
     "Wright-Fisher law is exchangeable",
     "Z M = I",
     "Z nu* = g",
@@ -272,6 +271,7 @@ IDENTITIES = [
     "partition mu = closed form",
     "rho > 0",
     "rho P = rho",
+    "row sums of Q_h = (Q h) / h",
     "skeletons of the partitions = skeletons of n",
     "subset mu = closed form",
     "sum of rho != 0",

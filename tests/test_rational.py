@@ -408,6 +408,20 @@ def test_views_match_per_entry_reference(case):
     assert list(m) == fractions
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(numerator_matrices())
+def test_transpose_wraps_what_the_canonical_path_would(case):
+    # .T skips the gcd pass of _wrap: int64 and Python-int numerators alike
+    # come out as _wrap would make them
+    nums, den = case
+    m = RationalMatrix([[Fraction(x, den) for x in row] for row in nums])
+    got, want = m.T, RationalMatrix._wrap(m._num.T.copy(), m._den)
+    assert got._num.tolist() == want._num.tolist() and got._den == want._den
+    assert got._num.dtype == want._num.dtype and type(got) is type(want) is RationalMatrix
+    assert not got._num.flags.writeable and not want._num.flags.writeable
+    assert got == want and got.T == m
+
 @pytest.mark.parametrize("shape", [(1, 1), (1, 4), (4, 1), (3, 3)])
 def test_zero_matrix_views(shape):
     m = RationalMatrix(np.zeros(shape, dtype=np.int64))
