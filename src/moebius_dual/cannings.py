@@ -18,7 +18,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import cached_property
 
 import numpy as np
 
@@ -85,16 +85,18 @@ class OffspringLaw:
         if den < 1:
             raise InvalidOffspringLaw(f"denominator {den} is not positive")
         nu, lengths = _mask_rows(n, self.children)
-        # an integer array comes out as Python ints, exact at any size
-        weights = np.array([w if type(w) is int else _integer(w, f"atom {k}: weight")
-                            for k, w in enumerate(np.array(self.weights, dtype=object).tolist())],
-                           dtype=object)
+        weights = self.weights  # an integer array as it is, else entry by entry as Python ints
+        if not (isinstance(weights, np.ndarray) and weights.dtype.kind in "iu" and weights.ndim == 1):
+            weights = np.array([w if type(w) is int else _integer(w, f"atom {k}: weight")
+                                for k, w in enumerate(np.array(weights, dtype=object).tolist())], dtype=object)
         if len(weights) != len(nu):
             raise InvalidOffspringLaw(f"{len(weights)} weights for {len(nu)} atoms")
         # every atom at once, with Python's bit semantics: the overlap is the
         # union over i of the bits that nu_i shares with nu_1..nu_{i-1}
-        overlap = np.bitwise_or.reduce(np.bitwise_or.accumulate(nu, axis=1)[:, :-1] & nu[:, 1:], axis=1)
-        union = np.bitwise_or.reduce(nu, axis=1)
+        overlap, union = np.zeros((2, len(nu)), dtype=nu.dtype)
+        for col in nu.T:
+            overlap |= union & col
+            union |= col
         full = (1 << n) - 1
         bad = (lengths != n) | (overlap != 0) | (union != full) | (weights <= 0)
         if bad.any():
@@ -112,9 +114,9 @@ class OffspringLaw:
         if sum(values) != den:
             raise InvalidOffspringLaw(f"total probability is {Fraction(sum(values), den)}, not 1")
         common = math.gcd(den, *values)  # so that den is the least common denominator
-        dtype = next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if n <= 8 * np.dtype(d).itemsize)
-        object.__setattr__(self, "children", nu.astype(dtype))
+        object.__setattr__(self, "children", nu.astype(_uint(n)))
         object.__setattr__(self, "den", den // common)
+        # every weight is at most den, so an integer array stays exact here
         object.__setattr__(self, "weights", (weights // common).astype(
             np.int64 if self.den <= _INT64_MAX else object))
         self.children.flags.writeable = self.weights.flags.writeable = False
@@ -141,28 +143,37 @@ class OffspringLaw:
         return tuple((tuple(nu), Fraction(w, self.den))
                      for nu, w in zip(self.children.tolist(), self.weights.tolist()))
 
+    @cached_property
+    def _size_weights(self):
+        """The distinct offspring-size vectors (|nu_1|..|nu_N|) as the rows of one
+        integer array, each with the summed weight of its atoms; formed once per law."""
+        return _merged_atoms(np.bitwise_count(self.children), self.weights)
+
     def _check_exchangeable(self) -> bool:
         """Invariance of the law under relabelling the population.
 
         A permutation pi acts on an indexed partition by permuting both the
         parent index and the children sets: nu -> (pi(nu_{pi^{-1}(i)}))_i.
-        Adjacent transpositions generate the full symmetric group and
-        invariance is closed under composition, so checking the N-1
+        The transposition of individuals 1 and 2 and the cycle
+        1 -> 2 -> .. -> N -> 1 generate the full symmetric group, and
+        invariance is closed under composition, so checking these two
         generators is an exact test.  This implies the exchangeability of
         the offspring-size vector used by every coarse-graining here.
-        Probabilities are compared as integer weights over one denominator,
-        summed over the atoms that list one indexed partition more than once;
-        a transposition keeps the law when it maps the sorted distinct atoms,
-        with their weights, onto themselves.
+        Integer weights over one denominator, summed over repeated atoms, are
+        compared: a generator keeps the law when it maps the sorted distinct
+        atoms, with their weights, onto themselves.
         """
+        if (n := self.ground_size) < 2:  # the symmetric group of one individual is trivial
+            return True
         nu, weights = _merged_atoms(self.children, self.weights)
-        for k in range(self.ground_size - 1):
-            # swap individuals k and k+1 inside every children set ...
-            swapped = nu ^ ((nu >> k ^ nu >> k + 1) & 1) * (3 << k)
-            # ... and as parents
-            swapped[:, [k, k + 1]] = swapped[:, [k + 1, k]]
-            order = np.lexsort(swapped.T[::-1])
-            if not (np.array_equal(swapped[order], nu) and np.array_equal(weights[order], weights)):
+        # swap individuals 1 and 2 inside every children set and as parents;
+        # move every individual c to c + 1 (mod N) inside every set and as a parent
+        swap = nu ^ ((nu ^ nu >> 1) & 1) * 3
+        swap[:, :2] = swap[:, 1::-1]
+        cycle = np.roll((nu << 1 | nu >> n - 1) & (1 << n) - 1, 1, axis=1)
+        for image in (swap, cycle):
+            order = np.lexsort(image.T[::-1])
+            if not (np.array_equal(image[order], nu) and np.array_equal(weights[order], weights)):
                 return False
         return True
 
@@ -177,6 +188,11 @@ def _integer(value, what: str) -> int:
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     raise InvalidOffspringLaw(f"{what} {value!r} is not an integer")
+
+
+def _uint(bits: int):
+    """The narrowest unsigned numpy dtype that holds ``bits`` bits."""
+    return next(d for d in (np.uint8, np.uint16, np.uint32, np.uint64) if bits <= 8 * np.dtype(d).itemsize)
 
 
 def _mask_rows(n: int, children):
@@ -196,8 +212,10 @@ def wright_fisher_law(n: int) -> OffspringLaw:
     """Each child picks a uniform parent independently; N^N atoms, atom a
     giving child c the parent of base-N digit c of a, most significant first."""
     _check_range("wright-fisher law", "N", n, 1, MAX_WRIGHT_FISHER_GROUND)
-    parent = np.arange(n ** n)[:, None] // n ** np.arange(n - 1, -1, -1) % n
-    children = ((parent[:, None, :] == np.arange(n)[:, None]) << np.arange(n)).sum(axis=2)
+    # the atoms of the first c children, each followed by the N parents of child c
+    children, eye = np.zeros((1, n), dtype=_uint(n)), np.eye(n, dtype=_uint(n))
+    for c in range(n):
+        children = (children[:, None] | eye << c).reshape(-1, n)
     law = OffspringLaw(n, children, n ** n, np.ones(n ** n, dtype=np.int64))
     _require(law.exchangeable, "Wright-Fisher law is exchangeable", n)
     return law
@@ -242,24 +260,29 @@ def _product_binomial(n: int, classes) -> RationalMatrix:
     )
 
 
-def _size_weights(law: OffspringLaw):
-    """The distinct offspring-size vectors (|nu_1|..|nu_N|), each with the
-    summed integer weight of its atoms, as pairs of Python values."""
-    sizes, weights = _merged_atoms(np.bitwise_count(law.children), law.weights)
-    return list(zip(map(tuple, sizes.tolist()), weights.tolist()))
-
-
 def _block_forward(law: OffspringLaw, classes) -> RationalMatrix:
     """P(dvec, evec) = probability that the first d_1 parents have e_1
-    children, the next d_2 parents e_2 children, and so on."""
-    pos = {c: i for i, c in enumerate(classes)}
-    ends = [tuple(accumulate(dvec)) for dvec in classes]  # last parent of each type
-    rows = [[0] * len(classes) for _ in classes]
-    for svec, w in _size_weights(law):
-        cum = list(accumulate(svec, initial=0))  # children of the first i parents
-        for row, e in zip(rows, ends):
-            row[pos[tuple(cum[hi] - cum[lo] for lo, hi in zip((0,) + e, e))]] += w
-    return RationalMatrix(rows).scale(Fraction(1, law.den))
+    children, the next d_2 parents e_2 children, and so on.
+
+    The children of the first f parents at a class's block ends
+    f_1 <= .. <= f_T are the prefix sums of a size vector's type counts e.
+    These code e in the combinatorial number system, sum over t of
+    C(f_t + t - 1, t), below the number of vectors with sum <= N, so one
+    lookup finds e's class; one exact np.add.at sums the weights.
+    """
+    sizes, weights = law._size_weights
+    n, size = law.ground_size, len(classes)
+    ends = np.cumsum(np.array(classes, dtype=np.intp).reshape(size, -1), axis=1)
+    t = ends.shape[1]
+    rank = np.array([[math.comb(f + r, r + 1) for r in range(t)] for f in range(n + 1)], dtype=np.intp)
+    column = np.zeros(math.comb(n + t, t), dtype=np.intp)
+    column[rank[ends, np.arange(t)].sum(axis=1)] = np.arange(size)
+    cum = np.zeros((len(sizes), n + 1), dtype=np.intp)  # children of the first f parents
+    np.cumsum(sizes, axis=1, out=cum[:, 1:])
+    cell = np.arange(size) * size + column[rank[cum[:, ends], np.arange(t)].sum(axis=2)]
+    counts = np.zeros(size * size, dtype=weights.dtype)  # every entry is at most its row sum, D
+    np.add.at(counts, cell, weights[:, None])
+    return RationalMatrix._wrap(counts.reshape(size, size), law.den)
 
 
 def hypergeometric_matrix(n: int) -> RationalMatrix:
@@ -281,37 +304,33 @@ def coarse_forward_direct(law: OffspringLaw) -> RationalMatrix:
 
 def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
     """Q(i, j) = [C(N,j)/C(N,i)] * sum over (l_1..l_j) >= 1 with sum i of
-    E[prod_r C(|nu_r|, l_r)]."""
+    E[prod_r C(|nu_r|, l_r)].
+
+    That sum of products is the coefficient of x^i in
+    prod_{r <= j} ((1+x)^{|nu_r|} - 1), so one recurrence over r on the
+    coefficients of every size vector gives every (i, j).  Each coefficient
+    is at most that of (1+x)^N, at most C(64, 32) < 2^63, so the recurrence
+    runs in int64; D C(N, N // 2) bounds the weighted sums, which are int64
+    within it and Python ints past it, as in ``rational._product``.
+    """
     law.require_exchangeable()
     n = law.ground_size
-
-    def compositions(total, parts):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(1, total - parts + 2):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    sizes = _size_weights(law)
-
-    def moment(ls):
-        """D * E[prod_r C(|nu_r|, l_r)]"""
-        total = 0
-        for svec, w in sizes:
-            prod = w
-            for s, l in zip(svec, ls):
-                prod *= math.comb(s, l)
-                if prod == 0:
-                    break
-            total += prod
-        return total
-
-    def entry(i, j):
-        return Fraction(math.comb(n, j) * sum(map(moment, compositions(i, j))), math.comb(n, i) * law.den)
-
-    return RationalMatrix.from_function(n + 1, n + 1, entry)
+    sizes, weights = law._size_weights
+    weights = weights.astype(np.int64 if law.den * math.comb(n, n // 2) <= _INT64_MAX else object)
+    # row s of ``factor`` holds the coefficients of (1+x)^s - 1, and shift[s]
+    # multiplies a row of coefficients by it, dropping the terms past x^N
+    factor = np.array([[math.comb(s, l) if l else 0 for l in range(n + 1)] for s in range(n + 1)])
+    d = np.arange(n + 1)
+    shift = factor[:, (d - d[:, None]).clip(0)]
+    coef = np.tile(d == 0, (len(sizes), 1)).astype(np.int64)  # the empty product, 1
+    moments = np.zeros((n + 1, n + 1), dtype=object)  # D E[...] at (i, j)
+    for j in range(n + 1):
+        moments[:, j] = weights @ coef
+        if j < n:
+            coef = (coef[:, None] @ shift[sizes[:, j]])[:, 0]
+    choose = np.array([math.comb(n, i) for i in range(n + 1)], dtype=object)
+    common = math.lcm(*choose.tolist())
+    return RationalMatrix._wrap(moments * choose * (common // choose)[:, None], common * law.den)
 
 
 # ---------------------------------------------------------------------------
@@ -319,11 +338,11 @@ def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-# (atom, state) pairs counted at once, which bounds the per-atom tables and
-# the transient int64 arrays of a small kernel; a block of a large one covers
-# at least as many pairs as its bincount has bins (states^2), so zeroing the
-# bins never dominates
-_BLOCK_PAIRS = 1 << 13
+# (atom, state) pairs counted at once, which bounds the per-atom tables and the
+# transient arrays of a small kernel (2^15 beat 2^13 on Wright-Fisher at N 5
+# and 6); a block of a large kernel covers at least as many pairs as its
+# bincount has bins (states^2), so zeroing the bins never dominates
+_BLOCK_PAIRS = 1 << 15
 
 
 def _merged_atoms(nu, weights):
@@ -335,39 +354,41 @@ def _merged_atoms(nu, weights):
     return nu[starts], np.add.reduceat(weights, starts)
 
 
-def _atom_tables(nu):
+def _atom_tables(nu, place):
     """The two per-atom step maps of the set-valued chains, for every atom a
     (a row of ``nu``, from ``OffspringLaw.children``) and every subset J of
-    the population, in the dtype of ``nu``:
+    the population, one row per J, so that every numpy pass runs along the
+    atoms:
 
-    fwd[a, J] = union of nu_i over i in J (the children of J), and
-    anc[a, J] = the parents of the members of J (the ancestors of J).
+    fwd[J, a] = place[union of nu_i over i in J], the code of the children
+    of J, in the dtype of ``place``, and anc[J, a] = the parents of the
+    members of J (the ancestors of J), in the dtype of ``nu``.
 
     The law's construction checks that the nu_i are disjoint and cover the
-    population, so each child has exactly one parent: any set of parents
-    whose children cover J contains anc[a, J], and the children of anc[a, J]
-    cover J.
+    population, so each child has exactly one parent: the code of a union
+    of nu_i is the sum of their codes, any set of parents whose children
+    cover J contains anc[J, a], and the children of anc[J, a] cover J.
     """
-    atoms, n = nu.shape
-    # parent[a, c] = the one-bit mask of the parent of child c
-    parent = np.zeros_like(nu)
-    bits = np.arange(n, dtype=nu.dtype)
-    for i in range(n):
-        parent |= ((nu[:, i:i + 1] >> bits) & 1) << i
-    # adding element i to every J below 2^i, by doubling the columns
-    fwd = np.zeros((atoms, 1 << n), dtype=nu.dtype)
-    anc = np.zeros_like(fwd)
+    cols, n = np.ascontiguousarray(nu.T), nu.shape[1]  # one row per parent
+    # parent[c, a] = the one-bit mask of the parent of child c
+    parent, bits = np.zeros_like(cols), np.arange(n, dtype=nu.dtype)[:, None]
+    for i, col in enumerate(cols):
+        parent |= ((col >> bits) & 1) << i
+    # adding element i to every J below 2^i, by doubling the rows
+    step = place[cols]
+    fwd = np.zeros((1 << n, len(nu)), dtype=place.dtype)
+    anc = np.zeros((1 << n, len(nu)), dtype=nu.dtype)
     for i in range(n):
         lo = 1 << i
-        np.bitwise_or(fwd[:, :lo], nu[:, i:i + 1], out=fwd[:, lo:2 * lo])
-        np.bitwise_or(anc[:, :lo], parent[:, i:i + 1], out=anc[:, lo:2 * lo])
+        np.add(fwd[:lo], step[i], out=fwd[lo:2 * lo])
+        np.bitwise_or(anc[:lo], parent[i], out=anc[lo:2 * lo])
     return fwd, anc
 
 
 def _place(n: int, t: int) -> np.ndarray:
-    """place[J] = sum over c in J of (T+1)^c, so that a state's type code
-    (its type assignment read in base T+1) is sum over t of t place[mask_t]."""
-    place = np.zeros(1 << n, dtype=np.int64)
+    """place[J] = sum over c in J of (T+1)^c, in the narrowest dtype of every
+    type code (a type assignment read in base T+1): sum over t of t place[mask_t]."""
+    place = np.zeros(1 << n, dtype=_uint(((t + 1) ** n - 1).bit_length()))
     for c in range(n):
         place[1 << c:2 << c] = place[:1 << c] + (t + 1) ** c
     return place
@@ -378,45 +399,44 @@ def _kernel_counts(law: OffspringLaw, masks, codes):
     disjoint masks ``masks``, with the type codes ``codes``, for D the law's
     common denominator, as exact integer arrays.
 
-    A state's type code is its type assignment read in base T+1, so the image
-    of every (atom, state) pair is located with one table lookup per type;
-    the tables are built per block of atoms.
-    Q drops the pairs whose per-type ancestor sets overlap.  The pairs of
-    the atoms sharing one integer weight are counted with np.bincount and
-    the counts are multiplied by that weight in exact integers.
+    A state's type code is its type assignment read in base T+1, so the code
+    of each (atom, state) image is a sum of table entries, one per type; the
+    tables are built per block of atoms.  Q drops the pairs whose per-type
+    ancestor sets overlap, which one type never has.  The pairs of the atoms
+    sharing one integer weight are counted with np.bincount and the counts
+    are multiplied by that weight in exact integers.  With fewer atoms than
+    states each image code is put in state order; else the cells are counted
+    by code, rows and columns, and put in state order once (at T = 1 the
+    codes are the masks, so the tables' rows are the count rows).
     """
     n, nu, weights = law.ground_size, law.children, law.weights
     size, t = masks.shape
-    place = _place(n, t)
-    types = np.arange(1, t + 1)
-    index = np.zeros((t + 1) ** n, dtype=np.int64)
+    place, index, few = _place(n, t), np.zeros(size, dtype=np.intp), len(nu) < size
     index[codes] = np.arange(size)
-    rows = np.arange(size) * size
-    # every entry is at most its row sum, which is D
-    p_num = np.zeros(size * size, dtype=weights.dtype)
-    q_num = np.zeros(size * size, dtype=weights.dtype)
-    block = max(_BLOCK_PAIRS // size, size)
+    by_row = masks if few else masks[index]  # the states in the order of the count rows
+    direct = t == 1 and not few
+    rows, block, num = np.arange(size)[:, None] * size, max(_BLOCK_PAIRS // size, size), [0, 0]
     for w in np.unique(weights):
-        chosen = np.flatnonzero(weights == w)
-        p_cnt = np.zeros(size * size, dtype=np.int64)
-        q_cnt = np.zeros(size * size, dtype=np.int64)
+        chosen, cnt = np.flatnonzero(weights == w), [0, 0]
         for lo in range(0, len(chosen), block):
-            f, g = _atom_tables(nu[chosen[lo:lo + block]])
-            p_code = q_code = seen = 0
-            disjoint = True
-            for k, typ in enumerate(types):
-                kids, par = f[:, masks[:, k]], g[:, masks[:, k]]
-                p_code = p_code + place[kids] * typ
-                q_code = q_code + place[par] * typ
-                disjoint = disjoint & (par & seen == 0)
-                seen = seen | par
-            p_cnt += np.bincount((rows + index[p_code]).ravel(), minlength=size * size)
-            # overlapping ancestors code no state, so they are looked up as 0 and dropped
-            q_cnt += np.bincount((rows + index[np.where(disjoint, q_code, 0)])[disjoint],
-                                  minlength=size * size)
-        p_num += p_cnt.astype(weights.dtype) * w
-        q_num += q_cnt.astype(weights.dtype) * w
-    return law.den, p_num.reshape(size, size), q_num.reshape(size, size)
+            f, g = _atom_tables(nu[chosen[lo:lo + block]], place)
+            p_code, q_code, seen, disjoint = (f, g, 0, True) if direct else (0, 0, 0, True)
+            for typ, mask in enumerate(() if direct else by_row.T, start=1):
+                par = g[mask]
+                p_code = f[mask] * typ + p_code
+                q_code = place[par] * typ + q_code
+                if t > 1:
+                    disjoint = disjoint & (par & seen == 0)
+                    seen = seen | par
+            if few:  # an overlapping pair's code may lie past the states; its cell is dropped
+                p_code, q_code = index[p_code], index.take(q_code, mode="clip")
+            q_cells = rows + q_code
+            cells = (rows + p_code).ravel(), q_cells[disjoint] if t > 1 else q_cells.ravel()
+            cnt = [c + np.bincount(x, minlength=size * size) for c, x in zip(cnt, cells)]
+        # every entry is at most its row sum, which is D
+        num = [x + c.astype(weights.dtype, copy=False) * w for x, c in zip(num, cnt)]
+    p_num, q_num = (x.reshape(size, size)[() if few else np.ix_(codes, codes)] for x in num)
+    return law.den, p_num, q_num
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ import tracemalloc
 from bisect import bisect_right
 from collections import Counter, defaultdict
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, permutations, product
 from types import SimpleNamespace
 
 import numpy as np
@@ -926,14 +926,24 @@ def test_partial_states_past_64_flattened_bits():
 
 
 def test_atom_tables_use_the_narrowest_mask_dtype():
-    for law, dtype in ((wright_fisher_law(4), np.uint8), (MORAN9, np.uint16)):
-        nu = law.children
-        fwd, anc = cannings._atom_tables(nu)
-        assert nu.dtype == fwd.dtype == anc.dtype == dtype
-        assert fwd.shape == anc.shape == (len(law.support), 1 << law.ground_size)
-        for a, (nu, _) in enumerate(law.support):
-            assert fwd[a].tolist() == _forward_unions(nu, law.ground_size)
-            assert anc[a].tolist() == [_ancestors(nu, j) for j in range(1 << law.ground_size)]
+    # the ancestor sets are masks in the dtype of the children sets, the
+    # children's images type codes in the narrowest dtype that holds the
+    # (T+1)^N codes
+    for name, t, mask_dtype, code_dtype in (
+            ("wf4", 1, np.uint8, np.uint8), ("wf4", 2, np.uint8, np.uint8),
+            ("wf4", 4, np.uint8, np.uint16), ("moran9", 1, np.uint16, np.uint16),
+            ("moran9", 2, np.uint16, np.uint16)):
+        law = REFERENCE_LAWS[name]
+        n, nu = law.ground_size, law.children
+        place = cannings._place(n, t)
+        assert place.dtype == code_dtype
+        assert place.tolist() == [sum((t + 1) ** c for c in range(n) if j >> c & 1) for j in range(1 << n)]
+        fwd, anc = cannings._atom_tables(nu, place)
+        assert nu.dtype == anc.dtype == mask_dtype and fwd.dtype == code_dtype
+        assert fwd.shape == anc.shape == (1 << n, len(law.support))
+        for a, (atom, _) in enumerate(law.support):
+            assert fwd[:, a].tolist() == place[_forward_unions(atom, n)].tolist()
+            assert anc[:, a].tolist() == [_ancestors(atom, j) for j in range(1 << n)]
 
 
 def test_direct_construction_refuses_an_orphan():
@@ -957,6 +967,249 @@ def test_kernel_counts_do_not_depend_on_the_atom_blocks(monkeypatch, name, t):
     monkeypatch.setattr(cannings, "_BLOCK_PAIRS", 1)
     ma = multiallelic_kernels(law, t)
     assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
+# ---------------------------------------------------------------------------
+# The array evaluators against the references on random exchangeable laws
+# ---------------------------------------------------------------------------
+
+
+def symmetrized_law(n, atoms, group=None):
+    """The law giving every relabelling pi(nu) = (pi(nu_{pi^-1(i)}))_i, pi in
+    ``group`` (all of S_N by default), of each (nu, weight) in ``atoms`` that
+    weight, normalized: exchangeable by construction over S_N, and with one
+    weight group per orbit size and weight."""
+    total = defaultdict(int)
+    for nu, w in atoms:
+        for pi in group or permutations(range(n)):
+            image = [0] * n
+            for i, m in enumerate(nu):
+                image[pi[i]] = sum(1 << pi[c] for c in range(n) if m >> c & 1)
+            total[tuple(image)] += w
+    den = sum(total.values())
+    return OffspringLaw.build(n, [(nu, F(w, den)) for nu, w in total.items()])
+
+
+@st.composite
+def exchangeable_laws(draw, max_n=4):
+    """A few random atoms, each a parent for every child, with random weights,
+    summed over all relabellings."""
+    n = draw(st.integers(1, max_n), label="N")
+    atoms = []
+    for _ in range(draw(st.integers(1, 3), label="atoms")):
+        parent = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="parents")
+        nu = [sum(1 << c for c in range(n) if parent[c] == i) for i in range(n)]
+        atoms.append((nu, draw(st.integers(1, 5), label="weight")))
+    return symmetrized_law(n, atoms)
+
+
+def type_count_classes(n, t):
+    return [c for c in product(range(n + 1), repeat=t) if sum(c) <= n]
+
+
+def check_closed_forms(law, draw_order):
+    """_block_forward at T = 1, 2, 3, on the classes in an order from
+    ``draw_order``, and the two haploid closed forms, against the references."""
+    n = law.ground_size
+    for t in (1, 2, 3):
+        classes = draw_order(type_count_classes(n, t))
+        assert _block_forward(law, classes) == reference_block_forward(law, classes)
+    assert coarse_forward_direct(law) == reference_block_forward(law, [(i,) for i in range(n + 1)])
+    assert coarse_backward_moment_formula(law) == reference_moment_formula(law)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_exchangeability_needs_both_generators(n):
+    # a law symmetrized over the transposition (1 2) only, or over the cycle
+    # 1 -> 2 -> .. -> N -> 1 only, keeps that generator but is not exchangeable
+    atom = [(0b11, (1 << n) - 4) + (0,) * (n - 2), 1]
+    swap = [tuple(range(n)), (1, 0) + tuple(range(2, n))]
+    cycle = [tuple((c + k) % n for c in range(n)) for k in range(n)]
+    for group in (swap, cycle):
+        law = symmetrized_law(n, [atom], group)
+        assert not law.exchangeable and not reference_exchangeable(law)
+    assert symmetrized_law(n, [atom]).exchangeable
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=exchangeable_laws(), data=st.data())
+def test_closed_forms_match_the_references_on_random_exchangeable_laws(law, data):
+    assert law.exchangeable and law.exchangeable == reference_exchangeable(law)
+    check_closed_forms(law, lambda classes: data.draw(st.permutations(classes), label="classes"))
+
+
+@pytest.mark.parametrize("name", ["huge3", "mixed3", "moran9"])
+def test_closed_forms_match_the_references_on_the_reference_laws(name):
+    # huge3 has a 66-bit D, so Python-int weights; the classes run backwards
+    check_closed_forms(REFERENCE_LAWS[name], lambda classes: classes[::-1])
+
+
+def one_takes_all(n, eps=F(0)):
+    """With probability 1 - eps one uniform parent has every child, else each
+    individual is its own one child."""
+    full, identity = (1 << n) - 1, tuple(1 << i for i in range(n))
+    atoms = [(tuple(full if i == p else 0 for i in range(n)), (1 - eps) / n) for p in range(n)]
+    return OffspringLaw.build(n, atoms + ([(identity, eps)] if eps else []))
+
+
+def one_takes_all_forms(n, eps):
+    """That law's coarse P and Q in closed form: the first i parents have all
+    N children with probability (1 - eps) i/N and none with (1 - eps)(N-i)/N,
+    or i with probability eps; Q(i, 1) = 1 - eps and Q(i, i) = eps for i >= 2,
+    Q(1, 1) = Q(0, 0) = 1."""
+    p = [[F(0)] * (n + 1) for _ in range(n + 1)]
+    q = [[F(0)] * (n + 1) for _ in range(n + 1)]
+    for i in range(n + 1):
+        p[i][n] += (1 - eps) * F(i, n)
+        p[i][0] += (1 - eps) * F(n - i, n)
+        p[i][i] += eps
+        q[i][min(i, 1)] += 1 if i < 2 else 1 - eps
+        q[i][i] += eps if i >= 2 else 0
+    return RationalMatrix(p), RationalMatrix(q)
+
+
+@pytest.mark.parametrize("n, eps", [(63, F(0)), (60, F(0)), (20, F(1, 2**50))])
+def test_moment_formula_at_the_int64_bound(n, eps):
+    # D C(N, N // 2) picks the dtype of the weighted sums: past 2^63 at N 63
+    # and under it at N 60; at N 20 the weights are int64 but the moments,
+    # up to D (1 - eps)/N C(20, 10), pass 2^63, where an int64 sum would wrap
+    law = one_takes_all(n, eps)
+    bound = law.den * math.comb(n, n // 2)
+    assert (bound > 2**63 - 1) == (n != 60)
+    if eps:
+        assert law.den <= 2**63 - 1 < law.den * (1 - eps) / n * math.comb(n, n // 2)
+    p, q = one_takes_all_forms(n, eps)
+    assert coarse_forward_direct(law) == p
+    assert coarse_backward_moment_formula(law) == q
+
+
+@settings(max_examples=25, deadline=None)
+@given(law=exchangeable_laws(max_n=3), t=st.sampled_from([1, 2]))
+def test_kernel_builders_match_the_reference_on_random_exchangeable_laws(law, t):
+    ma = multiallelic_kernels(law, t)
+    assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
+def split_wright_fisher(n):
+    """Wright-Fisher on n with weight 2 on the atoms whose two largest
+    families have two children and one, and 1 elsewhere: two weight groups."""
+    atoms = [(nu, 2 if sorted((bin(m).count("1") for m in nu), reverse=True)[:2] == [2, 1] else 1)
+             for nu, _ in wright_fisher_law(n).support]
+    den = sum(w for _, w in atoms)
+    return OffspringLaw.build(n, [(nu, F(w, den)) for nu, w in atoms])
+
+
+@pytest.mark.parametrize("name, t, spans", [("split4", 1, 3), ("split4", 2, 2), ("mixed3", 1, 1),
+                                            ("lopsided", 1, 1), ("lopsided", 2, 1)])
+def test_kernel_counts_span_blocks_in_every_weight_group(monkeypatch, name, t, spans):
+    # one state's worth of pairs per block: each weight group of Wright-Fisher
+    # on 4 with two weights spans at least ``spans`` blocks (144 and 112 atoms
+    # over 16 or 81 states); the lopsided law is not exchangeable
+    law = {"split4": split_wright_fisher(4), "mixed3": MIXED_LAW, "lopsided": lopsided_law()}[name]
+    monkeypatch.setattr(cannings, "_BLOCK_PAIRS", 1)
+    ma = multiallelic_kernels(law, t)
+    groups = np.unique(law.weights, return_counts=True)[1]
+    assert min(-(-groups // len(ma.pair.poset))) >= spans
+    if name == "split4":
+        assert len(groups) == 2
+    assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
+# ---------------------------------------------------------------------------
+# Seeded faults: each identity whose inputs the array evaluators compute is
+# seen to fail when one value it checks is off
+# ---------------------------------------------------------------------------
+
+
+def moved_size_weights(law, moves):
+    """Put a copy of the law's size-vector weights, with weight ``d`` added
+    at size vector ``vec`` for each (vec, d) of ``moves``, in its memo."""
+    sizes, weights = law._size_weights
+    at = {vec: k for k, vec in enumerate(map(tuple, sizes.tolist()))}
+    weights = weights.copy()
+    for vec, d in moves:
+        weights[at[vec]] += d
+    vars(law)["_size_weights"] = (sizes, weights)
+
+
+# one unit of weight from (0, 0, 3) to (0, 1, 2) moves the children of the first two parents
+BLOCK_FORWARD_FAULT = [((0, 0, 3), -1), ((0, 1, 2), 1)]
+# these moves keep the law of the children of the first i parents, for every
+# i, so the coarse P stays right, but move E[|nu_1| |nu_2|]
+MOMENT_FAULT = [((1, 0, 2), 1), ((0, 1, 2), -1), ((1, 1, 1), -1), ((0, 2, 1), 1)]
+
+
+def test_a_moved_size_weight_fails_the_block_forward_form():
+    law = wright_fisher_law(3)
+    ma = multiallelic_kernels(law, 1)
+    moved_size_weights(law, BLOCK_FORWARD_FAULT)
+    with pytest.raises(VerificationFailure) as exc:
+        coarsen_multiallelic(ma)
+    assert exc.value.identity == "coarse P = block forward form"
+
+
+def test_a_moment_off_with_the_coarse_p_right_fails_the_moment_formula():
+    law = wright_fisher_law(3)
+    ma = multiallelic_kernels(law, 1)
+    right = coarse_forward_direct(law)
+    moved_size_weights(law, MOMENT_FAULT)
+    assert coarse_forward_direct(law) == right
+    with pytest.raises(VerificationFailure) as exc:
+        coarsen_multiallelic(ma)
+    assert exc.value.identity == "coarse Q = backward moment formula"
+
+
+def test_the_moment_formula_check_survives_optimized_mode():
+    code = (
+        "from moebius_dual import cannings, coarsen_multiallelic, multiallelic_kernels\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "law = cannings.wright_fisher_law(3)\n"
+        "ma = multiallelic_kernels(law, 1)\n"
+        "sizes, weights = law._size_weights\n"
+        "at = {vec: k for k, vec in enumerate(map(tuple, sizes.tolist()))}\n"
+        "weights = weights.copy()\n"
+        f"for vec, d in {MOMENT_FAULT!r}:\n"
+        "    weights[at[vec]] += d\n"
+        "vars(law)['_size_weights'] = (sizes, weights)\n"
+        "try:\n"
+        "    coarsen_multiallelic(ma)\n"
+        "except VerificationFailure as exc:\n"
+        "    print(exc.identity)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout == "coarse Q = backward moment formula\n"
+
+
+@pytest.mark.parametrize("matrix, identity", [(1, "P stochastic"), (2, "Q substochastic")])
+def test_one_count_over_fails_the_row_sums(monkeypatch, matrix, identity):
+    # one count of D P or D Q raised by 1 puts row 0 past D
+    counts = cannings._kernel_counts
+
+    def raised(law, masks, codes):
+        out = list(counts(law, masks, codes))
+        out[matrix] = out[matrix].copy()
+        out[matrix][0, 0] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(cannings, "_kernel_counts", raised)
+    for t in (1, 2):
+        with pytest.raises(VerificationFailure) as exc:
+            multiallelic_kernels(wright_fisher_law(3), t)
+        assert exc.value.identity == identity
+
+
+def test_a_repeated_atom_fails_wright_fisher_exchangeability(monkeypatch):
+    # atom 0 (parent 1 has every child) replaced by a second copy of atom 1:
+    # a valid law, but not invariant under relabelling
+    law_type = cannings.OffspringLaw
+    monkeypatch.setattr(cannings, "OffspringLaw", lambda n, children, den, weights: law_type(
+        n, np.vstack([children[1:2], children[1:]]), den, weights))
+    with pytest.raises(VerificationFailure) as exc:
+        wright_fisher_law(3)
+    assert exc.value.identity == "Wright-Fisher law is exchangeable"
 
 
 def test_monte_carlo_builds_no_table(monkeypatch):

@@ -456,6 +456,12 @@ GOLDEN = {
         "d24a477d83a19bb8ee1e77b6b195bd156444a2f6421b78b9d490880498251f4d",
     "simulate --model moran --N 5 --steps 4 --reps 300 --seed -2 --start 3 --dual-start 2 --format pretty":
         "5c6349e4e29ce5cc749c5574875d45b022f6075b77e0667c8a1910fa6fad424d",
+    # recorded before the Wright-Fisher closed forms and kernel counts moved
+    # to size-vector arrays and type codes: WF past N 5, and at T 2 past N 4
+    "cannings --model wf --N 6":
+        "f4d06874774d39d751dd873facdb207c3e877221fd6c27b8b4ab06b8c730706c",
+    "cannings --model wf --N 5 --T 2":
+        "005fd38211bb94b338ace9e6c8bf51484a59bac9a2f26e549775a01d5f347a34",
 }
 
 # a stochastic kernel on the subsets of {1, 2} with four different denominators

@@ -315,28 +315,56 @@ def _scope(parents, node):
     return getattr(node, "name", None)
 
 
-def test_no_speedup_brings_in_floats():
-    # only the Monte Carlo summary statistics (cannings._summary) are floats:
-    # no other float() call, no numpy float dtype or numpy.random, and no
-    # bincount weights, which numpy sums in float64
+# numpy names that compute in float64 whatever their input: the polynomial
+# and linear-algebra packages convert to float64, the statistics return floats,
+# true division and the elementary functions make floats of integers
+FLOAT_NUMPY_NAMES = {
+    "polynomial", "linalg", "mean", "average", "median", "percentile", "quantile", "std", "var",
+    "divide", "true_divide", "sqrt", "exp", "exp2", "expm1", "log", "log2", "log10", "log1p",
+    "logaddexp", "logaddexp2",
+}
+
+
+def _float_uses(name, tree):
+    """The calls and names of ``tree`` that bring in floats: float() outside
+    cannings._summary, a numpy float dtype, numpy.random or a name of
+    FLOAT_NUMPY_NAMES, and bincount weights, which numpy sums in float64."""
     found = []
-    for name, tree in _source_trees():
-        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
-                bad = (name, _scope(parents, node)) != ("cannings.py", "_summary")
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
-                bad = node.value.id in ("np", "numpy") and (node.attr.startswith("float")
-                                                            or node.attr == "random")
-            elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
-                called = getattr(node.func, "attr", getattr(node.func, "id", None))
-                bad = called == "bincount" and (len(node.args) > 1
-                                                or any(k.arg == "weights" for k in node.keywords))
-            else:
-                bad = False
-            if bad:
-                found.append(f"{name}:{node.lineno}:{ast.unparse(node)}")
-    assert found == []
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            bad = (name, _scope(parents, node)) != ("cannings.py", "_summary")
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            bad = node.value.id in ("np", "numpy") and (node.attr.startswith("float")
+                                                        or node.attr == "random"
+                                                        or node.attr in FLOAT_NUMPY_NAMES)
+        elif isinstance(node, ast.Call) and isinstance(node.func, (ast.Attribute, ast.Name)):
+            called = getattr(node.func, "attr", getattr(node.func, "id", None))
+            bad = called == "bincount" and (len(node.args) > 1
+                                            or any(k.arg == "weights" for k in node.keywords))
+        else:
+            bad = False
+        if bad:
+            found.append(f"{name}:{node.lineno}:{ast.unparse(node)}")
+    return found
+
+
+def test_no_speedup_brings_in_floats():
+    # only the Monte Carlo summary statistics (cannings._summary) are floats
+    assert [use for name, tree in _source_trees() for use in _float_uses(name, tree)] == []
+
+
+def test_the_float_guard_sees_every_float_name():
+    # each listed name, the older float sources, and nothing in an integer
+    # numpy call or math.sqrt outside the summary
+    planted = [f"np.{attr}(x)" for attr in sorted(FLOAT_NUMPY_NAMES)] + [
+        "numpy.polynomial.polynomial.polymul(a, b)", "np.float64(1)", "np.random.default_rng()",
+        "float(x)", "np.bincount(x, w)", "np.bincount(x, weights=w)"]
+    for line in planted:
+        assert len(_float_uses("cannings.py", ast.parse(line))) >= 1, line
+    clean = "np.bincount(x, minlength=4)\nnp.add.at(a, i, w)\nnp.logical_and(a, b)\nnp.expand_dims(a, 0)\n"
+    assert _float_uses("cannings.py", ast.parse(clean)) == []
+    assert _float_uses("cannings.py", ast.parse("def _summary(c):\n    return float(c)\n")) == []
 
 
 def test_a_failing_hypothesis_test_leaves_the_session_running(tmp_path):
