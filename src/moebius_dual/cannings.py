@@ -80,7 +80,7 @@ class OffspringLaw:
 
     def __post_init__(self):
         n = self.ground_size
-        _check_range("offspring law", "N", n, 0, MAX_LAW_GROUND)
+        _check_range("offspring law", "N", n, 1, MAX_LAW_GROUND)
         den = _integer(self.den, "denominator")
         if den < 1:
             raise InvalidOffspringLaw(f"denominator {den} is not positive")

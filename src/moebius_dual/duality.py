@@ -20,7 +20,7 @@ import numpy as np
 from .errors import (InvalidParameter, NonpositiveH, NotIrreducible, SingularH, VerificationFailure,
                      _require)
 from .poset import FinitePoset, ZetaPair, _pair_blocks
-from .rational import RationalMatrix, _require_equal
+from .rational import RationalMatrix, _bound, _from_values, _ints, _product, _require_equal
 
 __all__ = [
     "Kernel",
@@ -324,20 +324,23 @@ def invariant_distribution(p: Kernel):
     n = p.matrix.rows
     if not _is_irreducible(p.matrix):
         raise NotIrreducible("support digraph is not strongly connected")
-    # left eigenvector: (P' - I) rho = 0
+    # left eigenvector: (P' - I) rho = 0; its checks run on the integers v = total rho
     system = p.matrix.T - RationalMatrix.identity(n)
     rho = system.nullspace_vector()
     _require(rho is not None, "(P' - I) rho = 0 has a solution")
-    total = sum(rho, Fraction(0))
+    v, _ = _from_values(rho, (1, n))
+    total = sum(v[0].tolist())
     _require(total != 0, "sum of rho != 0")
-    rho = [x / total for x in rho]
-    _require(all(x > 0 for x in rho), "rho > 0")
-    _require_equal(RationalMatrix([rho]) @ p.matrix, RationalMatrix([rho]), "rho P = rho")
-    return rho
+    v, total = (v, total) if total > 0 else (-v, -total)
+    _require(bool((v > 0).all()), "rho > 0", lambda: int(np.flatnonzero(v <= 0)[0]))
+    num, den = p.matrix._num, p.matrix._den
+    vp, vd = _product(v, num), _ints(v, _bound(v) * den) * den  # v P = v as v num = v den
+    _require(np.array_equal(vp, vd), "rho P = rho", lambda: tuple(np.argwhere(vp != vd)[0].tolist()))
+    return [Fraction(x, total) for x in v[0].tolist()]
 
 
 def _is_irreducible(m: RationalMatrix) -> bool:
-    adj, reach = m.signs() != 0, np.eye(m.rows, dtype=bool)
-    for _ in range(m.rows):
-        reach |= (reach.astype(np.int64) @ adj) > 0
+    reach = (m.signs() != 0) | np.eye(m.rows, dtype=bool)
+    for _ in range((m.rows - 1).bit_length()):  # paths of length <= 2**k after k squarings
+        reach = reach @ reach
     return bool(reach.all())

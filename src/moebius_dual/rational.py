@@ -1,8 +1,8 @@
 """Dense matrices over exact rationals: a read-only 2-D array of integer
 numerators over one positive common denominator, with gcd 1 (so the zero
 matrix has denominator 1).  Numerators are int64 when every entry fits, else
-Python ints.  A bound checked before each product, sum or elimination picks
-int64 only when it cannot overflow.  Inverse and nullspace use Bareiss's
+Python ints.  A bound checked before each product, sum or elimination step
+picks int64 only when it cannot overflow.  Inverse and nullspace use Bareiss's
 fraction-free elimination (Math. Comp. 22, 1968).  Floats and booleans are
 rejected on input, since every identity here is checked with zero tolerance;
 entries leave as ``fractions.Fraction``.  At this boundary entries are parsed,
@@ -145,23 +145,26 @@ def _eliminate(a, cols: int):
     """Fraction-free Gauss-Jordan elimination (Bareiss) over the first ``cols``
     columns of the integer matrix ``a``: the reduced copy, the pivot row of each
     pivot column and the last pivot d, each pivot row being d times its reduced
-    row.  Intermediates are minors of ``a``, so int64 is used when 2 H**2 fits
-    for the Hadamard bound H."""
-    hadamard2 = math.prod(max(1, sum(x * x for x in row)) for row in a.tolist())
-    a = _ints(a, 2 * hadamard2).copy()
+    row.  Both products of a step are at most max|a|**2, so each step checks
+    that 2 max|a|**2 fits in int64 and runs on Python ints from the first step
+    where it does not."""
+    a = a.copy()
     pivots, d = {}, 1
     for c in range(cols):
         r = len(pivots)
         if r == a.shape[0]:
             break
-        nz = np.flatnonzero(a[r:, c])
+        nz = a[r:, c].nonzero()[0]
         if not len(nz):
             continue
-        a[[r, r + nz[0]]] = a[[r + nz[0], r]]
-        p, rest = a[r, c], np.arange(a.shape[0]) != r
-        a[rest] = (p * a[rest] - np.outer(a[rest, c], a[r])) // d
-        pivots[c], d = r, p
-    return a, pivots, int(d)
+        if a.dtype != object and 2 * _bound(a) ** 2 > _INT64_MAX:
+            a = a.astype(object)
+        if nz[0]:
+            a[[r, r + nz[0]]] = a[[r + nz[0], r]]
+        row, p = a[r], a[r, c]
+        a = (p * a - a[:, c, None] * row) // d  # a new array: row r of the old one is put back
+        a[r], pivots[c], d = row, r, int(p)
+    return a, pivots, d
 
 
 class RationalMatrix:

@@ -128,8 +128,16 @@ def test_law_size_caps():
     assert bounds == (64, 6, 8)
     with pytest.raises(SizeOverflow, match="^moran law: N must be in 2..8, got 9$"):
         moran_law(9)
-    with pytest.raises(SizeOverflow, match="^offspring law: N must be in 0..64, got 65$"):
+    with pytest.raises(SizeOverflow, match="^offspring law: N must be in 1..64, got 65$"):
         OffspringLaw(65, [], 1, [])
+
+
+def test_a_law_of_no_individuals_is_a_bad_parameter():
+    # a law of 0 individuals has no coarse chain: it is refused when built,
+    # with the typed lower-bound error of the named builders
+    for build in (lambda: OffspringLaw.build(0, [((), 1)]), lambda: OffspringLaw(0, [()], 1, [1])):
+        with pytest.raises(InvalidParameter, match="^offspring law: N must be in 1..64, got 0$"):
+            build()
 
 
 @pytest.mark.parametrize(

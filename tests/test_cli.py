@@ -529,3 +529,22 @@ def test_output_file(tmp_path, capsys):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["rows"] == 4
+
+
+def test_output_is_written_in_place_and_cut_to_length(tmp_path, capsys):
+    # a longer file already there ends with exactly the new bytes
+    argv = ["lattice", "subsets", "--n", "2"]
+    _, want, _ = run(argv, capsys)
+    target = tmp_path / "out.json"
+    target.write_text("x" * 20000)
+    assert run(argv + ["--output", str(target)], capsys)[:2] == (0, "")
+    assert target.read_text() == want
+    # a new file gets the mode open(path, "w") gives it under the same umask
+    fresh, reference = tmp_path / "fresh.json", tmp_path / "reference.json"
+    reference.open("w").close()
+    assert run(argv + ["--output", str(fresh)], capsys)[0] == 0
+    assert os.stat(fresh).st_mode == os.stat(reference).st_mode
+    # a device is written and never truncated; a directory is a bad --output
+    assert run(argv + ["--output", os.devnull], capsys)[:2] == (0, "")
+    code, out, err = run(argv + ["--output", str(tmp_path)], capsys)
+    assert (code, out) == (2, "") and "--output: [Errno 21] Is a directory" in err

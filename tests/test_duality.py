@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from moebius_dual import (
@@ -280,6 +280,14 @@ def test_h_transform_matches_the_fraction_reference_on_any_kernel(data):
     assert out.is_substochastic == (nonnegative and all(a <= x for a, x in zip(qh, h)))
 
 
+def optimized_stdout(code):
+    """The stdout lines of ``code`` run by a fresh ``python -O``, which strips every assert."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                          text=True, env=env, check=True).stdout.splitlines()
+
+
 def test_a_wrong_h_transform_fails_in_optimized_mode():
     # every product of the transform scaled by 2 breaks its row sums; every
     # product's columns rolled by one keeps the row sums and breaks the signs
@@ -296,11 +304,7 @@ def test_a_wrong_h_transform_fails_in_optimized_mode():
         "    except VerificationFailure as exc:\n"
         "        print(exc.identity)\n"
     )
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
-                         text=True, env=env, check=True)
-    assert out.stdout.splitlines() == ["row sums of Q_h = (Q h) / h", "Q_h has the signs of Q"]
+    assert optimized_stdout(code) == ["row sums of Q_h = (Q h) / h", "Q_h has the signs of Q"]
 
 def test_invariant_distribution():
     p = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))
@@ -312,6 +316,97 @@ def test_invariant_distribution():
     # a stochastic kernel that is not square is named by its shape
     with pytest.raises(InvalidParameter, match=r"must be square, got shape \(1, 2\)"):
         invariant_distribution(Kernel.of(RationalMatrix([[1, 0]])))
+
+
+@st.composite
+def stochastic_kernels(draw):
+    """Row-stochastic kernels of 2-16 states: entries k/6 drawn as the benchmark
+    draws them (six targets per row), or rows of weights over their own sums, so
+    the denominators are mixed.  With ``cycle`` each state also moves to the
+    next one, so the kernel is irreducible; without it, it may not be."""
+    n = draw(st.integers(2, 16))
+    cycle = draw(st.booleans())
+    mixed = draw(st.booleans())
+    rows = []
+    for i in range(n):
+        if mixed:
+            weights = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 7]), min_size=n, max_size=n))
+        else:
+            weights = [0] * n
+            for j in draw(st.lists(st.integers(0, n - 1), min_size=6 - cycle, max_size=6 - cycle)):
+                weights[j] += 1
+        weights[(i + 1) % n] += cycle or not any(weights)
+        rows.append([F(w, sum(weights)) for w in weights])
+    return rows
+
+
+def strongly_connected(rows):
+    """Every state reaches every other along positive entries (breadth first)."""
+    n = len(rows)
+    for start in range(n):
+        seen, frontier = {start}, [start]
+        while frontier:
+            frontier = [j for i in frontier for j in range(n) if rows[i][j] and j not in seen]
+            seen.update(frontier)
+        if len(seen) < n:
+            return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(stochastic_kernels())
+def test_invariant_distribution_matches_sympy(rows):
+    sympy = pytest.importorskip("sympy")
+    p = Kernel.of(RationalMatrix(rows))
+    event("irreducible" if strongly_connected(rows) else "reducible")
+    if not strongly_connected(rows):
+        with pytest.raises(NotIrreducible):
+            invariant_distribution(p)
+        return
+    system = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+    (kernel,) = (system.T - sympy.eye(len(rows))).nullspace()
+    want = [F(int(x.p), int(x.q)) for x in kernel / sum(kernel)]
+    assert invariant_distribution(p) == want
+    # a kernel whose first row sums to 1 + 1/7 is not stochastic
+    bumped = [[rows[0][0] + F(1, 7)] + rows[0][1:]] + rows[1:]
+    with pytest.raises(InvalidParameter, match="must be a stochastic kernel"):
+        invariant_distribution(Kernel.of(RationalMatrix(bumped)))
+
+
+# each identity of invariant_distribution fires on its own seeded fault: the
+# nullspace vector replaced by none, a zero-sum vector, a vector with a
+# negative entry and a vector off the invariant line (1, 2) of this kernel
+INVARIANT_FAULTS = [
+    (None, "(P' - I) rho = 0 has a solution", None),
+    ([F(1), F(-1)], "sum of rho != 0", None),
+    ([F(2), F(-1)], "rho > 0", 1),
+    ([F(1), F(3)], "rho P = rho", (0, 0)),
+]
+
+
+@pytest.mark.parametrize("vector, identity, witness", INVARIANT_FAULTS,
+                         ids=[fault[1] for fault in INVARIANT_FAULTS])
+def test_each_invariant_distribution_identity_fires_on_its_fault(monkeypatch, vector, identity,
+                                                                 witness):
+    p = Kernel.of(RationalMatrix([["1/2", "1/2"], ["1/4", "3/4"]]))
+    monkeypatch.setattr(RationalMatrix, "nullspace_vector", lambda self: vector)
+    with pytest.raises(VerificationFailure) as caught:
+        invariant_distribution(p)
+    assert (caught.value.identity, caught.value.witness) == (identity, witness)
+
+
+def test_a_wrong_invariant_distribution_fails_in_optimized_mode():
+    code = (
+        "from fractions import Fraction\n"
+        "from moebius_dual import Kernel, RationalMatrix, invariant_distribution\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "RationalMatrix.nullspace_vector = lambda self: [Fraction(1), Fraction(3)]\n"
+        "try:\n"
+        "    invariant_distribution(Kernel.of(RationalMatrix([['1/2', '1/2'], ['1/4', '3/4']])))\n"
+        "except VerificationFailure as exc:\n"
+        "    print(exc.identity)\n"
+    )
+    assert optimized_stdout(code) == ["rho P = rho"]
 
 
 # -- the Fraction-loop certificates, kept as the reference -------------------

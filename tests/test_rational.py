@@ -276,6 +276,79 @@ def test_wide_nullspace_matches_sympy(rows):
     assert (s * sympy.Matrix([sympy.Rational(x.numerator, x.denominator) for x in v])).is_zero_matrix
 
 
+# Elimination checks before each pivot that int64 still holds 2 max|a|**2 and
+# runs on Python ints from the first pivot where it does not.  Entries of b
+# bits give k-minors of about k b bits, so b > 34 / (n - 2) and b <= 29 put that
+# switch on an inner pivot; a dependent column leaves a free column among them.
+@st.composite
+def switching_matrices(draw):
+    n = draw(st.integers(4, 16))
+    bits = draw(st.integers(-(-34 // (n - 2)) + 1, 29))
+    cols = n + draw(st.sampled_from([0, 0, 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(2 ** (bits - 1), 2**bits, (n, cols)) * rng.choice([-1, 1], (n, cols))
+    dependent = draw(st.sampled_from([None, None, 2, cols - 1]))
+    if dependent is not None:
+        a[:, dependent] = a[:, 0] - a[:, 1]
+    return a
+
+
+def pivot_steps(a, cols):
+    """``_eliminate(a, cols)`` and the number of its pivot steps that ran on int64."""
+    with mock.patch.object(rational, "_bound", wraps=rational._bound) as bound:
+        out = rational._eliminate(a, cols)
+    return out, bound.call_count - (out[0].dtype == object)
+
+
+def assert_eliminated_as_on_python_ints(a, cols):
+    """Elimination of the int64 array ``a`` switches to Python ints on an inner
+    pivot and ends as the same run on Python ints from the first pivot does."""
+    (out, pivots, d), int_steps = pivot_steps(a, cols)
+    assert out.dtype == object and 1 <= int_steps < len(pivots)
+    out_obj, pivots_obj, d_obj = rational._eliminate(a.astype(object), cols)
+    assert (out.tolist(), pivots, d) == (out_obj.tolist(), pivots_obj, d_obj)
+    return pivots, int_steps
+
+
+@settings(max_examples=40, deadline=None)
+@given(switching_matrices())
+def test_elimination_switching_to_python_ints_mid_way_matches_sympy(a):
+    pivots, _ = assert_eliminated_as_on_python_ints(a, a.shape[1])
+    rows = a.tolist()
+    m, s = RationalMatrix(rows), to_sympy(rows)
+    if m.rows == m.cols and s.det() != 0:
+        assert list(m.inverse()) == from_sympy(s.inv())
+    rref, sympy_pivots = s.rref()
+    assert sorted(pivots) == list(sympy_pivots)
+    free = [c for c in range(s.cols) if c not in sympy_pivots]
+    want = None
+    if free:
+        want = [Fraction(0)] * s.cols
+        want[free[0]] = Fraction(1)
+        for r, c in enumerate(sympy_pivots):
+            want[c] = -Fraction(int(rref[r, free[0]].p), int(rref[r, free[0]].q))
+    assert m.nullspace_vector() == want
+
+
+def test_an_invariant_distribution_system_switches_to_python_ints_mid_way():
+    # P' - I of a 16-state kernel with entries k/6, drawn as the benchmark
+    # draws its random kernels: 12 pivots in int64, the last 3 on Python ints
+    import random
+
+    rng = random.Random(1)
+    rows = [[0] * 16 for _ in range(16)]
+    for row in rows:
+        for _ in range(6):
+            row[rng.randrange(16)] += 1
+    system = RationalMatrix([[Fraction(x, 6) for x in row] for row in rows]).T - RationalMatrix.identity(16)
+    pivots, int_steps = assert_eliminated_as_on_python_ints(system._num, 16)
+    assert (len(pivots), int_steps) == (15, 12)
+    s = to_sympy([[Fraction(x, 6) for x in row] for row in rows]).T - sympy.eye(16)
+    (kernel,) = s.nullspace()
+    v = system.nullspace_vector()
+    assert [sympy.Rational(x.numerator, x.denominator) for x in v] == list(kernel / kernel[15])
+
+
 def test_int64_bound_on_both_sides():
     ones = RationalMatrix([[1], [1]])
     below = RationalMatrix([[2**61, 2**61]]) @ ones  # bound 2**62: int64 product
