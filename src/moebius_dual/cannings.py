@@ -8,8 +8,8 @@ componentwise subset order.  The states are the N-fold product of the claw
 (absent below T incomparable types), enumerated by ``lattices._claw_power``;
 the haploid model is the case T = 1, where that product is the subset
 lattice of the population, built by the same path.  Coarse-graining by type
-counts recovers the classical frequency chain and, at T = 1, its
-hypergeometric dual.
+counts recovers the classical frequency chain and its dual, checked at every T
+against one family of closed forms over type-count classes (hypergeometric at T = 1).
 """
 
 from __future__ import annotations
@@ -240,24 +240,24 @@ def moran_law(n: int) -> OffspringLaw:
 # ---------------------------------------------------------------------------
 
 
-def _multinomial_class_size(n: int, evec) -> int:
-    rest = n - sum(evec)
-    count = math.factorial(n) // math.factorial(rest)
-    for e in evec:
-        count //= math.factorial(e)
-    return count
+def _multinomial_class_sizes(n: int, classes):
+    """#states(evec) = N! / ((N - sum e)! prod_t e_t!) of each class, as Python ints, and their lcm."""
+    f = [math.factorial(k) for k in range(n + 1)]
+    sizes = np.array([f[n] // f[n - sum(e)] // math.prod(f[k] for k in e) for e in classes], dtype=object)
+    return sizes, math.lcm(*sizes.tolist())
 
 
-def _product_binomial(n: int, classes) -> RationalMatrix:
-    """H(dvec, evec) = prod_t C(d_t, e_t) / (number of states with counts evec)."""
-    sizes = [_multinomial_class_size(n, evec) for evec in classes]
-    return RationalMatrix.from_function(
-        len(classes),
-        len(classes),
-        lambda a, b: Fraction(
-            math.prod(math.comb(d, e) for d, e in zip(classes[a], classes[b])), sizes[b]
-        ),
-    )
+def _product_binomial(n: int, classes):
+    """H(dvec, evec) = prod_t C(d_t, e_t) / #states(evec), and its inverse
+    #states(dvec) prod_t (-1)^(d_t - e_t) C(d_t, e_t), which holds as the classes
+    form a down-set of N^T.  By Vandermonde each product is at most C(N, N // 2)
+    < 2^63, so one int64 Pascal table gives them; the signs go by parity."""
+    counts = np.array(classes, dtype=np.intp).reshape(len(classes), -1)
+    pascal = np.array([[math.comb(i, j) for j in range(n + 1)] for i in range(n + 1)], dtype=np.int64)
+    binom, total = pascal[counts[:, None], counts].prod(axis=2), counts.sum(axis=1)
+    sizes, common = _multinomial_class_sizes(n, classes)
+    return (RationalMatrix._wrap(binom * (common // sizes), common), RationalMatrix._wrap(
+        np.where((total[:, None] - total) & 1, -binom, binom) * sizes[:, None], 1))
 
 
 def _block_forward(law: OffspringLaw, classes) -> RationalMatrix:
@@ -285,15 +285,42 @@ def _block_forward(law: OffspringLaw, classes) -> RationalMatrix:
     return RationalMatrix._wrap(counts.reshape(size, size), law.den)
 
 
+def _block_backward(law: OffspringLaw, classes) -> RationalMatrix:
+    """Q(dvec, evec) = [#states(evec)/#states(dvec)] E[prod over t of the sum over
+    (l_r >= 1) with sum d_t of prod_r C(|nu_r|, l_r)], r in block t of evec: the
+    e_t parents after the first e_1 + .. + e_{t-1}.  That sum is the coefficient
+    of x^{d_t} in prod_r ((1+x)^{|nu_r|} - 1), so one recurrence from each block
+    start gives its blocks, a row per size vector, all int64 (Vandermonde: at most
+    C(N, N // 2)); D C(N, N // 2) bounds the weighted sums, as in ``rational._product``."""
+    (sizes, weights), n = law._size_weights, law.ground_size
+    weights = weights.astype(np.int64 if law.den * math.comb(n, n // 2) <= _INT64_MAX else object)
+    counts = np.array(classes, dtype=np.intp).reshape(len(classes), -1)
+    starts = np.cumsum(counts, axis=1) - counts
+    # shift[s] multiplies a row of coefficients by (1+x)^s - 1, dropping the terms past x^N
+    factor = np.array([[math.comb(s, l) if l else 0 for l in range(n + 1)] for s in range(n + 1)])
+    d = np.arange(n + 1)
+    shift, blocks = factor[:, (d - d[:, None]).clip(0)], {}  # blocks[start, length]
+    for s in set(starts.ravel().tolist()):
+        blocks[s, 0] = np.eye(1, n + 1, dtype=np.int64).repeat(len(sizes), axis=0)  # the empty product, 1
+        for r in range(s, s + int(counts[starts == s].max())):
+            blocks[s, r - s + 1] = (blocks[s, r - s][:, None] @ shift[sizes[:, r]])[:, 0]
+    moments = np.zeros((len(classes), len(classes)), dtype=object)  # D E[...] at (dvec, evec)
+    for e, spans in enumerate(zip(starts.tolist(), counts.tolist())):
+        moments[:, e] = weights @ math.prod(blocks[b][:, d_t] for b, d_t in zip(zip(*spans), counts.T))
+    states, common = _multinomial_class_sizes(n, classes)
+    return RationalMatrix._wrap(moments * states * (common // states)[:, None], common * law.den)
+
+
 def hypergeometric_matrix(n: int) -> RationalMatrix:
     """H(i, j) = C(i,j)/C(N,j) for j <= i, on {0..N}."""
-    return _product_binomial(n, [(i,) for i in range(n + 1)])
+    _check_range("hypergeometric matrix", "N", n, 0, MAX_LAW_GROUND)
+    return _product_binomial(n, [(i,) for i in range(n + 1)])[0]
 
 
 def hypergeometric_inverse(n: int) -> RationalMatrix:
     """Closed-form inverse: (-1)^{i-j} C(i,j) C(N,i) for j <= i."""
-    return RationalMatrix.from_function(n + 1, n + 1, lambda i, j: (-1) ** (i - j) * math.comb(i, j)
-                                        * math.comb(n, i) if j <= i else 0)
+    _check_range("hypergeometric matrix", "N", n, 0, MAX_LAW_GROUND)
+    return _product_binomial(n, [(i,) for i in range(n + 1)])[1]
 
 
 def coarse_forward_direct(law: OffspringLaw) -> RationalMatrix:
@@ -304,33 +331,9 @@ def coarse_forward_direct(law: OffspringLaw) -> RationalMatrix:
 
 def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
     """Q(i, j) = [C(N,j)/C(N,i)] * sum over (l_1..l_j) >= 1 with sum i of
-    E[prod_r C(|nu_r|, l_r)].
-
-    That sum of products is the coefficient of x^i in
-    prod_{r <= j} ((1+x)^{|nu_r|} - 1), so one recurrence over r on the
-    coefficients of every size vector gives every (i, j).  Each coefficient
-    is at most that of (1+x)^N, at most C(64, 32) < 2^63, so the recurrence
-    runs in int64; D C(N, N // 2) bounds the weighted sums, which are int64
-    within it and Python ints past it, as in ``rational._product``.
-    """
+    E[prod_r C(|nu_r|, l_r)]."""
     law.require_exchangeable()
-    n = law.ground_size
-    sizes, weights = law._size_weights
-    weights = weights.astype(np.int64 if law.den * math.comb(n, n // 2) <= _INT64_MAX else object)
-    # row s of ``factor`` holds the coefficients of (1+x)^s - 1, and shift[s]
-    # multiplies a row of coefficients by it, dropping the terms past x^N
-    factor = np.array([[math.comb(s, l) if l else 0 for l in range(n + 1)] for s in range(n + 1)])
-    d = np.arange(n + 1)
-    shift = factor[:, (d - d[:, None]).clip(0)]
-    coef = np.tile(d == 0, (len(sizes), 1)).astype(np.int64)  # the empty product, 1
-    moments = np.zeros((n + 1, n + 1), dtype=object)  # D E[...] at (i, j)
-    for j in range(n + 1):
-        moments[:, j] = weights @ coef
-        if j < n:
-            coef = (coef[:, None] @ shift[sizes[:, j]])[:, 0]
-    choose = np.array([math.comb(n, i) for i in range(n + 1)], dtype=object)
-    common = math.lcm(*choose.tolist())
-    return RationalMatrix._wrap(moments * choose * (common // choose)[:, None], common * law.den)
+    return _block_backward(law, [(i,) for i in range(law.ground_size + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +473,7 @@ def multiallelic_kernels(law: OffspringLaw, t: int) -> MultiAllelicKernels:
     its T-tuple of masks; past the mode-product crossover the pair's
     products are made factor by factor by ``@``.  The (T+1)^N partial
     states are checked against the state cap first."""
-    if t < 1:
-        raise InvalidParameter(f"population model: T must be >= 1, got {t}")
+    _check_range("population model", "T", t, 1, math.inf)  # the state cap below bounds T
     n = law.ground_size
     _check_states((t + 1) ** n)
     masks, codes, pair = _claw_power(n, t, lambda masks: tuple(map(tuple, masks.tolist())))
@@ -513,13 +515,13 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> CoarseDualityResult:
 
     The fine dual is the builder's Q, which the builder has checked against
     h_dual, so no second dual is formed.  Verifies the multinomial class
-    sizes, the product-binomial closed form of the transformed coarse H,
-    and the direct forward formula
-    P(dvec, evec) = prob(type-t parents have e_t children for every t).
-    At T = 1 these are the binomial class sizes, the hypergeometric matrix
-    and the classical frequency chain; the haploid model further checks the
-    closed-form hypergeometric inverse, the backward moment formula and the
-    stochasticity of the coarse ancestral chain.
+    sizes, the product-binomial closed form of the transformed coarse H and
+    of its inverse, the direct forward formula
+    P(dvec, evec) = prob(type-t parents have e_t children for every t)
+    and the backward moment formula of the coarse Q, at every T.  At T = 1
+    these are the binomial class sizes, the hypergeometric matrix and its
+    inverse, the classical frequency chain and its dual; the haploid model
+    further checks the stochasticity of Q and of the coarse ancestral chain.
     """
     law = ma.law
     law.require_exchangeable()
@@ -531,18 +533,18 @@ def coarsen_multiallelic(ma: MultiAllelicKernels) -> CoarseDualityResult:
     res = _coarsen_pair(ma.p_ext, ma.q, *DualityVariant.ZETA_TRANSPOSE.h_pair(ma.pair), rel)
 
     classes = rel.class_labels
-    sizes = tuple(_multinomial_class_size(n, evec) for evec in classes)
+    sizes = tuple(_multinomial_class_sizes(n, classes)[0].tolist())
     _require(res.h_hat == sizes, "class sizes are multinomial",
              lambda: next(c for c, h, s in zip(classes, res.h_hat, sizes) if h != s))
-    _require_equal(res.h_coarse_hat, _product_binomial(n, classes), "coarse H = product-binomial form")
+    h, h_inv = _product_binomial(n, classes)
+    _require_equal(res.h_coarse_hat, h, "coarse H = product-binomial form")
     _require_equal(res.p_coarse.matrix, _block_forward(law, classes), "coarse P = block forward form")
     # the pipeline has checked that the coarse P and Q inherit (sub)stochasticity
     if ma.types == 1:
         _require(ma.q.is_stochastic and res.q_coarse_hh.is_stochastic, "haploid Q and coarse Q stochastic")
-        _require_equal(res.h_coarse_hat @ hypergeometric_inverse(n), RationalMatrix.identity(n + 1),
-                       "coarse H hypergeometric inverse = I")
-        _require_equal(res.q_coarse_hh.matrix, coarse_backward_moment_formula(law),
-                       "coarse Q = backward moment formula")
+    _require_equal(res.h_coarse_hat @ h_inv, RationalMatrix.identity(len(classes)),
+                   "coarse H hypergeometric inverse = I")
+    _require_equal(res.q_coarse_hh.matrix, _block_backward(law, classes), "coarse Q = backward moment formula")
     return res
 
 

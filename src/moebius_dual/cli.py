@@ -323,8 +323,8 @@ def _verification_suite(max_n: int):
     def _():
         for n in range(2, min(max_n, 4) + 1):
             for law in (wright_fisher_law(n), moran_law(n)):
-                # at T = 1 the coarsener checks H = hypergeometric_matrix(n), its
-                # closed-form inverse and the stochasticity of both coarse chains
+                # the coarsener checks H, H^-1 and Q against their closed forms (at
+                # T = 1 the hypergeometric ones) and that both Q are stochastic
                 coarsen_multiallelic(multiallelic_kernels(law, 1))
 
     @add("multi-allelic duality and substochastic coarse dual, WF N=2 T=2")

@@ -324,8 +324,10 @@ def invariant_distribution(p: Kernel):
     n = p.matrix.rows
     if not _is_irreducible(p.matrix):
         raise NotIrreducible("support digraph is not strongly connected")
-    # left eigenvector: (P' - I) rho = 0; its checks run on the integers v = total rho
-    system = p.matrix.T - RationalMatrix.identity(n)
+    # left eigenvector: (P' - I) rho = 0, eliminated as the integer system
+    # num' - den I (entries in -den..den); its checks run on the integers v = total rho
+    num, den = p.matrix._num, p.matrix._den
+    system = RationalMatrix._wrap(_ints(num.T, den) - _ints(np.eye(n, dtype=np.int64), den) * den, 1)
     rho = system.nullspace_vector()
     _require(rho is not None, "(P' - I) rho = 0 has a solution")
     v, _ = _from_values(rho, (1, n))
@@ -333,7 +335,6 @@ def invariant_distribution(p: Kernel):
     _require(total != 0, "sum of rho != 0")
     v, total = (v, total) if total > 0 else (-v, -total)
     _require(bool((v > 0).all()), "rho > 0", lambda: int(np.flatnonzero(v <= 0)[0]))
-    num, den = p.matrix._num, p.matrix._den
     vp, vd = _product(v, num), _ints(v, _bound(v) * den) * den  # v P = v as v num = v den
     _require(np.array_equal(vp, vd), "rho P = rho", lambda: tuple(np.argwhere(vp != vd)[0].tolist()))
     return [Fraction(x, total) for x in v[0].tolist()]

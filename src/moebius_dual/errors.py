@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from numbers import Integral
+
 
 class MoebiusDualError(Exception):
     """Base class for all package errors."""
@@ -26,7 +28,9 @@ class InvalidParameter(MoebiusDualError, ValueError):
 
 
 def _check_range(what: str, name: str, value: int, low: int, high: int) -> None:
-    """Raise InvalidParameter below ``low`` and SizeOverflow above ``high``."""
+    """InvalidParameter for a non-integer, a bool or a value below ``low``; SizeOverflow above ``high``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise InvalidParameter(f"{what}: {name} must be an integer, got {value!r}")
     if not low <= value <= high:
         error = InvalidParameter if value < low else SizeOverflow
         raise error(f"{what}: {name} must be in {low}..{high}, got {value}")

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import os
 import random
@@ -34,7 +35,7 @@ from moebius_dual import (
     wright_fisher_law,
 )
 from moebius_dual import cannings, coarse_graining, duality, lattices, poset, rational
-from moebius_dual.cannings import _block_forward
+from moebius_dual.cannings import _block_backward, _block_forward, _product_binomial
 from moebius_dual.errors import (
     InvalidOffspringLaw,
     InvalidParameter,
@@ -130,6 +131,34 @@ def test_law_size_caps():
         moran_law(9)
     with pytest.raises(SizeOverflow, match="^offspring law: N must be in 1..64, got 65$"):
         OffspringLaw(65, [], 1, [])
+
+
+@pytest.mark.parametrize("build", [hypergeometric_matrix, hypergeometric_inverse])
+def test_hypergeometric_sizes_are_checked_at_both_ends(build):
+    with pytest.raises(InvalidParameter, match=r"^hypergeometric matrix: N must be in 0..64, got -1$"):
+        build(-1)
+    with pytest.raises(SizeOverflow, match=r"^hypergeometric matrix: N must be in 0..64, got 65$"):
+        build(65)
+    assert build(0) == RationalMatrix([[1]])
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: wright_fisher_law(2.0), "wright-fisher law: N must be an integer, got 2.0"),
+    (lambda: wright_fisher_law(True), "wright-fisher law: N must be an integer, got True"),
+    (lambda: coarse_graining.coarse_set_matrices(1.5), "coarse set matrices: N must be an integer, got 1.5"),
+    (lambda: multiallelic_kernels(wright_fisher_law(2), 1.5), "population model: T must be an integer, got 1.5"),
+    (lambda: multiallelic_kernels(wright_fisher_law(2), "2"), "population model: T must be an integer, got '2'"),
+])
+def test_a_size_that_is_no_integer_is_a_bad_parameter(call, shown):
+    with pytest.raises(InvalidParameter) as exc:
+        call()
+    assert str(exc.value) == shown
+
+
+def test_sizes_may_be_numpy_integers():
+    law = wright_fisher_law(2)
+    assert multiallelic_kernels(law, np.int8(1)).p_ext.matrix == multiallelic_kernels(law, 1).p_ext.matrix
+    assert hypergeometric_inverse(np.int64(3)) == hypergeometric_inverse(3)
 
 
 def test_a_law_of_no_individuals_is_a_bad_parameter():
@@ -731,7 +760,11 @@ def reference_block_forward(law, classes):
     return RationalMatrix(rows)
 
 
-def reference_moment_formula(law):
+def reference_moment_formula(law, classes):
+    """Q(dvec, evec) = [#states(evec)/#states(dvec)] times the sum, over every
+    per-type composition (l_{t,1}..l_{t,e_t}) of d_t into parts >= 1, of
+    E[prod_r C(|nu_r|, l_r)], the first e_1 parents carrying type 1, the next
+    e_2 type 2, and so on: one Fraction per atom and composition."""
     n = law.ground_size
 
     def compositions(total, parts):
@@ -743,6 +776,7 @@ def reference_moment_formula(law):
             for rest in compositions(total - first, parts - 1):
                 yield (first,) + rest
 
+    @functools.cache
     def moment(ls):
         s = F(0)
         for nu, p in law.support:
@@ -752,8 +786,12 @@ def reference_moment_formula(law):
             s += p * prod
         return s
 
-    return RationalMatrix.from_function(n + 1, n + 1, lambda i, j: F(
-        math.comb(n, j), math.comb(n, i)) * sum((moment(ls) for ls in compositions(i, j)), F(0)))
+    def states(c):
+        return math.factorial(n) // math.factorial(n - sum(c)) // math.prod(map(math.factorial, c))
+
+    return RationalMatrix([[F(states(e), states(d)) * sum(
+        (moment(sum(ls, ())) for ls in product(*map(compositions, d, e))), F(0))
+        for e in classes] for d in classes])
 
 
 def mixture(n, parts):
@@ -886,7 +924,7 @@ def test_kernel_builders_match_fraction_reference(name, t):
     assert _block_forward(law, classes) == reference_block_forward(law, classes)
     if t == 1:
         assert coarse_forward_direct(law) == reference_block_forward(law, classes)
-        assert coarse_backward_moment_formula(law) == reference_moment_formula(law)
+        assert coarse_backward_moment_formula(law) == reference_moment_formula(law, classes)
     if name == "huge3":
         assert ma.p_ext.matrix._num.dtype == object and ma.q.matrix._num.dtype == object
 
@@ -1016,14 +1054,22 @@ def type_count_classes(n, t):
 
 
 def check_closed_forms(law, draw_order):
-    """_block_forward at T = 1, 2, 3, on the classes in an order from
-    ``draw_order``, and the two haploid closed forms, against the references."""
+    """_block_forward and _block_backward at T = 1, 2, 3, on the classes in an
+    order from ``draw_order``, against the references, with the inverse of the
+    product-binomial H (H H^-1 = H^-1 H = I, and H^-1 = H's Bareiss inverse),
+    and the haploid closed forms, their T = 1 case."""
     n = law.ground_size
     for t in (1, 2, 3):
         classes = draw_order(type_count_classes(n, t))
         assert _block_forward(law, classes) == reference_block_forward(law, classes)
-    assert coarse_forward_direct(law) == reference_block_forward(law, [(i,) for i in range(n + 1)])
-    assert coarse_backward_moment_formula(law) == reference_moment_formula(law)
+        assert _block_backward(law, classes) == reference_moment_formula(law, classes)
+        h, h_inv = _product_binomial(n, classes)
+        assert h @ h_inv == h_inv @ h == RationalMatrix.identity(len(classes))
+        if len(classes) <= 120:  # Bareiss on the 220 classes of N = 9 at T = 3 takes seconds
+            assert h_inv == h.inverse()
+    haploid = [(i,) for i in range(n + 1)]
+    assert coarse_forward_direct(law) == reference_block_forward(law, haploid)
+    assert coarse_backward_moment_formula(law) == reference_moment_formula(law, haploid)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -1189,6 +1235,68 @@ def test_the_moment_formula_check_survives_optimized_mode():
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
                          text=True, env=env, check=True)
     assert out.stdout == "coarse Q = backward moment formula\n"
+
+
+def one_over(values, at):
+    """A copy of the array ``values`` with one added at ``at``."""
+    values = values.copy()
+    values[at] += 1
+    return values
+
+
+def entry_over(m):
+    """``m`` with the numerator of its entry (1, 0) raised by one."""
+    return RationalMatrix._wrap(one_over(m._num, (1, 0)), m._den)
+
+
+# the closed-form side of each check of coarsen_multiallelic, one value off:
+# the size of class 1, an entry of H, of H^-1 or of Q
+CLOSED_FORM_FAULTS = {
+    "class sizes are multinomial": ("_multinomial_class_sizes", lambda out: (one_over(out[0], 1), out[1])),
+    "coarse H = product-binomial form": ("_product_binomial", lambda out: (entry_over(out[0]), out[1])),
+    "coarse H hypergeometric inverse = I": ("_product_binomial", lambda out: (out[0], entry_over(out[1]))),
+    "coarse Q = backward moment formula": ("_block_backward", entry_over),
+}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("identity", sorted(CLOSED_FORM_FAULTS))
+def test_each_closed_form_check_fires_on_its_fault(monkeypatch, identity, t):
+    ma = multiallelic_kernels(wright_fisher_law(3), t)
+    name, fault = CLOSED_FORM_FAULTS[identity]
+    form = getattr(cannings, name)
+    monkeypatch.setattr(cannings, name, lambda *args: fault(form(*args)))
+    with pytest.raises(VerificationFailure) as exc:
+        coarsen_multiallelic(ma)
+    assert exc.value.identity == identity
+
+
+def test_the_closed_form_checks_at_t_2_and_3_survive_optimized_mode():
+    # H^-1 one entry off at T = 2, Q one entry off at T = 3
+    code = (
+        "from moebius_dual import RationalMatrix, cannings, coarsen_multiallelic, multiallelic_kernels\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "law = cannings.wright_fisher_law(3)\n"
+        "def over(m):\n"
+        "    num = m._num.copy()\n"
+        "    num[1, 0] += 1\n"
+        "    return RationalMatrix._wrap(num, m._den)\n"
+        "forms = cannings._product_binomial, cannings._block_backward\n"
+        "cannings._product_binomial = lambda *args: (forms[0](*args)[0], over(forms[0](*args)[1]))\n"
+        "for t in (2, 3):\n"
+        "    try:\n"
+        "        coarsen_multiallelic(multiallelic_kernels(law, t))\n"
+        "    except VerificationFailure as exc:\n"
+        "        print(exc.identity)\n"
+        "    cannings._product_binomial = forms[0]\n"
+        "    cannings._block_backward = lambda *args: over(forms[1](*args))\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["coarse H hypergeometric inverse = I",
+                                       "coarse Q = backward moment formula"]
 
 
 @pytest.mark.parametrize("matrix, identity", [(1, "P stochastic"), (2, "Q substochastic")])
