@@ -1,13 +1,13 @@
 """Set-valued exchangeable population models with T allele types.
 
-An offspring law assigns to each parent i the set nu_i of its children;
-the nu_i are disjoint and cover the population.  The forward chain tracks
-the carrier sets of the T types, the backward chain tracks their ancestors,
-and the two are dual through the transpose of the zeta matrix of the
-componentwise subset order.  The states are the N-fold product of the claw
-(absent below T incomparable types), enumerated by ``lattices._claw_power``;
-the haploid model is the case T = 1, where that product is the subset
-lattice of the population, built by the same path.  Coarse-graining by type
+An offspring law gives each parent i the set nu_i of its children, the
+nu_i disjoint and covering the population.  The forward chain tracks the
+carrier sets of the T types, the backward chain their ancestors, dual
+through the transpose of the zeta matrix of the componentwise subset order
+on the N-fold claw product of ``lattices._claw_power`` (absent below T
+incomparable types; at T = 1, the haploid model, the subset lattice).  An
+exchangeable law commutes with relabelling the population, so its kernels
+are counted on one state per type-count class.  Coarse-graining by type
 counts recovers the classical frequency chain and its dual, checked at every T
 against one family of closed forms over type-count classes (hypergeometric at T = 1).
 """
@@ -53,11 +53,15 @@ __all__ = [
     "MAX_LAW_GROUND",
     "MAX_WRIGHT_FISHER_GROUND",
     "MAX_MORAN_GROUND",
+    "MAX_STEPS",
+    "MAX_REPS",
 ]
 
 MAX_LAW_GROUND = 64  # the children sets are N-bit masks, held in at most uint64
 MAX_WRIGHT_FISHER_GROUND = 6  # N^N atoms: 6^6 = 46,656, where 7^7 would be 823,543
 MAX_MORAN_GROUND = 8  # 2^8 = 256 haploid states, the largest subset lattice the first release checked
+MAX_STEPS = 10_000  # the exact P^steps has entries of steps log2(D) bits: Wright-Fisher on 6 took 48 s
+MAX_REPS = _INT64_MAX // 2  # the 2 reps streams are seeded from one range, whose length is a C ssize_t
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,8 +83,8 @@ class OffspringLaw:
     exchangeable: bool = field(init=False)
 
     def __post_init__(self):
-        n = self.ground_size
-        _check_range("offspring law", "N", n, 1, MAX_LAW_GROUND)
+        _check_range("offspring law", "N", self.ground_size, 1, MAX_LAW_GROUND)
+        object.__setattr__(self, "ground_size", n := int(self.ground_size))  # _place takes its bit_length
         den = _integer(self.den, "denominator")
         if den < 1:
             raise InvalidOffspringLaw(f"denominator {den} is not positive")
@@ -341,11 +345,10 @@ def coarse_backward_moment_formula(law: OffspringLaw) -> RationalMatrix:
 # ---------------------------------------------------------------------------
 
 
-# (atom, state) pairs counted at once, which bounds the per-atom tables and the
-# transient arrays of a small kernel (2^15 beat 2^13 on Wright-Fisher at N 5
-# and 6); a block of a large kernel covers at least as many pairs as its
-# bincount has bins (states^2), so zeroing the bins never dominates
-_BLOCK_PAIRS = 1 << 15
+# entries of one block of atoms' per-atom tables (2^N rows) and codes (a row
+# per representative); without it a law that is not exchangeable, or a large
+# custom law, would build the tables of all its atoms at once
+_BLOCK_PAIRS = 1 << 20
 
 
 def _merged_atoms(nu, weights):
@@ -402,44 +405,41 @@ def _kernel_counts(law: OffspringLaw, masks, codes):
     disjoint masks ``masks``, with the type codes ``codes``, for D the law's
     common denominator, as exact integer arrays.
 
-    A state's type code is its type assignment read in base T+1, so the code
-    of each (atom, state) image is a sum of table entries, one per type; the
-    tables are built per block of atoms.  Q drops the pairs whose per-type
-    ancestor sets overlap, which one type never has.  The pairs of the atoms
-    sharing one integer weight are counted with np.bincount and the counts
-    are multiplied by that weight in exact integers.  With fewer atoms than
-    states each image code is put in state order; else the cells are counted
-    by code, rows and columns, and put in state order once (at T = 1 the
-    codes are the masks, so the tables' rows are the count rows).
+    Relabelling by sigma keeps an exchangeable law, so P(sigma J, sigma K) =
+    P(J, K), and so for Q: per type-count class only the row of the state
+    sorted by type is counted, and row J is that row read at sigma_J^-1 K,
+    for sigma_J (``perm``) J's stable argsort by type; a law that is not
+    exchangeable sorts no key, so sigma is the identity.  A type code is a
+    type assignment read in base T+1, so an (atom, state) image code is a
+    sum of table entries, one per type, the tables built per block of atoms;
+    Q drops the pairs whose per-type ancestor sets overlap.  np.add.at sums
+    the integer weights exactly, in int64 while D fits, else Python ints.
     """
     n, nu, weights = law.ground_size, law.children, law.weights
     size, t = masks.shape
-    place, index, few = _place(n, t), np.zeros(size, dtype=np.intp), len(nu) < size
-    index[codes] = np.arange(size)
-    by_row = masks if few else masks[index]  # the states in the order of the count rows
-    direct = t == 1 and not few
-    rows, block, num = np.arange(size)[:, None] * size, max(_BLOCK_PAIRS // size, size), [0, 0]
-    for w in np.unique(weights):
-        chosen, cnt = np.flatnonzero(weights == w), [0, 0]
-        for lo in range(0, len(chosen), block):
-            f, g = _atom_tables(nu[chosen[lo:lo + block]], place)
-            p_code, q_code, seen, disjoint = (f, g, 0, True) if direct else (0, 0, 0, True)
-            for typ, mask in enumerate(() if direct else by_row.T, start=1):
-                par = g[mask]
-                p_code = f[mask] * typ + p_code
-                q_code = place[par] * typ + q_code
-                if t > 1:
-                    disjoint = disjoint & (par & seen == 0)
-                    seen = seen | par
-            if few:  # an overlapping pair's code may lie past the states; its cell is dropped
-                p_code, q_code = index[p_code], index.take(q_code, mode="clip")
-            q_cells = rows + q_code
-            cells = (rows + p_code).ravel(), q_cells[disjoint] if t > 1 else q_cells.ravel()
-            cnt = [c + np.bincount(x, minlength=size * size) for c, x in zip(cnt, cells)]
-        # every entry is at most its row sum, which is D
-        num = [x + c.astype(weights.dtype, copy=False) * w for x, c in zip(num, cnt)]
-    p_num, q_num = (x.reshape(size, size)[() if few else np.ix_(codes, codes)] for x in num)
-    return law.den, p_num, q_num
+    place, index, power = _place(n, t), np.argsort(codes), (t + 1) ** np.arange(n)  # index: code -> state
+    digits = codes[:, None] // power % (t + 1)  # the type of each individual
+    perm = np.argsort(digits * law.exchangeable, axis=1, kind="stable")
+    reps, rep_of = np.unique(index[np.take_along_axis(digits, perm, axis=1) @ power], return_inverse=True)
+    # sigma_J^-1 K has K's type of individual perm[J, k] at digit k: one column map per distinct sigma
+    perms, which = np.unique(perm, axis=0, return_inverse=True)
+    fill = index[power[np.argsort(perms, axis=1)] @ digits.T][which] + rep_of[:, None] * size
+    rows, block = np.arange(len(reps))[:, None] * size, max(1, _BLOCK_PAIRS // max(len(reps), 1 << n))
+    num = np.zeros((2, len(reps) * size), dtype=weights.dtype)  # every entry is at most its row sum, D
+    for lo in range(0, len(nu), block):
+        f, g = _atom_tables(nu[lo:lo + block], place)
+        p_code, q_code, seen, disjoint = 0, 0, 0, True
+        for typ, mask in enumerate(masks[reps].T, start=1):
+            par = g[mask]
+            p_code = f[mask] * typ + p_code
+            q_code = place[par] * typ + q_code
+            disjoint = disjoint & (par & seen == 0)
+            seen = seen | par
+        w = np.broadcast_to(weights[lo:lo + block], disjoint.shape)
+        np.add.at(num[0], rows + index[p_code], w)
+        # an overlapping pair's code may lie past the states; its cell is dropped
+        np.add.at(num[1], (rows + index.take(q_code, mode="clip"))[disjoint], w[disjoint])
+    return law.den, num[0].take(fill), num[1].take(fill)
 
 
 @dataclass(frozen=True)
@@ -804,8 +804,8 @@ def monte_carlo_duality(
     """
     law.require_exchangeable()
     n = law.ground_size
-    if reps < 1 or steps < 0:
-        raise InvalidParameter(f"monte carlo: reps must be >= 1 and steps >= 0, got {reps} and {steps}")
+    _check_range("monte carlo", "steps", steps, 0, MAX_STEPS)
+    _check_range("monte carlo", "reps", reps, 1, MAX_REPS)
     if (a | b) >> n:
         raise InvalidParameter(f"monte carlo: start sets {a:b}, {b:b} must lie in a population of {n}")
     h = hypergeometric_matrix(n)
@@ -859,10 +859,10 @@ def exact_coarse_duality_value(law: OffspringLaw, i: int, j: int, steps: int) ->
     of the direct coarse forward chain."""
     n = law.ground_size
     for name, value in (("i", i), ("j", j)):
-        if not 0 <= value <= n:
+        _check_range("exact duality value", name, value, 0, math.inf)
+        if value > n:  # a start outside the population, not a size past a cap
             raise InvalidParameter(f"exact duality value: {name} must be in 0..{n}, got {value}")
-    if steps < 0:
-        raise InvalidParameter(f"exact duality value: steps must be >= 0, got {steps}")
+    _check_range("exact duality value", "steps", steps, 0, MAX_STEPS)
     p_coarse = coarse_forward_direct(law)
     h = hypergeometric_matrix(n)
     return (p_coarse.power(steps) @ h)[i, j]

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import math
 from numbers import Integral
 
 
@@ -33,7 +34,8 @@ def _check_range(what: str, name: str, value: int, low: int, high: int) -> None:
         raise InvalidParameter(f"{what}: {name} must be an integer, got {value!r}")
     if not low <= value <= high:
         error = InvalidParameter if value < low else SizeOverflow
-        raise error(f"{what}: {name} must be in {low}..{high}, got {value}")
+        bound = f">= {low}" if high == math.inf else f"in {low}..{high}"
+        raise error(f"{what}: {name} must be {bound}, got {value}")
 
 
 class VerificationFailure(MoebiusDualError):

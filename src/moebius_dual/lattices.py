@@ -15,7 +15,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidSkeleton, NotComparable
+from .errors import InvalidParameter, InvalidSkeleton, NotComparable, _check_range
 from .poset import FinitePoset, ZetaPair, _check_states, _checked_pair, _kron_pair, _poset_from_matrix
 
 __all__ = [
@@ -119,8 +119,7 @@ def subset_lattice(n: int) -> SubsetLattice:
     (popcount, mask) order, its Moebius matrix read off the chain's checked
     pair and its order checked against the Kronecker power at every size.
     The state cap is checked first."""
-    if n < 0:
-        raise InvalidParameter(f"subset lattice: N must be >= 0, got {n}")
+    _check_range("subset lattice", "N", n, 0, math.inf)  # the state cap bounds N
     _check_states(power=n)
     return SubsetLattice(ground_size=n, pair=_claw_power(n, 1, lambda m: tuple(m[:, 0].tolist()))[2])
 
@@ -258,15 +257,13 @@ def _rgs(n: int) -> np.ndarray:
 def enumerate_partitions(n: int):
     """All partitions of {1..n} in canonical order, atoms descending, RGS
     lex: the ``Partition`` view of the rows of ``_rgs(n)``."""
-    if n < 0:
-        raise InvalidParameter(f"partitions: n must be >= 0, got {n}")
+    _check_range("partitions", "n", n, 0, math.inf)
     return [Partition(tuple(r)) for r in _rgs(n).tolist()]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so that bell_number(True) is not the cached Bell(1)
 def bell_number(n: int) -> int:
-    if n < 0:
-        raise InvalidParameter(f"bell number: n must be >= 0, got {n}")
+    _check_range("bell number", "n", n, 0, math.inf)
     if n == 0:
         return 1
     return sum(math.comb(n - 1, k) * bell_number(k) for k in range(n))
@@ -284,8 +281,7 @@ def _pair_masks(rgs: np.ndarray) -> np.ndarray:
 def partition_lattice(n: int) -> PartitionLattice:
     """All partitions of {1..n}, capped on Bell(n) >= 2^(n-1) first, so that a
     huge n computes no huge Bell number, then on the exact Bell(n)."""
-    if n < 1:
-        raise InvalidParameter(f"partition lattice: n must be >= 1, got {n}")
+    _check_range("partition lattice", "n", n, 1, math.inf)  # the state cap bounds n
     _check_states(power=n - 1, shown=f"Bell({n}) >= 2^{n - 1}")
     _check_states(bell_number(n))
     rgs = _rgs(n)
@@ -355,8 +351,7 @@ def skeleton(alpha: Partition) -> Skeleton:
 
 def skeletons_of(n: int):
     """All skeletons in E_N, ordered by (part count descending, parts lex)."""
-    if n < 0:
-        raise InvalidParameter(f"skeletons: n must be >= 0, got {n}")
+    _check_range("skeletons", "n", n, 0, math.inf)
     out = []
 
     def gen(remaining, mx, acc):

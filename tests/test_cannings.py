@@ -161,6 +161,42 @@ def test_sizes_may_be_numpy_integers():
     assert hypergeometric_inverse(np.int64(3)) == hypergeometric_inverse(3)
 
 
+def test_a_law_of_a_numpy_integer_size_keeps_a_python_int():
+    # the mask tables take the bit methods of a Python int N
+    law = wright_fisher_law(np.int64(2))
+    assert type(law.ground_size) is int
+    got, want = multiallelic_kernels(law, 1), multiallelic_kernels(wright_fisher_law(2), 1)
+    assert (got.p_ext.matrix, got.q.matrix) == (want.p_ext.matrix, want.q.matrix)
+
+
+@pytest.mark.parametrize("call, error, shown", [
+    (lambda law: exact_coarse_duality_value(law, 1.5, 1, 2), InvalidParameter,
+     "exact duality value: i must be an integer, got 1.5"),
+    (lambda law: exact_coarse_duality_value(law, 1, "1", 2), InvalidParameter,
+     "exact duality value: j must be an integer, got '1'"),
+    (lambda law: exact_coarse_duality_value(law, 1, 1, None), InvalidParameter,
+     "exact duality value: steps must be an integer, got None"),
+    (lambda law: exact_coarse_duality_value(law, 1, 1, 10_001), SizeOverflow,
+     "exact duality value: steps must be in 0..10000, got 10001"),
+    (lambda law: monte_carlo_duality(law, 1, 1, 10**30, 5, 0), SizeOverflow,
+     f"monte carlo: steps must be in 0..10000, got {10**30}"),
+    (lambda law: monte_carlo_duality(law, 1, 1, 2, 10**30, 0), SizeOverflow,
+     f"monte carlo: reps must be in 1..{2**62 - 1}, got {10**30}"),
+    (lambda law: monte_carlo_duality(law, 1, 1, 2, 2.5, 0), InvalidParameter,
+     "monte carlo: reps must be an integer, got 2.5"),
+    (lambda law: monte_carlo_duality(law, 1, 1, True, 5, 0), InvalidParameter,
+     "monte carlo: steps must be an integer, got True"),
+], ids=["exact-i-float", "exact-j-str", "exact-steps-none", "exact-steps-over", "mc-steps-over",
+        "mc-reps-over", "mc-reps-float", "mc-steps-bool"])
+def test_simulation_counts_are_gated_by_their_named_bounds(call, error, shown):
+    with pytest.raises(error) as exc:
+        call(wright_fisher_law(3))
+    assert str(exc.value) == shown
+    assert (cannings.MAX_STEPS, cannings.MAX_REPS) == (10_000, 2**62 - 1)
+    # the 2 reps streams of the largest count are one range of seeds that len() can count
+    assert len(range(2 * cannings.MAX_REPS)) == 2**63 - 2
+
+
 def test_a_law_of_no_individuals_is_a_bad_parameter():
     # a law of 0 individuals has no coarse chain: it is refused when built,
     # with the typed lower-bound error of the named builders
@@ -1006,12 +1042,22 @@ def test_direct_construction_refuses_an_orphan():
         dataclasses.replace(law, children=np.array([[3, 0], [1, 0], [2, 1], [0, 3]]))
 
 
+def recorded_blocks(monkeypatch):
+    """The number of atoms of each block that ``_kernel_counts`` builds tables for, in order."""
+    blocks, tables = [], cannings._atom_tables
+    monkeypatch.setattr(cannings, "_atom_tables", lambda nu, place: blocks.append(len(nu)) or tables(nu, place))
+    return blocks
+
+
 @pytest.mark.parametrize("name, t", [("wf3", 1), ("mixed3", 2), ("huge3", 1), ("wf4", 2)])
 def test_kernel_counts_do_not_depend_on_the_atom_blocks(monkeypatch, name, t):
-    # one state's worth of pairs per block: every weight group spans many blocks
-    law = REFERENCE_LAWS[name]
+    # one atom per block: every weight group spans as many blocks as it has
+    # atoms, and some group has more than one
+    law, blocks = REFERENCE_LAWS[name], recorded_blocks(monkeypatch)
     monkeypatch.setattr(cannings, "_BLOCK_PAIRS", 1)
     ma = multiallelic_kernels(law, t)
+    assert blocks == [1] * len(law.weights)
+    assert np.unique(law.weights, return_counts=True)[1].max() > 1
     assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
 
 
@@ -1041,12 +1087,17 @@ def exchangeable_laws(draw, max_n=4):
     """A few random atoms, each a parent for every child, with random weights,
     summed over all relabellings."""
     n = draw(st.integers(1, max_n), label="N")
+    return symmetrized_law(n, random_atoms(draw, n))
+
+
+def random_atoms(draw, n):
+    """A few random (nu, weight) atoms on n individuals, each a parent for every child."""
     atoms = []
     for _ in range(draw(st.integers(1, 3), label="atoms")):
         parent = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n), label="parents")
         nu = [sum(1 << c for c in range(n) if parent[c] == i) for i in range(n)]
         atoms.append((nu, draw(st.integers(1, 5), label="weight")))
-    return symmetrized_law(n, atoms)
+    return atoms
 
 
 def type_count_classes(n, t):
@@ -1156,17 +1207,58 @@ def split_wright_fisher(n):
 @pytest.mark.parametrize("name, t, spans", [("split4", 1, 3), ("split4", 2, 2), ("mixed3", 1, 1),
                                             ("lopsided", 1, 1), ("lopsided", 2, 1)])
 def test_kernel_counts_span_blocks_in_every_weight_group(monkeypatch, name, t, spans):
-    # one state's worth of pairs per block: each weight group of Wright-Fisher
-    # on 4 with two weights spans at least ``spans`` blocks (144 and 112 atoms
-    # over 16 or 81 states); the lopsided law is not exchangeable
+    # blocks of a few atoms, four states' worth of pairs, in the law's atom
+    # order: the atoms of each weight of Wright-Fisher on 4 with two weights
+    # (144 and 112 atoms) lie in at least ``spans`` blocks, and a weight of
+    # more than one atom in more than one; the lopsided law, of one atom, is
+    # not exchangeable
     law = {"split4": split_wright_fisher(4), "mixed3": MIXED_LAW, "lopsided": lopsided_law()}[name]
-    monkeypatch.setattr(cannings, "_BLOCK_PAIRS", 1)
+    blocks = recorded_blocks(monkeypatch)
+    monkeypatch.setattr(cannings, "_BLOCK_PAIRS", 4 * (t + 1) ** law.ground_size)
     ma = multiallelic_kernels(law, t)
-    groups = np.unique(law.weights, return_counts=True)[1]
-    assert min(-(-groups // len(ma.pair.poset))) >= spans
+    atoms, size = len(law.weights), max(blocks)
+    assert blocks == [min(size, atoms - lo) for lo in range(0, atoms, size)]
+    groups = [np.flatnonzero(law.weights == w) // size for w in np.unique(law.weights)]
+    spanned = [len(set(g.tolist())) for g in groups]
+    assert min(spanned) >= spans and all(s > 1 for s, g in zip(spanned, groups) if len(g) > 1)
     if name == "split4":
         assert len(groups) == 2
     assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
+@st.composite
+def subgroup_laws(draw, max_n=3):
+    """Random atoms summed over a proper subgroup of S_N: the cyclic group,
+    the transposition (1 2) or the trivial group.  Such a law is not
+    exchangeable unless its atoms happen to be, so its kernels are counted
+    on every state, with sigma the identity."""
+    n = draw(st.integers(2, max_n), label="N")
+    atoms = random_atoms(draw, n)
+    group = draw(st.sampled_from([
+        [tuple((c + k) % n for c in range(n)) for k in range(n)],
+        [tuple(range(n)), (1, 0) + tuple(range(2, n))],
+        [tuple(range(n))],
+    ]), label="group")
+    return symmetrized_law(n, atoms, group)
+
+
+@settings(max_examples=25, deadline=None)
+@given(law=subgroup_laws())
+def test_kernel_builders_match_the_reference_on_random_subgroup_laws(law):
+    for t in (1, 2, 3):
+        ma = multiallelic_kernels(law, t)
+        assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
+
+
+def test_subgroup_laws_include_laws_that_are_not_exchangeable():
+    # the cyclic group of 3 keeps parent 1 having children 1 and 2 apart from
+    # parent 2 having them, so the identity sigma is what counts these kernels
+    cycle = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    law = symmetrized_law(3, [((0b011, 0b100, 0), 1)], cycle)
+    assert not law.exchangeable
+    for t in (1, 2, 3):
+        ma = multiallelic_kernels(law, t)
+        assert (ma.p_ext.matrix, ma.q.matrix) == reference_p_q(law, ma.pair.poset)
 
 
 # ---------------------------------------------------------------------------
@@ -1326,6 +1418,75 @@ def test_a_repeated_atom_fails_wright_fisher_exchangeability(monkeypatch):
     with pytest.raises(VerificationFailure) as exc:
         wright_fisher_law(3)
     assert exc.value.identity == "Wright-Fisher law is exchangeable"
+
+
+def test_a_repeated_atom_fails_moran_exchangeability(monkeypatch):
+    # atom 0 (1 takes the slot of 2) replaced by a second copy of atom 1 (1
+    # takes the slot of 3): a valid law, but not invariant under relabelling
+    law_type = cannings.OffspringLaw
+    monkeypatch.setattr(cannings, "OffspringLaw", lambda n, children, den, weights: law_type(
+        n, np.vstack([children[1:2], children[1:]]), den, weights))
+    with pytest.raises(VerificationFailure) as exc:
+        moran_law(3)
+    assert exc.value.identity == "Moran law is exchangeable"
+
+
+@pytest.mark.parametrize("t", [1, 2])
+def test_a_count_moved_off_the_covering_states_fails_their_stochasticity(monkeypatch, t):
+    # one count of the last row, a covering state, moved from a covering
+    # column to column 0, the empty state: every row of D P still sums to D,
+    # so only the restriction to the covering states can see it
+    counts = cannings._kernel_counts
+
+    def moved(law, masks, codes):
+        den, p_num, q_num = counts(law, masks, codes)
+        p_num, first = p_num.copy(), len(masks) - t ** law.ground_size
+        k = first + np.flatnonzero(p_num[-1, first:])[0]
+        p_num[-1, k] -= 1
+        p_num[-1, 0] += 1
+        return den, p_num, q_num
+
+    monkeypatch.setattr(cannings, "_kernel_counts", moved)
+    with pytest.raises(VerificationFailure) as exc:
+        multiallelic_kernels(moran_law(3), t)
+    assert exc.value.identity == "P on covering states stochastic"
+
+
+def test_a_row_filled_through_a_wrong_relabelling_fails_the_duality():
+    # under python -O: on Moran N 4 at T 2, the fill reads one state's row
+    # through its stable argsort by type with the first and last entries
+    # swapped, a relabelling that does not map its representative onto it;
+    # the row keeps its sums, so the duality with h_dual's Q fails.  On
+    # Wright-Fisher the rows are constant on each type-count class, so no
+    # relabelling could show there
+    code = (
+        "import types\n"
+        "import numpy as np\n"
+        "from moebius_dual import cannings, moran_law, multiallelic_kernels\n"
+        "from moebius_dual.errors import VerificationFailure\n"
+        "def faulty(state):\n"
+        "    def unique(a, *args, axis=None, **kw):\n"
+        "        if axis == 0:  # the distinct relabellings, from one per state\n"
+        "            a = a.copy()\n"
+        "            a[state, [0, -1]] = a[state, [-1, 0]]\n"
+        "        return np.unique(a, *args, axis=axis, **kw)\n"
+        "    return types.SimpleNamespace(**{**vars(np), 'unique': unique})\n"
+        "law = moran_law(4)\n"
+        "masks = cannings._claw_power(4, 2, lambda m: tuple(map(tuple, m.tolist())))[0]\n"
+        "multiallelic_kernels(law, 2)\n"
+        "for state in [i for i, (a, b) in enumerate(masks.tolist()) if a and b][::7]:\n"
+        "    cannings.np = faulty(state)\n"
+        "    try:\n"
+        "        multiallelic_kernels(law, 2)\n"
+        "        print(state, 'passed')\n"
+        "    except VerificationFailure as exc:\n"
+        "        print(exc.identity)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, env=env, check=True)
+    assert out.stdout.splitlines() == ["Z' Q' = P Z'"] * 8
 
 
 def test_monte_carlo_builds_no_table(monkeypatch):

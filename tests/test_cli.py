@@ -274,6 +274,17 @@ def test_exit_codes(capsys, monkeypatch, tmp_path):
         assert name in err, argv
 
 
+@pytest.mark.parametrize("flag", ["--steps", "--reps"])
+def test_simulate_counts_past_their_bounds_name_the_flag(flag, tmp_path):
+    # a count of 10^30 reaches the library's named bound, not numpy or len()
+    argv = {"--model": "wf", "--N": "3", "--start": "1", "--dual-start": "1", "--seed": "0",
+            "--steps": "3", "--reps": "3", flag: str(10**30)}
+    out = run_python(["-m", "moebius_dual.cli", "simulate", *(x for item in argv.items() for x in item)],
+                     tmp_path, text=True)
+    assert out.returncode in (2, 3) and out.stdout == "" and "Traceback" not in out.stderr
+    assert f"{flag[2:]} must be in" in out.stderr
+
+
 def test_main_builds_one_parser_per_process(capsys, monkeypatch):
     built = []
 

@@ -159,6 +159,20 @@ def test_enumeration_counts_are_bell_numbers():
                 count(n)
 
 
+@pytest.mark.parametrize("build, what, n", [
+    (build, what, n)
+    for build, what in ((subset_lattice, "subset lattice: N"), (partition_lattice, "partition lattice: n"),
+                        (bell_number, "bell number: n"), (skeletons_of, "skeletons: n"),
+                        (enumerate_partitions, "partitions: n"))
+    for n in (1.5, "3", None, True)
+])
+def test_a_lattice_size_that_is_no_integer_is_a_bad_parameter(build, what, n):
+    bell_number(1)  # a cached Bell(1) is not Bell(True)
+    with pytest.raises(InvalidParameter) as exc:
+        build(n)
+    assert str(exc.value) == f"{what} must be an integer, got {n!r}"
+
+
 CLAW_POWERS = [(n, t) for t in (1, 2, 3) for n in range(13) if (t + 1) ** n <= 4096] + [(1, 70)]
 
 
